@@ -138,12 +138,14 @@ def tp_command(order, codim, basis, qhat_file, fmt, seed):
     "--order",
     type=int,
     default=None,
-    help="Truncation order override; omitted means the built-in heuristic.",
+    help="Expansion-order budget; omitted means none (the result is exact).",
 )
 @_common
 @_guard
 def residue_command(problem_path, order, fmt, seed):
     """Iterated residue at infinity of a stored integrand."""
+    if order is not None and order < 0:
+        raise click.BadParameter("--order must be nonnegative")
     try:
         with open(problem_path) as handle:
             obj = json.load(handle)

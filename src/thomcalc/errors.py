@@ -28,7 +28,7 @@ class ConstantFormError(CalcError):
 
 
 class TruncationUnstableError(CalcError):
-    """Residue value changed when the expansion order was increased."""
+    """The exact residue needs a deeper expansion than the order budget allows."""
 
 
 class CoincidentPoleError(CalcError):

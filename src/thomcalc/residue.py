@@ -6,9 +6,12 @@ in its top z-variable, multiplies the series together one variable at a time
 reads off the coefficient of 1/(z_1 ... z_d).  The residue carries the sign
 (-1)^d relative to that coefficient.
 
-Truncation is self-validating: the expansion runs twice, at the requested
-order and again slightly deeper, and a disagreement raises instead of
-returning a silently wrong answer.
+The expansion is exact in one pass.  Going from the last variable down,
+each factor's series is cut at the deepest power the current terms can
+still carry to the 1/v slice, and a candidate term is dropped as soon as
+one of its exponents can no longer reach -1; a variable's own series is
+applied last and only supplies that slice.  No truncation order is guessed
+and nothing is re-run to validate.
 
 Two exact backends complement the expansion: a single-variable residue by
 summing over symbolic simple poles, and an iterated pole sum used for
@@ -45,14 +48,14 @@ FactorList = Sequence[Tuple[LinearForm, int]]
 
 @dataclass(frozen=True)
 class TruncationPolicy:
+    """A budget on the expansion: base_order is the deepest power of any
+    denominator factor's series the residue may use."""
+
     base_order: int
-    validation_increment: int = 2
 
     def __post_init__(self):
         if self.base_order < 0:
             raise ValueError("base_order must be nonnegative")
-        if self.validation_increment < 1:
-            raise ValueError("validation_increment must be positive")
 
 
 class ResidueProblem:
@@ -144,18 +147,27 @@ class ResidueProblem:
         )
 
 
-def default_policy(problem: ResidueProblem) -> TruncationPolicy:
-    """A coarse order heuristic for problems without a caller-chosen policy."""
-    d = len(problem.variables)
-    numer_hi = max((_z_degree(m) for m in problem.numerator.term_map()), default=0)
-    span = sum(mult for _, mult in problem.denominator_factors)
-    for s in problem.per_variable_series.values():
-        lo = hi = 0
-        for mono in s.term_map():
-            deg = _z_degree(mono)
-            lo, hi = min(lo, deg), max(hi, deg)
-        span += hi - lo
-    return TruncationPolicy(base_order=max(4, numer_hi + span + d))
+def _split(mono: Monomial, v: Variable) -> Tuple[int, Monomial]:
+    # the exponent of v, and the monomial without v
+    for i, (w, e) in enumerate(mono):
+        if w is v:
+            return e, mono[:i] + mono[i + 1:]
+    return 0, mono
+
+
+def _degrees(mono: Monomial, v: Variable) -> Tuple[int, int]:
+    # the exponent of v, and the total z-degree
+    e = zdeg = 0
+    for w, we in mono:
+        if w.family == "z":
+            zdeg += we
+            if w is v:
+                e = we
+    return e, zdeg
+
+
+def _z_homogeneous(form: LinearForm) -> bool:
+    return form.constant == 0 and all(v.family == "z" for v, _ in form.items)
 
 
 def iterated_residue(
@@ -163,156 +175,112 @@ def iterated_residue(
 ) -> Polynomial:
     """Residue at infinity in every listed variable, exactly.
 
-    Computes the expansion at the policy order and at a deeper validation
-    order; a mismatch raises TruncationUnstableError.
+    Each denominator factor is expanded once, only as deep as the terms in
+    play can still reach the 1/(z_1 ... z_d) slice, so the answer needs no
+    truncation order.  A policy's base_order is a budget on that depth:
+    when the exact answer needs a deeper power of some factor, the call
+    raises TruncationUnstableError instead of expanding further.
     """
-    if policy is None:
-        policy = default_policy(problem)
-    first = _expand_residue(problem, policy.base_order)
-    second = _expand_residue(problem, policy.base_order + policy.validation_increment)
-    if first != second:
-        raise TruncationUnstableError(
-            f"residue changed between orders {policy.base_order} and "
-            f"{policy.base_order + policy.validation_increment}"
-        )
-    return first
-
-
-def _z_degree(mono: Monomial) -> int:
-    return sum(e for v, e in mono if v.family == "z")
-
-
-class _Piece:
-    """One expanded series factor with its exponent bookkeeping."""
-
-    __slots__ = ("terms", "var_ranges", "zdeg_lo", "zdeg_hi")
-
-    def __init__(self, poly: Polynomial):
-        self.terms = list(poly.term_map().items())
-        n = len(self.terms)
-        counts: Dict[Variable, int] = {}
-        mins: Dict[Variable, int] = {}
-        maxs: Dict[Variable, int] = {}
-        zlo = zhi = None
-        for mono, _ in self.terms:
-            deg = 0
-            for v, e in mono:
-                if v.family != "z":
-                    continue
-                deg += e
-                counts[v] = counts.get(v, 0) + 1
-                mins[v] = e if v not in mins else min(mins[v], e)
-                maxs[v] = e if v not in maxs else max(maxs[v], e)
-            zlo = deg if zlo is None else min(zlo, deg)
-            zhi = deg if zhi is None else max(zhi, deg)
-        ranges: Dict[Variable, Tuple[int, int]] = {}
-        for v, lo in mins.items():
-            hi = maxs[v]
-            if counts[v] < n:
-                # the variable is absent, hence at exponent 0, in some term
-                lo, hi = min(lo, 0), max(hi, 0)
-            ranges[v] = (lo, hi)
-        self.var_ranges = ranges
-        self.zdeg_lo = zlo or 0
-        self.zdeg_hi = zhi or 0
-
-
-def _expand_residue(problem: ResidueProblem, order: int) -> Polynomial:
-    d = len(problem.variables)
-    if d == 0:
+    if not problem.variables:
         return problem.numerator
-
-    # group pieces by stage; stage order is innermost (last listed) first
-    stage_pieces: Dict[Variable, List[_Piece]] = {v: [] for v in problem.variables}
-    index_of = {v: i for i, v in enumerate(problem.variables)}
-    for form, mult in problem.denominator_factors:
-        top = max((v for v in form.variables() if v.family == "z"), key=lambda v: index_of[v])
-        expansion = expand_inverse_factor(form, order)
-        for _ in range(mult):
-            stage_pieces[top].append(_Piece(expansion))
-    for v, s in problem.per_variable_series.items():
-        stage_pieces[v].insert(0, _Piece(s))
-
-    # aggregate ranges over every piece not yet multiplied in
-    remaining: Dict[Variable, List[int]] = {}
-    rem_lo = rem_hi = 0
-    for pieces in stage_pieces.values():
-        for piece in pieces:
-            rem_lo += piece.zdeg_lo
-            rem_hi += piece.zdeg_hi
-            for v, (lo, hi) in piece.var_ranges.items():
-                agg = remaining.setdefault(v, [0, 0])
-                agg[0] += lo
-                agg[1] += hi
-
-    def feasible(mono: Monomial, finalized: int) -> bool:
-        zdeg = 0
-        for v, e in mono:
-            if v.family != "z":
-                continue
-            zdeg += e
-            agg = remaining.get(v)
-            lo, hi = agg if agg is not None else (0, 0)
-            if not (e + lo <= -1 <= e + hi):
-                return False
-        # variables not present in the monomial sit at exponent 0
-        for v, (lo, hi) in remaining.items():
-            if not (lo <= -1 <= hi):
-                for w, _ in mono:
-                    if w is v:
-                        break
-                else:
-                    return False
-        need = -d - (zdeg - finalized)
-        return rem_lo <= need <= rem_hi
-
-    current: Dict[Monomial, Fraction] = dict(problem.numerator.term_map())
-    finalized = 0
     from .poly import _mono_mul  # local alias, hot loop
 
-    for v in reversed(problem.variables):
-        for piece in stage_pieces[v]:
-            # consume this piece from the aggregates before the feasibility test
-            rem_lo -= piece.zdeg_lo
-            rem_hi -= piece.zdeg_hi
-            for w, (lo, hi) in piece.var_ranges.items():
-                agg = remaining[w]
-                agg[0] -= lo
-                agg[1] -= hi
-                if agg == [0, 0]:
-                    del remaining[w]
-            merged: Dict[Monomial, Fraction] = {}
-            for m1, c1 in current.items():
-                for m2, c2 in piece.terms:
-                    mono = _mono_mul(m1, m2)
-                    if not feasible(mono, finalized):
-                        continue
-                    q = merged.get(mono)
-                    q = c1 * c2 if q is None else q + c1 * c2
-                    if q:
-                        merged[mono] = q
-                    else:
-                        del merged[mono]
-            current = merged
-        # keep the 1/v slice and drop the variable
+    budget = None if policy is None else policy.base_order
+    # the regime is |z_1| << |z_2| << ... whatever the listed order: each
+    # factor is a series in its z-variable of largest index
+    variables = sorted(problem.variables, key=lambda v: v.index)
+    topped: Dict[Variable, List[Tuple[LinearForm, int]]] = {v: [] for v in variables}
+    for form, mult in problem.denominator_factors:
+        topped[form.top_z_variable()[0]].append((form, mult))
+    # each variable's series keyed by its own exponent; no series reads as 1
+    series: Dict[Variable, Dict[int, List[Tuple[Monomial, Fraction]]]] = {}
+    for v in variables:
+        by_exp: Dict[int, List[Tuple[Monomial, Fraction]]] = {}
+        own = problem.per_variable_series.get(v, Polynomial.one())
+        for mono, coeff in own.term_map().items():
+            e, rest = _split(mono, v)
+            by_exp.setdefault(e, []).append((rest, coeff))
+        series[v] = by_exp or {0: []}
+
+    # Every factor term has total z-degree at most -1, exactly -1 for a
+    # factor homogeneous in z, and each variable ends at exponent -1 after
+    # its series; so the total z-degree D of a term over the variables not
+    # yet sliced is bounded by what the remaining factors and series can do.
+    factors_left = sum(mult for _, mult in problem.denominator_factors)
+    inhomogeneous_left = sum(
+        mult for form, mult in problem.denominator_factors if not _z_homogeneous(form)
+    )
+    series_hi = sum(max(by_exp) for by_exp in series.values())
+    series_lo = sum(min(by_exp) for by_exp in series.values())
+
+    current: Dict[Monomial, Fraction] = dict(problem.numerator.term_map())
+    for i in range(len(variables) - 1, -1, -1):
+        v = variables[i]
+        hi_v, lo_v = max(series[v]), min(series[v])
+        # factors topped by v only lower e_v, by at least one each
+        v_left = sum(mult for _, mult in topped[v])
+        for form, mult in topped[v]:
+            if not current:
+                break
+            power = max(_degrees(m, v)[0] for m in current) + hi_v - v_left + 1
+            if power < 0:
+                current = {}
+                break
+            if budget is not None and power > budget:
+                raise TruncationUnstableError(
+                    f"the residue in {v.text} needs power {power} of 1/({form.to_text()}), "
+                    f"past the order budget {budget}"
+                )
+            # the terms of 1/form by s, where the term carries v^-(s+1)
+            pieces = []
+            for mono, coeff in expand_inverse_factor(form, power).term_map().items():
+                e, zdeg = _degrees(mono, v)
+                pieces.append((-1 - e, mono, coeff, zdeg))
+            pieces.sort(key=lambda piece: piece[0])
+            homogeneous = _z_homogeneous(form)
+            for _ in range(mult):
+                v_left -= 1
+                factors_left -= 1
+                if not homogeneous:
+                    inhomogeneous_left -= 1
+                slack = hi_v - v_left
+                zdeg_lo = factors_left - (i + 1) - series_hi
+                zdeg_hi = factors_left - (i + 1) - series_lo
+                merged: Dict[Monomial, Fraction] = {}
+                for m1, c1 in current.items():
+                    e1, z1 = _degrees(m1, v)
+                    reach = e1 + slack
+                    for s, m2, c2, z2 in pieces:
+                        if s > reach:
+                            break
+                        zdeg = z1 + z2
+                        if zdeg < zdeg_lo or (zdeg > zdeg_hi and not inhomogeneous_left):
+                            continue
+                        mono = _mono_mul(m1, m2)
+                        q = merged.get(mono)
+                        q = c1 * c2 if q is None else q + c1 * c2
+                        if q:
+                            merged[mono] = q
+                        else:
+                            del merged[mono]
+                current = merged
+        # v's series last: it only has to supply the 1/v slice
         sliced: Dict[Monomial, Fraction] = {}
         for mono, coeff in current.items():
-            e = 0
-            rest = []
-            for w, we in mono:
-                if w is v:
-                    e = we
+            e, rest = _split(mono, v)
+            for s_mono, s_coeff in series[v].get(-1 - e, ()):
+                key = _mono_mul(rest, s_mono)
+                q = sliced.get(key, 0) + coeff * s_coeff
+                if q:
+                    sliced[key] = q
                 else:
-                    rest.append((w, we))
-            if e == -1:
-                key = tuple(rest)
-                q = sliced.get(key)
-                sliced[key] = coeff if q is None else q + coeff
-        current = {m: c for m, c in sliced.items() if c}
-        finalized += 1
+                    del sliced[key]
+        current = sliced
+        series_hi -= hi_v
+        series_lo -= lo_v
 
     result = Polynomial(current)
-    if d % 2:
+    if len(variables) % 2:
         result = -result
     return result
 

@@ -176,24 +176,48 @@ class QhatRegistry:
         return d
 
 
-_default_state: Optional[Tuple[Optional[str], QhatRegistry]] = None
+def _plugin_files(env: str) -> List[str]:
+    try:
+        names = sorted(os.listdir(env))
+    except OSError as err:
+        raise QhatFormatError(f"cannot scan numerator directory {env}: {err}")
+    return [os.path.join(env, name) for name in names if name.endswith(".json")]
+
+
+def _plugin_key() -> Optional[Tuple[str, str]]:
+    """$THOMCALC_QHAT_DIR with a sha256 over its plugin files' names and
+    contents, so a plugin edited in place is not served from a cache;
+    None when the variable is unset."""
+    env = os.environ.get("THOMCALC_QHAT_DIR")
+    if not env:
+        return None
+    import hashlib  # here, so a run without plugins never loads it
+
+    digest = hashlib.sha256()
+    for path in _plugin_files(env):
+        try:
+            with open(path, "rb") as handle:
+                content = handle.read()
+        except OSError as err:
+            raise QhatFormatError(f"cannot read numerator file {path}: {err}")
+        digest.update(os.path.basename(path).encode() + b"\0")
+        digest.update(hashlib.sha256(content).digest())
+    return env, digest.hexdigest()
+
+
+_default_state: Optional[Tuple[Optional[Tuple[str, str]], QhatRegistry]] = None
 
 
 def default_registry() -> QhatRegistry:
     """The shared registry, including plugins from $THOMCALC_QHAT_DIR."""
     global _default_state
-    env = os.environ.get("THOMCALC_QHAT_DIR")
-    if _default_state is None or _default_state[0] != env:
+    key = _plugin_key()
+    if _default_state is None or _default_state[0] != key:
         registry = QhatRegistry()
-        if env:
-            try:
-                names = sorted(os.listdir(env))
-            except OSError as err:
-                raise QhatFormatError(f"cannot scan numerator directory {env}: {err}")
-            for name in names:
-                if name.endswith(".json"):
-                    registry.load_file(os.path.join(env, name))
-        _default_state = (env, registry)
+        if key is not None:
+            for path in _plugin_files(key[0]):
+                registry.load_file(path)
+        _default_state = (key, registry)
     return _default_state[1]
 
 
@@ -254,6 +278,7 @@ def residue_problem_for(
 
 
 def recommended_policy(d: int, codim: int) -> TruncationPolicy:
+    """An expansion-order budget that covers the residue of tp(d, codim)."""
     base = d * (codim + 1) + dim_orbit(d) + deg_qhat(d) + d
     return TruncationPolicy(base_order=base)
 
@@ -301,14 +326,11 @@ class ThomPolynomial:
         }
 
 
-_tp_cache: Dict[Tuple[int, int, Optional[str]], "ThomPolynomial"] = {}
+_tp_cache: Dict[Tuple[int, int, Optional[Tuple[str, str]]], "ThomPolynomial"] = {}
 
 
 def thom_polynomial(
-    d: int,
-    codim: int,
-    registry: Optional[QhatRegistry] = None,
-    policy: Optional[TruncationPolicy] = None,
+    d: int, codim: int, registry: Optional[QhatRegistry] = None
 ) -> ThomPolynomial:
     """The closed class of the order-d contact locus in codimension shift codim.
 
@@ -316,13 +338,13 @@ def thom_polynomial(
     range need a plugin.  Results for the default registry are memoized.
     """
     cache_key = None
-    if registry is None and policy is None:
-        cache_key = (d, codim, os.environ.get("THOMCALC_QHAT_DIR"))
+    if registry is None:
+        cache_key = (d, codim, _plugin_key())
         cached = _tp_cache.get(cache_key)
         if cached is not None:
             return cached
     problem = residue_problem_for(d, codim, registry)
-    body = iterated_residue(problem, policy or recommended_policy(d, codim))
+    body = iterated_residue(problem)
     result = ThomPolynomial(d=d, codim=codim, body=body)
     if cache_key is not None:
         _tp_cache[cache_key] = result
@@ -733,9 +755,9 @@ def _term_factor_list(term: FixedPointTerm, n: int) -> FactorList:
     return tuple(factors)
 
 
-def _safe_orders(num: Polynomial, charts: Sequence[LinearForm], n: int, d: int):
+def _series_order(num: Polynomial, charts: Sequence[LinearForm], n: int, d: int) -> int:
     # worst-case degree at each expansion stage, walking from the last
-    # variable down; the series eats n per slice, which caps every order
+    # variable down; the series eats n per slice, which caps its length
     reach: Dict[int, int] = {}
     for q in range(d, 0, -1):
         degree = max(num.exponent_range(zvar(q))[1], 0)
@@ -744,9 +766,7 @@ def _safe_orders(num: Polynomial, charts: Sequence[LinearForm], n: int, d: int):
             if top.index > q and chart.coefficient(zvar(q)) != 0:
                 degree += max(0, reach[top.index] - n)
         reach[q] = degree
-    series_order = max(0, max(reach[q] - n for q in reach))
-    factor_order = max(reach.values())
-    return series_order, factor_order
+    return max(0, max(reach[q] - n for q in reach))
 
 
 def _compressed_term_residue(term: FixedPointTerm, n: int, k: int) -> Polynomial:
@@ -754,7 +774,7 @@ def _compressed_term_residue(term: FixedPointTerm, n: int, k: int) -> Polynomial
     and the root poles compressed to complete homogeneous symbols."""
     d = term.sequence.depth
     num = compressed_term_numerator(term, k)
-    series_order, factor_order = _safe_orders(num, term.chart_factors, n, d)
+    series_order = _series_order(num, term.chart_factors, n, d)
     series = {}
     for l in range(1, d + 1):
         s = Polynomial.zero()
@@ -769,7 +789,7 @@ def _compressed_term_residue(term: FixedPointTerm, n: int, k: int) -> Polynomial
         per_variable_series=series,
         variables=tuple(zvar(l) for l in range(1, d + 1)),
     )
-    return iterated_residue(problem, TruncationPolicy(base_order=factor_order + 2))
+    return iterated_residue(problem)
 
 
 def _term_residue_at_roots(
@@ -783,13 +803,12 @@ def _term_residue_at_roots(
         for l in range(1, d + 1)
         for li in lam
     )
-    _, factor_order = _safe_orders(num, charts, len(lam), d)
     problem = ResidueProblem(
         numerator=num,
         denominator_factors=tuple((form, 1) for form in forms),
         variables=tuple(zvar(l) for l in range(1, d + 1)),
     )
-    return iterated_residue(problem, TruncationPolicy(base_order=factor_order + 2))
+    return iterated_residue(problem)
 
 
 def residue_term_value(

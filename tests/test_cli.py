@@ -5,7 +5,15 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from thomcalc import Polynomial, linear_form, qhat, residue_problem_for, thom_polynomial
+from thomcalc import (
+    Polynomial,
+    ResidueProblem,
+    linear_form,
+    qhat,
+    residue_problem_for,
+    thom_polynomial,
+    zvar,
+)
 from thomcalc.cli import main
 from thomcalc.poly import cvar, etavar, yvar
 
@@ -90,6 +98,37 @@ def test_residue_from_file(runner, tmp_path):
     )
     assert result.exit_code == 0
     assert result.output == "c1^2 + c2\n"
+
+
+def _deep_slice_problem(tmp_path):
+    # z1^-11 z2^10 / (z1 + z2): the z2-slice needs power 10 of the factor
+    z1, z2 = zvar(1), zvar(2)
+    problem = ResidueProblem(
+        Polynomial.term(1, [(z1, -11), (z2, 10)]),
+        ((linear_form((1, z1), (1, z2)), 1),),
+        variables=(z1, z2),
+    )
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(problem.to_json_dict()))
+    return str(path)
+
+
+def test_residue_without_order_is_exact(runner, tmp_path):
+    path = _deep_slice_problem(tmp_path)
+    result = runner.invoke(main, ["residue", "--problem", path])
+    assert result.exit_code == 0
+    assert result.output == "1\n"
+
+    result = runner.invoke(main, ["residue", "--problem", path, "--order", "9"])
+    assert result.exit_code == 1
+    assert "z_2 needs power 10" in result.output and "budget 9" in result.output
+
+
+def test_residue_rejects_negative_order(runner, tmp_path):
+    path = _deep_slice_problem(tmp_path)
+    result = runner.invoke(main, ["residue", "--problem", path, "--order", "-1"])
+    assert result.exit_code == 2
+    assert "--order" in result.output
 
 
 def test_residue_rejects_unreadable_file(runner, tmp_path):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from thomcalc import (
@@ -23,7 +23,7 @@ from thomcalc import (
     vanishing_criterion,
     zvar,
 )
-from thomcalc.residue import deg_in_subset, default_policy, lead_count
+from thomcalc.residue import deg_in_subset, lead_count
 
 Z1, Z2, Z3 = zvar(1), zvar(2), zvar(3)
 
@@ -85,11 +85,32 @@ def test_truncation_instability_is_detected():
     assert stable == Polynomial.constant(-1)
 
 
+def test_listed_order_does_not_change_the_regime():
+    # the expansion regime is |z1| << |z2| however the variables are listed
+    num = Polynomial.term(1, [(Z1, 2), (Z2, 1)])
+    factors = (
+        (form((1, Z1), constant=-1), 1),
+        (form((1, Z2), (-1, Z1), constant=-2), 1),
+        (form((1, Z2), constant=-5), 1),
+    )
+    results = [
+        iterated_residue(ResidueProblem(num, factors, variables=order))
+        for order in ((Z1, Z2), (Z2, Z1))
+    ]
+    assert results == [Polynomial.one(), Polynomial.one()]
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         TruncationPolicy(base_order=-1)
-    with pytest.raises(ValueError):
-        TruncationPolicy(base_order=4, validation_increment=0)
+
+
+def test_deep_slice_needs_no_order():
+    # the z2-slice needs power 10 of the factor, deeper than any guessed order
+    num = Polynomial.term(1, [(Z1, -11), (Z2, 10)])
+    factors = ((form((1, Z1), (1, Z2)), 1),)
+    problem = ResidueProblem(num, factors, variables=(Z1, Z2))
+    assert iterated_residue(problem) == Polynomial.one()
 
 
 # -- problem construction and serialization ----------------------------
@@ -132,11 +153,6 @@ def test_problem_json_round_trip():
     assert back.per_variable_series == problem.per_variable_series
     assert back.variables == problem.variables
     assert iterated_residue(back) == iterated_residue(problem)
-
-
-def test_default_policy_floor():
-    problem = ResidueProblem(Polynomial.one(), variables=(Z1,))
-    assert default_policy(problem).base_order >= 4
 
 
 # -- exact pole-sum backends -------------------------------------------
@@ -213,6 +229,38 @@ def test_backends_agree_on_numeric_roots(a, b, roots):
         FactoredRational(num, tuple((f, 1) for f in forms)), Z1
     )
     assert by_poles == series == exact
+
+
+ROOTS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(5)])
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3)),
+        min_size=1, max_size=3,
+    ),
+    st.lists(ROOTS, max_size=2, unique=True),
+    st.lists(ROOTS, max_size=2, unique=True),
+    st.lists(ROOTS, max_size=2, unique=True),
+)
+@settings(max_examples=200, deadline=None)
+def test_two_variable_backends_agree(terms, r_roots, s_roots, t_roots):
+    # the z2 - z1 - t factors are not homogeneous in z: while one remains,
+    # the series engine may bound the total z-degree from below only
+    num = Polynomial.zero()
+    for a, b, c in terms:
+        num = num + Polynomial.term(c, [(Z1, a), (Z2, b)])
+    forms = [form((1, Z1), constant=-r) for r in r_roots]
+    forms += [form((1, Z2), constant=-s) for s in s_roots]
+    forms += [form((1, Z2), (-1, Z1), constant=-t) for t in t_roots]
+    try:
+        by_poles = residue_by_pole_sum(num, forms, (Z1, Z2)).to_polynomial()
+    except CoincidentPoleError:
+        assume(False)
+    series = iterated_residue(
+        ResidueProblem(num, tuple((f, 1) for f in forms), variables=(Z1, Z2))
+    )
+    assert by_poles == series
 
 
 # -- degree bookkeeping ------------------------------------------------

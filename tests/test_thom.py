@@ -156,6 +156,19 @@ def test_directory_discovery_is_cached(monkeypatch, tmp_path):
     assert qhat(4, default_registry()) == qhat(4)
 
 
+def test_rewritten_plugin_is_not_served_stale(monkeypatch, tmp_path):
+    # same directory, same file name: only the contents change between calls
+    path = tmp_path / "qhat_4.json"
+    monkeypatch.setenv("THOMCALC_QHAT_DIR", str(tmp_path))
+    results = []
+    for plugin in (zmono(1, (1, 1)), zmono(1, (2, 1))):
+        path.write_text(json.dumps({"d": 4, "polynomial": plugin.to_json_dict()}))
+        assert qhat(4) == plugin
+        results.append(thom_polynomial(4, 0))
+        assert results[-1] == thom_polynomial(4, 0, QhatRegistry({4: plugin}))
+    assert results[0] != results[1]
+
+
 # -- residue problem assembly ------------------------------------------
 
 
