@@ -89,17 +89,6 @@ class MonomialIdeal:
         gens = [{t: e for t, e in g.items() if t in subset} for g in self.generators]
         return MonomialIdeal(gens, subset)
 
-    @staticmethod
-    def from_polynomials(polys: Sequence[Polynomial], indices: Iterable[int]) -> "MonomialIdeal":
-        gens = []
-        for p in polys:
-            items = list(p.term_map().items())
-            if len(items) != 1:
-                raise ValueError(f"{p!r} is not a monomial")
-            mono, _ = items[0]
-            gens.append({v.index: e for v, e in mono})
-        return MonomialIdeal(gens, indices)
-
 
 def _minimalize(gens: List[Exponents]) -> Tuple[Exponents, ...]:
     uniq: List[Exponents] = []
@@ -292,12 +281,6 @@ def _vec_to_pairs(vec: tuple, lex: _Lex) -> Monomial:
     pairs = [(inverse[i], e) for i, e in enumerate(vec) if e]
     pairs.sort(key=lambda p: p[0].key)
     return tuple(pairs)
-
-
-def is_unit_basis(basis: Sequence[Polynomial]) -> bool:
-    return any(
-        len(g.term_map()) == 1 and next(iter(g.term_map())) == () for g in basis
-    )
 
 
 def initial_ideal(ideal: PolynomialIdeal, pair_budget: int = 10_000) -> MonomialIdeal:

@@ -2,7 +2,7 @@
 
 Everything downstream (residue expansion, multidegrees, the Thom calculator)
 runs on the four types here: Variable, Polynomial, LinearForm and
-FactoredRational.  Coefficients are stdlib Fractions, so all arithmetic is
+RationalFunction.  Coefficients are stdlib Fractions, so all arithmetic is
 exact and reduction to lowest terms is automatic.
 
 A monomial is a tuple of (Variable, exponent) pairs sorted by the variable's
@@ -358,25 +358,6 @@ class Polynomial:
 
     def coefficient(self, mono_pairs: Iterable[Tuple[Variable, int]]) -> Fraction:
         return self._terms.get(_mono_from_pairs(mono_pairs), Fraction(0))
-
-    def total_degree(self) -> Optional[int]:
-        if not self._terms:
-            return None
-        return max(_mono_degree(m) for m in self._terms)
-
-    def degree_in(self, v: Variable) -> Optional[int]:
-        """Largest exponent of v across terms, None on the zero polynomial."""
-        if not self._terms:
-            return None
-        best = None
-        for mono in self._terms:
-            e = 0
-            for w, we in mono:
-                if w is v:
-                    e = we
-                    break
-            best = e if best is None else max(best, e)
-        return best
 
     def exponent_range(self, v: Variable) -> Tuple[int, int]:
         """(min, max) exponent of v over the terms; (0, 0) on zero."""
@@ -848,48 +829,6 @@ def poly_divide_exact(
         quotient = quotient + t
         remainder = remainder - t * q
     return quotient
-
-
-class FactoredRational:
-    """numerator / product of linear forms raised to multiplicities."""
-
-    __slots__ = ("numerator", "factors")
-
-    def __init__(
-        self,
-        numerator: Polynomial,
-        factors: Iterable[Tuple[LinearForm, int]] = (),
-    ):
-        checked = []
-        for form, mult in factors:
-            if form.is_zero():
-                raise ValueError("zero linear form in denominator")
-            if mult < 1:
-                raise ValueError("factor multiplicities must be positive")
-            checked.append((form, int(mult)))
-        self.numerator = numerator
-        self.factors = tuple(checked)
-
-    def denominator_polynomial(self) -> Polynomial:
-        p = Polynomial.one()
-        for form, mult in self.factors:
-            p = p * form.as_polynomial() ** mult
-        return p
-
-    def evaluate(self, assignment: Mapping[Variable, ScalarLike]) -> Fraction:
-        den = Fraction(1)
-        for form, mult in self.factors:
-            v = form.evaluate(assignment)
-            if v == 0:
-                raise ZeroDivisionError(f"denominator factor {form.to_text()} vanishes")
-            den *= v ** mult
-        return self.numerator.evaluate(assignment) / den
-
-    def __repr__(self) -> str:
-        dens = ", ".join(
-            f"({f.to_text()})^{m}" if m > 1 else f"({f.to_text()})" for f, m in self.factors
-        )
-        return f"FactoredRational({self.numerator.to_text()} / [{dens}])"
 
 
 class RationalFunction:

@@ -13,11 +13,12 @@ one of its exponents can no longer reach -1; a variable's own series is
 applied last and only supplies that slice.  No truncation order is guessed
 and nothing is re-run to validate.
 
-Two exact backends complement the expansion: a single-variable residue by
-summing over symbolic simple poles, and an iterated pole sum used for
-cross-checks at numeric parameter values.  The module also hosts the degree
-bookkeeping (deg on a variable subset, leading-factor counts) behind the
-criterion that certifies a residue vanishes without expanding anything.
+An iterated pole sum is the exact second route: the residue at infinity of
+a rational function is minus the sum of its finite residues, so summing
+over simple poles shares no code with the expansion.  The module also
+hosts the degree bookkeeping (deg on a variable subset, leading-factor
+counts) behind the criterion that certifies a residue vanishes without
+expanding anything.
 """
 
 from __future__ import annotations
@@ -285,123 +286,7 @@ def iterated_residue(
     return result
 
 
-# -- exact pole-sum backends ------------------------------------------
-
-
-def residue_single_variable_exact(f, variable: Variable) -> Polynomial:
-    """Residue at infinity in one variable by summing finite-pole residues.
-
-    ``f`` is a FactoredRational whose denominator factors are all linear in
-    the variable with simple, pairwise distinct symbolic roots; a repeated
-    form or a multiplicity above one raises CoincidentPoleError.  A pole at
-    the origin coming from negative numerator exponents is handled by
-    series extraction.
-    """
-    numerator = f.numerator
-    flat: List[LinearForm] = []
-    for form, mult in f.factors:
-        if form.coefficient(variable) == 0:
-            raise ValueError(f"factor {form.to_text()} does not involve {variable.text}")
-        if mult > 1:
-            raise CoincidentPoleError(f"factor {form.to_text()} has multiplicity {mult}")
-        flat.append(form)
-
-    roots: List[Tuple[Polynomial, Fraction, LinearForm]] = []
-    for form in flat:
-        a = form.coefficient(variable)
-        root = form.drop(variable).as_polynomial() * (Fraction(-1) / a)
-        for other_root, _, _ in roots:
-            if other_root == root:
-                raise CoincidentPoleError(
-                    f"two denominator factors share the root {root.to_text()}"
-                )
-        roots.append((root, a, form))
-
-    total = RationalFunction(Polynomial.zero())
-    for root, a, form in roots:
-        if root.is_zero():
-            continue  # folded into the origin term below
-        num = _substitute_laurent(numerator, variable, root)
-        den = RationalFunction(Polynomial.constant(a))
-        for other in flat:
-            if other is form:
-                continue
-            value = other.drop(variable).as_polynomial() + other.coefficient(variable) * root
-            den = den * RationalFunction(value)
-        total = total + num / den
-
-    total = total + _origin_residue(numerator, flat, variable)
-    return (-total).to_polynomial()
-
-
-def _substitute_laurent(
-    p: Polynomial, variable: Variable, value: Polynomial
-) -> RationalFunction:
-    # value must be nonzero when negative exponents occur
-    out = RationalFunction(Polynomial.zero())
-    for mono, coeff in p.term_map().items():
-        e = 0
-        rest = []
-        for w, we in mono:
-            if w is variable:
-                e = we
-            else:
-                rest.append((w, we))
-        base = Polynomial({tuple(rest): coeff})
-        if e >= 0:
-            out = out + RationalFunction(base * value ** e)
-        else:
-            if value.is_zero():
-                raise ZeroDivisionError("substituting the zero root into a pole at 0")
-            out = out + RationalFunction(base, value ** (-e))
-    return out
-
-
-def _origin_residue(
-    numerator: Polynomial, flat: Sequence[LinearForm], variable: Variable
-) -> RationalFunction:
-    min_exp, _ = numerator.exponent_range(variable)
-    k0 = max(0, -min_exp)
-    zero_root = [f for f in flat if f.drop(variable).is_zero()]
-    nonzero_root = [f for f in flat if not f.drop(variable).is_zero()]
-    target = k0 + len(zero_root) - 1
-    if target < 0:
-        return RationalFunction(Polynomial.zero())
-
-    # shift so the numerator is polynomial at the origin
-    shifted = numerator.multiply_monomial(((variable, k0),)) if k0 else numerator
-    scale = Fraction(1)
-    for f in zero_root:
-        scale *= f.coefficient(variable)
-
-    # expand prod 1/f around the origin up to v^target, coefficients are
-    # rational functions of the remaining symbols: 1/(c + a*v) has the
-    # origin series sum_t (-a)^t v^t / c^(t+1)
-    coeffs: List[RationalFunction] = [RationalFunction(Polynomial.one())]
-    coeffs += [RationalFunction(Polynomial.zero()) for _ in range(target)]
-    for f in nonzero_root:
-        a = f.coefficient(variable)
-        c = f.drop(variable).as_polynomial()
-        inv: List[RationalFunction] = []
-        a_power = Fraction(1)
-        for t in range(target + 1):
-            inv.append(RationalFunction(Polynomial.constant(a_power), c ** (t + 1)))
-            a_power *= -a
-        new: List[RationalFunction] = []
-        for t in range(target + 1):
-            acc = RationalFunction(Polynomial.zero())
-            for s in range(t + 1):
-                acc = acc + coeffs[s] * inv[t - s]
-            new.append(acc)
-        coeffs = new
-
-    result = RationalFunction(Polynomial.zero())
-    for t in range(target + 1):
-        slice_poly = shifted.coefficient_slice(variable, t)
-        if slice_poly.is_zero():
-            continue
-        result = result + RationalFunction(slice_poly) * coeffs[target - t]
-    return result * RationalFunction(Polynomial.one(), Polynomial.constant(scale))
+# -- the exact pole sum -----------------------------------------------
 
 
 def residue_by_pole_sum(
@@ -413,7 +298,8 @@ def residue_by_pole_sum(
 
     Exact (no truncation), at the price of requiring each variable's
     denominator factors to have pairwise distinct linear roots.  Intended
-    for cross-checks, usually after specializing parameters to numbers.
+    for cross-checks, at numeric parameter values or at symbolic roots
+    that keep the poles apart.
     """
     if numerator.has_negative_exponent():
         raise ValueError("pole-sum backend expects a polynomial numerator")
@@ -547,7 +433,7 @@ def vanishing_criterion(p: Polynomial, factors: FactorList, l: int, d: int) -> b
     dq_tail = 0
     for form, mult in factors:
         fd = _form_deg_in_subset(form, tail)
-        if fd is NEG_INF or fd == NEG_INF:
+        if fd == NEG_INF:
             dq_tail = NEG_INF
             break
         dq_tail += mult * fd

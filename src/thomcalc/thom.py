@@ -56,7 +56,6 @@ from .poly import (
 from .residue import (
     FactorList,
     ResidueProblem,
-    TruncationPolicy,
     iterated_residue,
     residue_by_pole_sum,
     vanishing_criterion,
@@ -244,9 +243,25 @@ def denominator_forms(d: int) -> List[LinearForm]:
     ]
 
 
+def _series_cap(numerator: Polynomial, factor_count: int, d: int, lead: int) -> int:
+    """The last index t of a per-variable series sum_t c_t z_l^(lead - t)
+    that can reach the residue.
+
+    Every denominator factor is homogeneous of degree 1 in z, and a term
+    on the 1/(z_1 ... z_d) slice has total z-degree -d, so the indices
+    t_1, ..., t_d taken from the d series sum to deg_z(numerator) -
+    factor_count + d * (lead + 1); none of them can exceed that count.
+    """
+    top = max(
+        sum(e for v, e in mono if v.family == "z") for mono in numerator.term_map()
+    )
+    return max(0, top - factor_count + d * (lead + 1))
+
+
 def _chern_tail(l: int, codim: int, cap: int) -> Polynomial:
-    # finite window of sum_i c_i z_l^(codim - i); terms past the cap cannot
-    # contribute d Chern factors of weighted degree d*(codim+1)
+    """The window c_0 z_l^codim + ... + c_cap z_l^(codim - cap) of the Chern
+    series; the cap is the degree count of _series_cap, which for the
+    residue of tp(d, codim) is the weighted degree d * (codim + 1)."""
     out = Polynomial.zero()
     for i in range(cap + 1):
         out = out + Polynomial.term(1, [(cvar(i), 1), (zvar(l), codim - i)])
@@ -267,20 +282,15 @@ def residue_problem_for(
     numerator = vandermonde(d) * top
     if d % 2:
         numerator = -numerator
-    cap = d * (codim + 1)
+    forms = denominator_forms(d)
+    cap = _series_cap(numerator, len(forms), d, codim)
     series = {zvar(l): _chern_tail(l, codim, cap) for l in range(1, d + 1)}
     return ResidueProblem(
         numerator=numerator,
-        denominator_factors=tuple((form, 1) for form in denominator_forms(d)),
+        denominator_factors=tuple((form, 1) for form in forms),
         per_variable_series=series,
         variables=tuple(zvar(l) for l in range(1, d + 1)),
     )
-
-
-def recommended_policy(d: int, codim: int) -> TruncationPolicy:
-    """An expansion-order budget that covers the residue of tp(d, codim)."""
-    base = d * (codim + 1) + dim_orbit(d) + deg_qhat(d) + d
-    return TruncationPolicy(base_order=base)
 
 
 @dataclass(frozen=True)
@@ -446,6 +456,32 @@ def substitute_chern(tp: ThomPolynomial, n: int, k: int) -> Polynomial:
         )
     assignment = chern_classes(n, k, tp.d * (tp.codim + 1))
     return tp.body.substitute(assignment.substitution_map())
+
+
+def pole_sum_class(
+    d: int, codim: int, registry: Optional[QhatRegistry] = None
+) -> Polynomial:
+    """tp(d, codim) at the roots of a rank-d source and a rank-(d + codim)
+    target, as a pole sum that shares no code with the series kernel.
+
+    At the roots the Chern series sum_i c_i z_l^(codim - i) is
+    prod_t (z_l + theta_t) / prod_i (z_l + lambda_i), so the theta factors
+    join the numerator and the z_l + lambda_i the denominator.  The result
+    equals substitute_chern(thom_polynomial(d, codim), d, d + codim).  When
+    d = 1, or d = 2 with codim <= 2, c_1 .. c_(2d + codim) are algebraically
+    independent and cover every index in the class, so that equality is
+    equality of the classes.  From d = 3 on some poles coincide
+    structurally and the pole sum raises CoincidentPoleError.
+    """
+    k = d + codim
+    zs = [zvar(l) for l in range(1, d + 1)]
+    numerator = residue_problem_for(d, codim, registry).numerator
+    forms = denominator_forms(d)
+    for z in zs:
+        for t in range(1, k + 1):
+            numerator = numerator * linear_form((1, z), (1, thvar(t))).as_polynomial()
+        forms += [linear_form((1, z), (1, lamvar(i))) for i in range(1, d + 1)]
+    return residue_by_pole_sum(numerator, forms, zs).to_polynomial()
 
 
 @dataclass(frozen=True)
@@ -755,30 +791,16 @@ def _term_factor_list(term: FixedPointTerm, n: int) -> FactorList:
     return tuple(factors)
 
 
-def _series_order(num: Polynomial, charts: Sequence[LinearForm], n: int, d: int) -> int:
-    # worst-case degree at each expansion stage, walking from the last
-    # variable down; the series eats n per slice, which caps its length
-    reach: Dict[int, int] = {}
-    for q in range(d, 0, -1):
-        degree = max(num.exponent_range(zvar(q))[1], 0)
-        for chart in charts:
-            top, _ = chart.top_z_variable()
-            if top.index > q and chart.coefficient(zvar(q)) != 0:
-                degree += max(0, reach[top.index] - n)
-        reach[q] = degree
-    return max(0, max(reach[q] - n for q in reach))
-
-
 def _compressed_term_residue(term: FixedPointTerm, n: int, k: int) -> Polynomial:
     """The term's full residue with theta compressed to elementary symbols
     and the root poles compressed to complete homogeneous symbols."""
     d = term.sequence.depth
     num = compressed_term_numerator(term, k)
-    series_order = _series_order(num, term.chart_factors, n, d)
+    cap = _series_cap(num, len(term.chart_factors), d, -n)
     series = {}
     for l in range(1, d + 1):
         s = Polynomial.zero()
-        for t in range(series_order + 1):
+        for t in range(cap + 1):
             s = s + Polynomial.term(1, [(cvar(t), 1), (zvar(l), -n - t)])
         if n % 2:
             s = -s

@@ -27,25 +27,19 @@ from .partitions import (
     uhat_reference_value,
 )
 from .poly import Polynomial, avar, cvar, linear_form, zvar
-from .residue import (
-    ResidueProblem,
-    TruncationPolicy,
-    iterated_residue,
-    residue_single_variable_exact,
-)
 from .multidegree import toric_localization_example
 from .thom import (
     DEFAULT_SEED,
     flag_residue_identity,
     nondistinguished_vanishing,
+    pole_sum_class,
     porteous_localization_sum,
     positivity_expansion,
     qhat5_derivation_steps,
-    recommended_policy,
-    residue_problem_for,
     ronga_reference,
     sampled_class_agreement,
     shift_check,
+    substitute_chern,
     thom_polynomial,
     tp_positivity,
 )
@@ -156,27 +150,13 @@ def _check_structure():
     return True, "orders 1..5, codims 0..2"
 
 
-def _check_stability():
-    for d, j in ((2, 1), (3, 0), (3, 1), (4, 0)):
-        base = recommended_policy(d, j)
-        deeper = TruncationPolicy(base_order=base.base_order + 2)
-        problem = residue_problem_for(d, j)
-        if iterated_residue(problem, deeper) != thom_polynomial(d, j).body:
-            return False, f"order bump changes tp({d},{j})"
-    return True, "policy bump leaves results unchanged"
-
-
-def _check_single_variable_backend():
-    from .poly import FactoredRational
-
-    lead = thom_polynomial(1, 1).body
-    problem = residue_problem_for(1, 1)
-    series = problem.per_variable_series[zvar(1)]
-    f = FactoredRational(
-        numerator=problem.numerator * series, factors=()
-    )
-    direct = residue_single_variable_exact(f, zvar(1))
-    return direct == lead, "series engine against the exact slice"
+def _check_pole_sum():
+    for d in (1, 2):
+        for j in range(3):
+            expected = substitute_chern(thom_polynomial(d, j), d, d + j)
+            if pole_sum_class(d, j) != expected:
+                return False, f"tp({d},{j}) differs from its pole sum"
+    return True, "pole sum at Chern roots matches orders 1..2, codims 0..2"
 
 
 def _classical(collector: _Collector, seed: int):
@@ -186,8 +166,7 @@ def _classical(collector: _Collector, seed: int):
     collector.run("classical.order4", _check_order4)
     collector.run("classical.shift", _check_shift)
     collector.run("classical.structure", _check_structure)
-    collector.run("classical.stability", _check_stability)
-    collector.run("classical.single-variable", _check_single_variable_backend)
+    collector.run("classical.pole-sum", _check_pole_sum)
 
 
 # -- localization suite -----------------------------------------------

@@ -9,11 +9,9 @@ from fractions import Fraction
 
 from thomcalc import (
     AdmissibleSequence,
-    FactoredRational,
     Partition,
     PolynomialIdeal,
     Polynomial,
-    TruncationPolicy,
     WeightedRing,
     apply_right_action,
     basic_relations,
@@ -23,22 +21,20 @@ from thomcalc import (
     enumerate_admissible,
     etavar,
     expansion_relation,
-    iterated_residue,
     linear_form,
     multidegree,
     nondistinguished_vanishing,
     partitions_up_to,
+    pole_sum_class,
     positivity_expansion,
     qhat,
     qhat5_derivation_steps,
-    recommended_policy,
     relation_weight,
-    residue_problem_for,
-    residue_single_variable_exact,
     ronga_reference,
     sampled_class_agreement,
     shift_check,
     stored_quartic_relation,
+    substitute_chern,
     thom_polynomial,
     toric_localization_example,
     tp_positivity,
@@ -235,15 +231,8 @@ def test_criterion_14_relation_calculus():
 
 
 def test_criterion_15_engine_robustness():
-    """truncation-order bumps and the exact backend change nothing"""
-    for d, j in ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1)):
-        base = recommended_policy(d, j)
-        deeper = TruncationPolicy(base_order=base.base_order + 2)
-        problem = residue_problem_for(d, j)
-        assert iterated_residue(problem, deeper) == thom_polynomial(d, j).body
-
-    for j in range(3):
-        problem = residue_problem_for(1, j)
-        series = problem.per_variable_series[zvar(1)]
-        f = FactoredRational(numerator=problem.numerator * series, factors=())
-        assert residue_single_variable_exact(f, zvar(1)) == thom_polynomial(1, j).body
+    """the pole sum at symbolic Chern roots reproduces tp(d, j) for d <= 2, j <= 2"""
+    for d in (1, 2):
+        for j in range(3):
+            expected = substitute_chern(thom_polynomial(d, j), d, d + j)
+            assert pole_sum_class(d, j) == expected, f"order {d} codim {j}"

@@ -9,7 +9,6 @@ import hypothesis.strategies as st
 from thomcalc import (
     CoincidentPoleError,
     ConstantFormError,
-    FactoredRational,
     Polynomial,
     ResidueProblem,
     TruncationPolicy,
@@ -19,7 +18,6 @@ from thomcalc import (
     lamvar,
     linear_form,
     residue_by_pole_sum,
-    residue_single_variable_exact,
     vanishing_criterion,
     zvar,
 )
@@ -155,34 +153,7 @@ def test_problem_json_round_trip():
     assert iterated_residue(back) == iterated_residue(problem)
 
 
-# -- exact pole-sum backends -------------------------------------------
-
-
-def test_single_variable_residue_at_infinity():
-    # z/(z - a) has residue -a at infinity
-    a = lamvar(1)
-    f = FactoredRational(
-        Polynomial.variable(Z1), ((form((1, Z1), (-1, a)), 1),)
-    )
-    assert residue_single_variable_exact(f, Z1) == -Polynomial.variable(a)
-
-
-def test_single_variable_origin_pole():
-    f = FactoredRational(Polynomial.term(1, [(Z1, -1)]), ())
-    assert residue_single_variable_exact(f, Z1) == Polynomial.constant(-1)
-
-
-def test_single_variable_rejects_repeats():
-    a = lamvar(1)
-    factor = form((1, Z1), (-1, a))
-    with pytest.raises(CoincidentPoleError):
-        residue_single_variable_exact(
-            FactoredRational(Polynomial.one(), ((factor, 2),)), Z1
-        )
-    with pytest.raises(CoincidentPoleError):
-        residue_single_variable_exact(
-            FactoredRational(Polynomial.one(), ((factor, 1), (factor, 1))), Z1
-        )
+# -- the exact pole sum ------------------------------------------------
 
 
 def test_pole_sum_agrees_with_series_engine():
@@ -225,10 +196,7 @@ def test_backends_agree_on_numeric_roots(a, b, roots):
     series = iterated_residue(
         ResidueProblem(num, tuple((f, 1) for f in forms), variables=(Z1,))
     )
-    exact = residue_single_variable_exact(
-        FactoredRational(num, tuple((f, 1) for f in forms)), Z1
-    )
-    assert by_poles == series == exact
+    assert by_poles == series
 
 
 ROOTS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(5)])

@@ -23,6 +23,7 @@ from thomcalc import (
     flag_residue_identity,
     linear_form,
     nondistinguished_vanishing,
+    pole_sum_class,
     porteous_localization_sum,
     positivity_expansion,
     qhat,
@@ -38,6 +39,7 @@ from thomcalc import (
     tp_positivity,
     vandermonde,
 )
+from thomcalc import thom
 from thomcalc.errors import (
     CodimensionMismatchError,
     CoincidentPoleError,
@@ -310,6 +312,15 @@ def test_porteous_sample_value():
         porteous_localization_sum(0, 2)
 
 
+def test_pole_sum_tells_a_wrong_class_apart():
+    doubled = QhatRegistry({2: Polynomial.constant(2)})
+    wrong = substitute_chern(thom_polynomial(2, 0, doubled), 2, 2)
+    assert pole_sum_class(2, 0) != wrong
+    assert pole_sum_class(2, 0, doubled) == wrong
+    with pytest.raises(CoincidentPoleError):
+        pole_sum_class(3, 0)  # some poles coincide structurally from order 3 on
+
+
 def test_flag_identity_and_guards():
     q = zmono(1, (1, 2), (2, 1)) + Polynomial.one()
     assert flag_residue_identity(q, 3, 2, samples=2, seed=11)
@@ -388,6 +399,20 @@ def test_nondistinguished_term_contributes_nothing():
     assert evidence[0].expansion_zero
     assert evidence[0].sampled_zero
     assert evidence[0].vanishes
+
+
+def test_longer_series_window_changes_no_compressed_residue(monkeypatch):
+    cases = [
+        (term, n, k)
+        for d in (2, 3)
+        for term in fixed_point_terms(d)
+        for n, k in ((5, 5), (3, 3), (4, 2), (6, 4))
+    ]
+    exact = [thom._compressed_term_residue(*case) for case in cases]
+    assert any(not residue.is_zero() for residue in exact)
+    cap = thom._series_cap
+    monkeypatch.setattr(thom, "_series_cap", lambda *args: cap(*args) + 3)
+    assert [thom._compressed_term_residue(*case) for case in cases] == exact
 
 
 def test_vanishing_guards():

@@ -25,3 +25,16 @@ def test_relations_suite_passes():
     assert {check["id"] for check in payload["checks"]} == {
         check.check_id for check in report.results
     }
+
+
+def test_classical_suite_passes():
+    report = run_suite("classical")
+    assert [(check.check_id, check.passed) for check in report.results] == [
+        ("classical.order1", True),
+        ("classical.order2", True),
+        ("classical.order3", True),
+        ("classical.order4", True),
+        ("classical.shift", True),
+        ("classical.structure", True),
+        ("classical.pole-sum", True),
+    ]
