@@ -6,6 +6,8 @@ from CalcError so the CLI can map it to a single exit code.
 
 from __future__ import annotations
 
+from typing import Dict
+
 
 class CalcError(Exception):
     """Base class for computation failures."""
@@ -48,7 +50,20 @@ class InfiniteStaircaseError(CalcError):
 
 
 class SPairBudgetError(CalcError):
-    """Buchberger ran past its S-pair budget."""
+    """Buchberger ran past its S-pair budget.
+
+    ``counts`` holds what the run reached: pairs taken from the queue,
+    pairs reduced, pairs skipped by the coprime and by the chain criterion,
+    and the basis size."""
+
+    def __init__(self, budget: int, counts: Dict[str, int]):
+        super().__init__(
+            f"more than {budget} S-pairs: {counts['taken']} taken, {counts['reduced']} reduced, "
+            f"{counts['coprime']} skipped as coprime, {counts['chain']} skipped by the chain "
+            f"criterion, basis size {counts['basis']}"
+        )
+        self.budget = budget
+        self.counts = counts
 
 
 class WeightInhomogeneityError(CalcError):

@@ -12,13 +12,26 @@ cross-check each other:
 
 Weights are linear forms (usually in eta-symbols); a multidegree is a
 polynomial in whatever symbols the weights use.
+
+The Groebner route works on exponent tuples: each generator is converted
+once to {exponent tuple: coefficient}, with slot i holding the exponent of
+the i-th variable of the lex order, so tuple comparison is the monomial
+order and a reduction step updates a dict.  Buchberger's algorithm takes
+S-pairs first in, first out and skips a pair by the coprime criterion or by
+the chain criterion (Gebauer and Moeller, J. Symb. Comput. 6, 1988); its
+``pair_budget`` counts every pair taken from the queue, skipped or reduced.
+The staircase step finds the minimal-codimension coordinate subspaces of
+the initial ideal by a branching search for minimum hitting sets of the
+generators' supports, not by scanning all coordinate subsets.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -28,12 +41,17 @@ from .errors import (
     WeightInhomogeneityError,
 )
 from .poly import (
+    LexExps,
+    LexHeap,
+    LexTerms,
     LinearForm,
     Monomial,
     Polynomial,
     RationalFunction,
     Variable,
     etavar,
+    lex_polynomial,
+    lex_terms,
     yvar,
 )
 
@@ -133,22 +151,23 @@ def subspace_multiplicity(ideal: MonomialIdeal, subset: Iterable[int]) -> int:
 
 def multidegree_monomial(ideal: MonomialIdeal, ring: WeightedRing) -> Polynomial:
     """Multidegree of a monomial ideal: staircase multiplicities times
-    weight products over the minimal-codimension coordinate subspaces."""
+    weight products over the minimal-codimension coordinate subspaces.
+
+    Those subspaces are the smallest coordinate sets meeting the support of
+    every generator, found by branching: take a generator the set does not
+    meet yet and try each coordinate of its support in turn."""
     if ideal.is_unit():
         return Polynomial.zero()
-    indices = ideal.variable_indices
-    codim = None
-    for s in range(len(indices) + 1):
-        if any(_is_hitting(ideal, set(combo)) for combo in itertools.combinations(indices, s)):
-            codim = s
+    supports = [frozenset(g) for g in ideal.generators]
+    for size in range(len(ideal.variable_indices) + 1):
+        found: set = set()
+        _hitting_sets(supports, frozenset(), size, found)
+        if found:
             break
-    if codim is None:
+    else:
         raise InfiniteStaircaseError("no coordinate subspace meets every generator")
     total = Polynomial.zero()
-    for combo in itertools.combinations(indices, codim):
-        subset = frozenset(combo)
-        if not _is_hitting(ideal, subset):
-            continue
+    for subset in sorted(found, key=sorted):
         mult = subspace_multiplicity(ideal, subset)
         if mult == 0:
             continue
@@ -159,8 +178,17 @@ def multidegree_monomial(ideal: MonomialIdeal, ring: WeightedRing) -> Polynomial
     return total
 
 
-def _is_hitting(ideal: MonomialIdeal, subset) -> bool:
-    return all(any(t in subset for t in g) for g in ideal.generators)
+def _hitting_sets(
+    supports: List[FrozenSet[int]], chosen: FrozenSet[int], room: int, found: set
+) -> None:
+    """Add to found every set of at most len(chosen) + room coordinates that
+    extends chosen and meets each support; every minimum such set is reached."""
+    open_supports = [s for s in supports if s.isdisjoint(chosen)]
+    if not open_supports:
+        found.add(chosen)
+    elif room:
+        for t in min(open_supports, key=len):
+            _hitting_sets(supports, chosen | {t}, room - 1, found)
 
 
 @dataclass(frozen=True)
@@ -191,105 +219,109 @@ class PolynomialIdeal:
         return PolynomialIdeal(tuple(generators), tuple(order))
 
 
-class _Lex:
-    def __init__(self, order: Sequence[Variable]):
-        self.pos = {v: i for i, v in enumerate(order)}
-        self.size = len(self.pos)
+class _Entry:
+    """A basis element keyed by exponent tuples: its lex-leading exponents
+    and coefficient, its other terms, and the leading exponents as
+    (slot, exponent) pairs for the divisibility test."""
 
-    def vec(self, mono: Monomial) -> tuple:
-        out = [0] * self.size
-        for v, e in mono:
-            out[self.pos[v]] = e
-        return tuple(out)
+    __slots__ = ("terms", "lead", "coeff", "tail", "support")
 
-    def lead(self, p: Polynomial) -> Tuple[Monomial, Fraction, tuple]:
-        best = None
-        for mono, coeff in p.term_map().items():
-            v = self.vec(mono)
-            if best is None or v > best[2]:
-                best = (mono, coeff, v)
-        return best
+    def __init__(self, terms: LexTerms):
+        self.terms = terms
+        self.lead = max(terms)
+        self.coeff = terms[self.lead]
+        self.tail = [(e, c) for e, c in terms.items() if e != self.lead]
+        self.support = [(i, k) for i, k in enumerate(self.lead) if k]
+
+    def divides(self, exps: LexExps) -> bool:
+        for i, k in self.support:
+            if exps[i] < k:
+                return False
+        return True
 
 
-def _reduce(p: Polynomial, basis: List[Tuple[Monomial, Fraction, tuple, Polynomial]], lex: _Lex) -> Polynomial:
-    remainder = Polynomial.zero()
-    while not p.is_zero():
-        mono, coeff, vec = lex.lead(p)
-        hit = None
-        for bmono, bcoeff, bvec, bpoly in basis:
-            if all(a >= b for a, b in zip(vec, bvec)):
-                hit = (bmono, bcoeff, bvec, bpoly)
+def _reduce(work: LexHeap, basis: List[_Entry]) -> LexTerms:
+    """Full reduction of the terms in work (consumed) by the basis, largest
+    term first; returns the remainder."""
+    remainder: LexTerms = {}
+    while (top := work.pop()) is not None:
+        exps, coeff = top
+        for entry in basis:
+            if entry.divides(exps):
+                work.subtract(entry.tail, tuple(map(sub, exps, entry.lead)), coeff / entry.coeff)
                 break
-        if hit is None:
-            t = Polynomial({mono: coeff})
-            remainder = remainder + t
-            p = p - t
-            continue
-        bmono, bcoeff, bvec, bpoly = hit
-        quot_pairs = [(v, a - b) for (v, a), b in zip_with_vec(mono, bvec, lex)]
-        t = Polynomial.term(coeff / bcoeff, quot_pairs)
-        p = p - t * bpoly
+        else:
+            remainder[exps] = coeff
     return remainder
 
 
-def zip_with_vec(mono: Monomial, bvec: tuple, lex: _Lex):
-    # pair each variable of mono with the divisor's exponent at that slot
-    out = []
-    for v, a in mono:
-        out.append(((v, a), bvec[lex.pos[v]]))
+def _s_polynomial(a: _Entry, b: _Entry, lcm: LexExps) -> LexHeap:
+    out = LexHeap({})
+    out.subtract(a.tail, tuple(map(sub, lcm, a.lead)), -1 / a.coeff)
+    out.subtract(b.tail, tuple(map(sub, lcm, b.lead)), 1 / b.coeff)
     return out
 
 
-def buchberger_lex(ideal: PolynomialIdeal, pair_budget: int = 10_000) -> List[Polynomial]:
-    """A lex Groebner basis by Buchberger's algorithm with the coprime-lead
-    skip; raises SPairBudgetError past the pair budget."""
-    lex = _Lex(ideal.order)
-    basis: List[Tuple[Monomial, Fraction, tuple, Polynomial]] = []
-    for g in ideal.generators:
-        if not g.is_zero():
-            mono, coeff, vec = lex.lead(g)
-            basis.append((mono, coeff, vec, g))
-    pairs = [(a, b) for a in range(len(basis)) for b in range(a + 1, len(basis))]
-    processed = 0
+def _lex_basis(ideal: PolynomialIdeal, pair_budget: int) -> Tuple[List[_Entry], Dict[str, int]]:
+    """The Buchberger loop behind buchberger_lex; also returns its counters."""
+    pos = {v: i for i, v in enumerate(ideal.order)}
+    basis = [_Entry(lex_terms(g, pos)) for g in ideal.generators if not g.is_zero()]
+    pairs = deque((a, b) for b in range(len(basis)) for a in range(b))
+    taken = set()
+    counts = {"taken": 0, "reduced": 0, "coprime": 0, "chain": 0}
     while pairs:
-        a, b = pairs.pop(0)
-        processed += 1
-        if processed > pair_budget:
-            raise SPairBudgetError(f"more than {pair_budget} S-pairs")
-        amono, acoeff, avec, apoly = basis[a]
-        bmono, bcoeff, bvec, bpoly = basis[b]
-        if all(x == 0 or y == 0 for x, y in zip(avec, bvec)):
-            continue  # coprime leading monomials reduce to zero
-        lcm = tuple(max(x, y) for x, y in zip(avec, bvec))
-        fa = _vec_to_pairs(tuple(l - x for l, x in zip(lcm, avec)), lex)
-        fb = _vec_to_pairs(tuple(l - y for l, y in zip(lcm, bvec)), lex)
-        s = apoly.multiply_monomial(fa, Fraction(1) / acoeff) - bpoly.multiply_monomial(
-            fb, Fraction(1) / bcoeff
-        )
-        remainder = _reduce(s, basis, lex)
-        if remainder.is_zero():
+        if counts["taken"] == pair_budget:
+            raise SPairBudgetError(pair_budget, dict(counts, basis=len(basis)))
+        a, b = pairs.popleft()
+        counts["taken"] += 1
+        taken.add((a, b))
+        lead_a, lead_b = basis[a].lead, basis[b].lead
+        lcm = tuple(map(max, lead_a, lead_b))
+        if lcm == tuple(map(add, lead_a, lead_b)):
+            counts["coprime"] += 1
             continue
-        mono, coeff, vec = lex.lead(remainder)
-        basis.append((mono, coeff, vec, remainder))
-        new_index = len(basis) - 1
-        pairs.extend((i, new_index) for i in range(new_index))
-    return [entry[3] for entry in basis]
+        if any(
+            entry.divides(lcm)
+            and (min(a, k), max(a, k)) in taken
+            and (min(b, k), max(b, k)) in taken
+            for k, entry in enumerate(basis)
+        ):
+            counts["chain"] += 1
+            continue
+        counts["reduced"] += 1
+        remainder = _reduce(_s_polynomial(basis[a], basis[b], lcm), basis)
+        if remainder:
+            basis.append(_Entry(remainder))
+            new = len(basis) - 1
+            pairs.extend((i, new) for i in range(new))
+    return basis, dict(counts, basis=len(basis))
 
 
-def _vec_to_pairs(vec: tuple, lex: _Lex) -> Monomial:
-    inverse = {i: v for v, i in lex.pos.items()}
-    pairs = [(inverse[i], e) for i, e in enumerate(vec) if e]
-    pairs.sort(key=lambda p: p[0].key)
-    return tuple(pairs)
+def buchberger_lex(ideal: PolynomialIdeal, pair_budget: int = 10_000) -> List[Polynomial]:
+    """A lex Groebner basis by Buchberger's algorithm (first order entry
+    largest).
+
+    Terms are kept as {exponent tuple: coefficient} dicts with the tuple in
+    the ideal's order, so Python's tuple order is the lex order and a
+    reduction step is a dict update; each S-polynomial is fully reduced.
+    Pairs are taken first in, first out.  A pair is skipped when its
+    leading monomials are coprime (Buchberger's first criterion), or when
+    some basis element's leading monomial divides their lcm and the pairs
+    it forms with both have already been taken (the chain criterion).
+    ``pair_budget`` bounds the pairs taken from the queue, skipped ones
+    included; past it SPairBudgetError reports the pairs taken, reduced and
+    skipped by each criterion, and the basis size.
+    """
+    basis, _ = _lex_basis(ideal, pair_budget)
+    return [lex_polynomial(entry.terms, ideal.order) for entry in basis]
 
 
 def initial_ideal(ideal: PolynomialIdeal, pair_budget: int = 10_000) -> MonomialIdeal:
-    lex = _Lex(ideal.order)
-    basis = buchberger_lex(ideal, pair_budget)
+    pos = {v: i for i, v in enumerate(ideal.order)}
     gens = []
-    for g in basis:
-        mono, _, _ = lex.lead(g)
-        gens.append({v.index: e for v, e in mono})
+    for g in buchberger_lex(ideal, pair_budget):
+        lead = max(lex_terms(g, pos))
+        gens.append({ideal.order[i].index: k for i, k in enumerate(lead) if k})
     return MonomialIdeal(gens, [v.index for v in ideal.order])
 
 

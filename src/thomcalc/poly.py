@@ -14,10 +14,12 @@ Chern-class expressions (c1^4 before 6*c1^2*c2 before 2*c2^2 before 9*c1*c3).
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from fractions import Fraction
 from functools import cmp_to_key
+from operator import add, neg, sub
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -763,6 +765,72 @@ def expand_inverse_factor(form: LinearForm, order: int) -> Polynomial:
     return out
 
 
+LexExps = Tuple[int, ...]
+LexTerms = Dict[LexExps, Fraction]
+
+
+def lex_terms(p: Polynomial, pos: Mapping[Variable, int]) -> LexTerms:
+    """The terms of p keyed by exponent tuples, slot pos[v] holding the
+    exponent of v; under a lex order listed by slot, Python's tuple order is
+    the monomial order."""
+    out: LexTerms = {}
+    for mono, coeff in p._terms.items():
+        exps = [0] * len(pos)
+        for v, e in mono:
+            exps[pos[v]] = e
+        out[tuple(exps)] = coeff
+    return out
+
+
+def lex_polynomial(terms: LexTerms, order: Sequence[Variable]) -> Polynomial:
+    """Back from exponent tuples, slot i holding the exponent of order[i]."""
+    by_key = sorted(range(len(order)), key=lambda i: order[i].key)
+    return Polynomial(
+        {tuple((order[i], e[i]) for i in by_key if e[i]): c for e, c in terms.items()}
+    )
+
+
+class LexHeap:
+    """Exponent-tuple terms with their lex-largest term on top.
+
+    A heap of negated keys finds the top; a heap entry whose term cancelled
+    or was already popped is skipped when it surfaces."""
+
+    __slots__ = ("terms", "_heap")
+
+    def __init__(self, terms: LexTerms):
+        self.terms = terms
+        self._heap = [(tuple(map(neg, e)), e) for e in terms]
+        heapq.heapify(self._heap)
+
+    def pop(self) -> Optional[Tuple[LexExps, Fraction]]:
+        """Remove and return the largest (exponents, coefficient), or None."""
+        while self._heap:
+            exps = heapq.heappop(self._heap)[1]
+            coeff = self.terms.pop(exps, None)
+            if coeff is not None:
+                return exps, coeff
+        return None
+
+    def subtract(
+        self, tail: Iterable[Tuple[LexExps, Fraction]], shift: LexExps, q: Fraction
+    ) -> None:
+        """Subtract q * x^shift * tail, term by term."""
+        terms = self.terms
+        for texps, tcoeff in tail:
+            key = tuple(map(add, texps, shift))
+            old = terms.get(key)
+            if old is None:
+                terms[key] = -q * tcoeff
+                heapq.heappush(self._heap, (tuple(map(neg, key)), key))
+            else:
+                new = old - q * tcoeff
+                if new:
+                    terms[key] = new
+                else:
+                    del terms[key]
+
+
 def poly_divide_exact(
     p: Polynomial,
     q: Polynomial,
@@ -772,8 +840,10 @@ def poly_divide_exact(
 
     Runs single-divisor division under the lex order given by ``order``
     (first entry largest); by default all variables present, sorted by
-    canonical key descending.  Laurent inputs are rejected.  Raises
-    NonDivisibleError when the division leaves a remainder.
+    canonical key descending.  Terms are keyed by exponent tuples once, so
+    each step finds the leading term of the remainder from a heap.  Laurent
+    inputs are rejected.  Raises NonDivisibleError when the division leaves
+    a remainder.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -790,45 +860,23 @@ def poly_divide_exact(
             names = ", ".join(sorted(v.text for v in missing))
             raise ValueError(f"division order does not cover: {names}")
     pos = {v: i for i, v in enumerate(ordered)}
-
-    def lex_vec(mono: Monomial) -> tuple:
-        vec = [0] * len(ordered)
-        for v, e in mono:
-            vec[pos[v]] = e
-        return tuple(vec)
-
-    def lead(poly: Polynomial) -> Tuple[Monomial, Fraction]:
-        best = None
-        best_vec = None
-        for mono, coeff in poly.term_map().items():
-            vec = lex_vec(mono)
-            if best_vec is None or vec > best_vec:
-                best, best_vec = (mono, coeff), vec
-        return best
-
-    q_lead_mono, q_lead_coeff = lead(q)
-    q_lead_exp = dict(q_lead_mono)
-    quotient = Polynomial.zero()
-    remainder = p
-    while not remainder.is_zero():
-        r_mono, r_coeff = lead(remainder)
-        r_exp = dict(r_mono)
-        diff = []
-        for v, e in q_lead_exp.items():
-            d = r_exp.get(v, 0) - e
-            if d < 0:
-                raise NonDivisibleError(
-                    f"leading term {_mono_text(r_mono)} is not divisible by {_mono_text(q_lead_mono)}"
-                )
-            if d:
-                diff.append((v, d))
-        for v, e in r_exp.items():
-            if v not in q_lead_exp and e:
-                diff.append((v, e))
-        t = Polynomial.term(r_coeff / q_lead_coeff, diff)
-        quotient = quotient + t
-        remainder = remainder - t * q
-    return quotient
+    divisor = lex_terms(q, pos)
+    lead = max(divisor)
+    lead_coeff = divisor.pop(lead)
+    tail = list(divisor.items())
+    quotient: LexTerms = {}
+    remainder = LexHeap(lex_terms(p, pos))
+    while (top := remainder.pop()) is not None:
+        exps, coeff = top
+        shift = tuple(map(sub, exps, lead))
+        if any(e < 0 for e in shift):
+            raise NonDivisibleError(
+                f"leading term {lex_polynomial({exps: 1}, ordered).to_text()} is not divisible "
+                f"by {lex_polynomial({lead: 1}, ordered).to_text()}"
+            )
+        quotient[shift] = coeff / lead_coeff
+        remainder.subtract(tail, shift, quotient[shift])
+    return lex_polynomial(quotient, ordered)
 
 
 class RationalFunction:

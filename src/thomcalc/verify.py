@@ -15,7 +15,6 @@ from .partitions import (
     basic_relations,
     deg_qhat,
     dim_normal_model,
-    dim_orbit,
     enumerate_admissible,
     expansion_relation,
     apply_right_action,
@@ -26,7 +25,7 @@ from .partitions import (
     u_reference_value,
     uhat_reference_value,
 )
-from .poly import Polynomial, avar, cvar, linear_form, zvar
+from .poly import Polynomial, cvar, linear_form, zvar
 from .multidegree import toric_localization_example
 from .thom import (
     DEFAULT_SEED,
@@ -261,8 +260,6 @@ def _relations(collector: _Collector, seed: int):
         return weight == expected, weight.to_text()
 
     def splitting():
-        from .partitions import Partition
-
         for rho in partitions_up_to(3):
             for tau in partitions_up_to(3):
                 top = rho.weight + tau.weight

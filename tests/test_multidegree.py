@@ -1,5 +1,7 @@
 """Multidegree routes: staircase counts, lex degeneration, linear reduction."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -13,18 +15,25 @@ from thomcalc import (
     SPairBudgetError,
     WeightInhomogeneityError,
     WeightedRing,
+    basic_relations,
     buchberger_lex,
+    deg_qhat,
     etavar,
     euler_class,
     initial_ideal,
     linear_form,
     multidegree,
     multidegree_monomial,
+    qhat,
     reduce_by_linear_generator,
     subspace_multiplicity,
     toric_localization_example,
+    uhat_index_triples,
+    uhat_weight,
+    uhatvar,
     yvar,
 )
+from thomcalc.multidegree import _lex_basis
 
 Y = [None] + [Polynomial.variable(yvar(i)) for i in range(1, 5)]
 E = [None] + [Polynomial.variable(etavar(i)) for i in range(1, 5)]
@@ -32,6 +41,10 @@ E = [None] + [Polynomial.variable(etavar(i)) for i in range(1, 5)]
 
 def ring(n):
     return WeightedRing(tuple(linear_form((1, etavar(i))) for i in range(1, n + 1)))
+
+
+def sorted_items(gen):
+    return tuple(sorted(gen.items()))
 
 
 def test_euler_class_is_weight_product():
@@ -125,6 +138,35 @@ def test_pair_budget():
     assert buchberger_lex(PolynomialIdeal.of(gens)) is not None
 
 
+def test_pair_budget_error_names_the_counters_reached():
+    gens = [Y[1] * Y[3] - Y[2] ** 2, Y[2] * Y[4] - Y[3] ** 2, Y[1] * Y[4] - Y[2] * Y[3]]
+    with pytest.raises(SPairBudgetError) as caught:
+        buchberger_lex(PolynomialIdeal.of(gens), pair_budget=2)
+    err = caught.value
+    assert err.budget == 2
+    assert err.counts == {"taken": 2, "reduced": 1, "coprime": 1, "chain": 0, "basis": 3}
+    assert str(err) == (
+        "more than 2 S-pairs: 2 taken, 1 reduced, 1 skipped as coprime, "
+        "0 skipped by the chain criterion, basis size 3"
+    )
+
+
+def test_chain_criterion_skips_a_pair_and_keeps_the_initial_ideal():
+    # leads y1*y2, y2*y3, y1*y3: once (y1y2, y2y3) and (y1y2, y1y3) are
+    # taken, y1*y2 divides lcm(y2*y3, y1*y3) and that pair is skipped
+    y = [None] + [Polynomial.variable(yvar(i)) for i in range(1, 7)]
+    ideal = PolynomialIdeal.of(
+        [y[1] * y[2] - y[4] ** 2, y[2] * y[3] - y[5] ** 2, y[1] * y[3] - y[6] ** 2]
+    )
+    _, counts = _lex_basis(ideal, 10_000)
+    assert counts["chain"] > 0
+    # the lex leading monomials of the reduced basis (checked against sympy)
+    expected = [{1: 1, 2: 1}, {1: 1, 3: 1}, {1: 1, 5: 2}, {2: 1, 3: 1}, {2: 1, 6: 2}, {3: 2, 4: 2}]
+    assert sorted(map(sorted_items, initial_ideal(ideal).generators)) == sorted(
+        map(sorted_items, expected)
+    )
+
+
 def test_ideal_validation():
     with pytest.raises(ValueError):
         PolynomialIdeal.of([Y[1]], order=[etavar(1)])
@@ -167,3 +209,62 @@ def test_toric_example_report_fields():
     report = toric_localization_example()
     assert report.agree
     assert report.expected == E[1] + E[3]
+
+
+# -- the ideals of basic relations -------------------------------------
+
+
+def relations_ideal(d, permute=None):
+    """basic_relations(d) in the uhat coordinates renamed y_1..y_n, with the
+    uhat weights and the lex order of uhat_index_triples."""
+    triples = uhat_index_triples(d)
+    order = [yvar(i + 1) for i in range(len(triples))]
+    rename = {uhatvar(*t): Polynomial.variable(v) for t, v in zip(triples, order)}
+    gens = [r.polynomial.substitute(rename) for r in basic_relations(d)]
+    if permute is not None:
+        gens = [gens[i] for i in permute]
+    weights = WeightedRing(tuple(uhat_weight(uhatvar(*t)) for t in triples))
+    return PolynomialIdeal.of(gens, order), weights
+
+
+@given(st.permutations(range(len(basic_relations(5)))))
+@settings(max_examples=12, deadline=None)
+def test_level5_multidegree_ignores_generator_order(perm):
+    ideal, weights = relations_ideal(5, perm)
+    assert multidegree(ideal, weights) == qhat(5)
+
+
+def test_level6_multidegree_under_two_generator_orders():
+    count = len(basic_relations(6))
+    shuffled = list(range(count))
+    random.Random(6).shuffle(shuffled)
+    results = [
+        multidegree(*relations_ideal(6, perm))
+        for perm in (list(reversed(range(count))), shuffled)
+    ]
+    assert results[0] == results[1]
+    assert len(results[0]) == 395
+    degree = deg_qhat(6)
+    assert all(sum(e for _, e in mono) == degree for mono in results[0].term_map())
+
+
+def test_initial_ideal_matches_sympy_at_level5():
+    sympy = pytest.importorskip("sympy")
+    ideal, _ = relations_ideal(5)
+    symbols = sympy.symbols(f"y1:{len(ideal.order) + 1}")
+    by_variable = dict(zip(ideal.order, symbols))
+    exprs = [
+        sum(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(by_variable[v] ** e for v, e in mono))
+            for mono, c in g.term_map().items()
+        )
+        for g in ideal.generators
+    ]
+    reduced = sympy.groebner(exprs, *symbols, order="lex")
+    leads = [
+        {i + 1: e for i, e in enumerate(sympy.Poly(g, *symbols).monoms(order="lex")[0]) if e}
+        for g in reduced.exprs
+    ]
+    ours = initial_ideal(ideal).generators
+    assert sorted(map(sorted_items, ours)) == sorted(map(sorted_items, leads))

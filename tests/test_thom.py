@@ -8,11 +8,9 @@ from fractions import Fraction
 import pytest
 
 from thomcalc import (
-    ChernAssignment,
     Polynomial,
     QhatRegistry,
     ThomPolynomial,
-    TruncationPolicy,
     chern_classes,
     default_registry,
     denominator_forms,
