@@ -1,9 +1,9 @@
 """Print every stage of the order-five numerator derivation.
 
-The numerator is forced by one non-toric relation among the level-five
-basic relations: the difference of its two monomial halves factors
-through the toric weight, and the quotient times the relation's own
-weight is the numerator the residue formula needs.
+The numerator is the multidegree of the ideal of the basic relations up
+to level five, taken in the uhat coordinates with their torus weights.
+It factors as the weight of the one non-toric level-five relation times
+a quadratic toric quotient.
 """
 
 from thomcalc import basic_relations, qhat, qhat5_derivation_steps
@@ -14,18 +14,13 @@ def main() -> None:
     print("level-5 basic relations:")
     for rel in relations:
         kind = "toric" if rel.toric else "non-toric"
-        print(f"  {rel.label()}  [{kind}]")
+        print(f"  {rel.label()}  [{kind}]  {rel.polynomial.to_text()}")
 
     steps = qhat5_derivation_steps()
     print()
-    print("row products:")
-    for product in steps.row_products:
-        print(f"  {product.to_text()}")
-    print(f"difference:     {steps.difference.to_text()}")
-    print(f"toric divisor:  {steps.divisor.to_text()}")
-    print(f"quotient:       {steps.toric_quotient.to_text()}")
+    print(f"multidegree:    {steps.result.to_text()}")
     print(f"weight factor:  {steps.weight_factor.to_text()}")
-    print(f"numerator:      {steps.result.to_text()}")
+    print(f"quotient:       {steps.toric_quotient.to_text()}")
     assert steps.result == qhat(5)
     print()
     print("matches the registry entry for order five")

@@ -75,7 +75,8 @@ class MissingGeneratorError(CalcError):
 
 
 class DerivationError(CalcError):
-    """An intermediate identity of a stored derivation failed to hold."""
+    """A derived numerator disagrees with the registry, or the relations
+    it is split along are not the expected ones."""
 
 
 class QhatFormatError(CalcError):

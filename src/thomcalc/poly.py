@@ -897,6 +897,10 @@ class RationalFunction:
         return RationalFunction(_as_poly(value))
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
+        if other.num.is_zero():
+            return self
+        if self.num.is_zero():
+            return other
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(

@@ -405,6 +405,18 @@ def _form_deg_in_subset(form: LinearForm, svars: Set[Variable]):
     return NEG_INF
 
 
+def _factors_deg_in_subset(factors: FactorList, subset: Set[Variable]):
+    """The degree of prod(factors) in the subset; NEG_INF as soon as one
+    factor has no term in it."""
+    total = 0
+    for form, mult in factors:
+        fd = _form_deg_in_subset(form, subset)
+        if fd == NEG_INF:
+            return NEG_INF
+        total += mult * fd
+    return total
+
+
 def lead_count(factors: FactorList, m: int) -> int:
     """Number of denominator factors (with multiplicity) whose top
     z-variable is z_m."""
@@ -430,25 +442,11 @@ def vanishing_criterion(p: Polynomial, factors: FactorList, l: int, d: int) -> b
     if not 1 <= l <= d:
         raise ValueError("need 1 <= l <= d")
     tail = _as_zvar_set(range(l, d + 1))
-    dq_tail = 0
-    for form, mult in factors:
-        fd = _form_deg_in_subset(form, tail)
-        if fd == NEG_INF:
-            dq_tail = NEG_INF
-            break
-        dq_tail += mult * fd
-    dp_tail = deg_in_subset(p, tail)
-    if dp_tail + (d - l + 1) < dq_tail:
+    if deg_in_subset(p, tail) + (d - l + 1) < _factors_deg_in_subset(factors, tail):
         return True
 
     single = _as_zvar_set([l])
-    dq_single = 0
-    for form, mult in factors:
-        fd = _form_deg_in_subset(form, single)
-        if fd == NEG_INF:
-            dq_single = NEG_INF
-            break
-        dq_single += mult * fd
+    dq_single = _factors_deg_in_subset(factors, single)
     if dq_single == NEG_INF:
         return False
     dp_single = deg_in_subset(p, single)

@@ -7,11 +7,12 @@ carries a Vandermonde factor and a registered polynomial Qhat_d; the
 denominator is the product of the arithmetic weights z_m + z_r - z_l.
 
 Beyond the main computation this module holds the classical cross-checks
-(the rank-one localization sum, the length-two closed form, the series
-shift), the fixed-point localization data for depths 2 and 3 together with
-machinery proving that the non-distinguished contributions vanish, a replay
-of the derivation of Qhat_5 from the level-5 relation defect, and a Laurent
-expansion probing the positivity of the residue fraction itself.
+(the length-two closed form, the series shift), the fixed-point
+localization data for depths 1 to 3 (depth 1 is the rank-one Porteous sum)
+together with machinery proving that the non-distinguished contributions
+vanish, the derivation of a numerator Qhat_d as the multidegree of the
+ideal of basic relations, and a Laurent expansion probing the positivity
+of the residue fraction itself.
 """
 
 import json
@@ -39,6 +40,7 @@ from .partitions import (
     uhat_index_triples,
     uhat_weight,
 )
+from .multidegree import PolynomialIdeal, WeightedRing, multidegree
 from .poly import (
     LinearForm,
     Polynomial,
@@ -51,6 +53,7 @@ from .poly import (
     poly_divide_exact,
     thvar,
     uhatvar,
+    yvar,
     zvar,
 )
 from .residue import (
@@ -484,39 +487,6 @@ def pole_sum_class(
     return residue_by_pole_sum(numerator, forms, zs).to_polynomial()
 
 
-@dataclass(frozen=True)
-class PorteousSum:
-    """The rank-one degeneracy class as a sum over source roots."""
-
-    n: int
-    k: int
-
-    def evaluate(self, lam: Sequence[ScalarLike], theta: Sequence[ScalarLike]) -> Fraction:
-        lam = [Fraction(x) for x in lam]
-        theta = [Fraction(x) for x in theta]
-        if len(lam) != self.n or len(theta) != self.k:
-            raise ValueError("sample sizes must match the bundle ranks")
-        if len(set(lam)) != self.n:
-            raise CoincidentPoleError("source roots in the sample coincide")
-        total = Fraction(0)
-        for i, li in enumerate(lam):
-            num = Fraction(1)
-            for t in theta:
-                num *= t - li
-            den = Fraction(1)
-            for s, ls in enumerate(lam):
-                if s != i:
-                    den *= ls - li
-            total += num / den
-        return total
-
-
-def porteous_localization_sum(n: int, k: int) -> PorteousSum:
-    if n < 1 or k < n:
-        raise ValueError("need 1 <= n <= k")
-    return PorteousSum(n=n, k=k)
-
-
 # -- localization over flags ------------------------------------------
 
 
@@ -576,7 +546,7 @@ def flag_residue_identity(
     return True
 
 
-# -- fixed-point data at depths 2 and 3 -------------------------------
+# -- fixed-point data at depths 1 to 3 --------------------------------
 
 
 @dataclass(frozen=True)
@@ -599,9 +569,11 @@ def _seq(*parts: Sequence[int]) -> AdmissibleSequence:
 
 
 def fixed_point_terms(d: int) -> Tuple[FixedPointTerm, ...]:
-    """The hand-tabulated localization terms; stored for depths 2 and 3."""
+    """The hand-tabulated localization terms; stored for depths 1 to 3."""
     z1, z2, z3 = zvar(1), zvar(2), zvar(3)
     form = linear_form
+    if d == 1:
+        return (FixedPointTerm(_seq([1]), (form((1, z1)),), (), True),)
     if d == 2:
         return (
             FixedPointTerm(
@@ -680,7 +652,7 @@ def fixed_point_terms(d: int) -> Tuple[FixedPointTerm, ...]:
                 False,
             ),
         )
-    raise ValueError("localization tables are stored for depths 2 and 3 only")
+    raise ValueError("localization tables are stored for depths 1 to 3 only")
 
 
 @dataclass(frozen=True)
@@ -727,6 +699,12 @@ def fixed_point_sum(d: int, n: int, k: int) -> LocalizationSum:
     if not d <= n <= k:
         raise ValueError("need d <= n <= k")
     return LocalizationSum(d=d, n=n, k=k, terms=fixed_point_terms(d))
+
+
+def porteous_localization_sum(n: int, k: int) -> LocalizationSum:
+    """The rank-one degeneracy class as a sum over source roots: the
+    depth-1 fixed-point sum."""
+    return fixed_point_sum(1, n, k)
 
 
 def sampled_class_agreement(
@@ -797,14 +775,8 @@ def _compressed_term_residue(term: FixedPointTerm, n: int, k: int) -> Polynomial
     d = term.sequence.depth
     num = compressed_term_numerator(term, k)
     cap = _series_cap(num, len(term.chart_factors), d, -n)
-    series = {}
-    for l in range(1, d + 1):
-        s = Polynomial.zero()
-        for t in range(cap + 1):
-            s = s + Polynomial.term(1, [(cvar(t), 1), (zvar(l), -n - t)])
-        if n % 2:
-            s = -s
-        series[zvar(l)] = s
+    sign = -1 if n % 2 else 1
+    series = {zvar(l): sign * _chern_tail(l, -n, cap) for l in range(1, d + 1)}
     problem = ResidueProblem(
         numerator=num,
         denominator_factors=tuple((chart, 1) for chart in term.chart_factors),
@@ -917,58 +889,50 @@ def nondistinguished_vanishing(
     return out
 
 
-# -- the level-5 numerator from the relation defect -------------------
+# -- numerators by multidegree ----------------------------------------
+
+
+def derive_qhat(d: int) -> Polynomial:
+    """Qhat_d as the multidegree of the ideal of basic_relations(d).
+
+    The uhat coordinates become y_1..y_n in the order of uhat_index_triples,
+    which is also the lex order of the Groebner degeneration (first entry
+    largest), and each carries its uhat_weight."""
+    if d < 1:
+        raise ValueError("the singularity order must be at least 1")
+    triples = uhat_index_triples(d)
+    order = [yvar(i) for i in range(1, len(triples) + 1)]
+    rename = {uhatvar(*t): Polynomial.variable(y) for t, y in zip(triples, order)}
+    generators = [rel.polynomial.substitute(rename) for rel in basic_relations(d)]
+    ring = WeightedRing(tuple(uhat_weight(uhatvar(*t)) for t in triples))
+    return multidegree(PolynomialIdeal.of(generators, order), ring)
 
 
 @dataclass(frozen=True)
 class Qhat5Steps:
-    row_products: Tuple[Polynomial, Polynomial]
-    difference: Polynomial
-    divisor: Polynomial
     toric_quotient: Polynomial
     weight_factor: Polynomial
     result: Polynomial
 
 
 def qhat5_derivation_steps(registry: Optional[QhatRegistry] = None) -> Qhat5Steps:
-    """Reassemble the level-5 numerator from scratch.
+    """Derive the level-5 numerator and split it at the defect.
 
-    The two stored coordinate rows span the equivariant class of the model
-    hypersurface pair; their weight products differ by a multiple of one
-    linear form, and dividing it out leaves a quadratic.  Scaling by the
-    weight of the unique non-toric level-5 relation must land exactly on
-    the registered numerator, anything else raises DerivationError."""
-    rows = (
-        (uhatvar(1, 2, 3), uhatvar(1, 1, 2), uhatvar(1, 4, 5)),
-        (uhatvar(2, 2, 4), uhatvar(1, 3, 4), uhatvar(2, 3, 5)),
-    )
-    products = []
-    for row in rows:
-        p = Polynomial.one()
-        for v in row:
-            p = p * uhat_weight(v).as_polynomial()
-        products.append(p)
-    difference = products[0] - products[1]
-    divisor = linear_form(
-        (1, zvar(1)), (1, zvar(4)), (-1, zvar(2)), (-1, zvar(3))
-    ).as_polynomial()
-    quotient = poly_divide_exact(difference, divisor)
+    The numerator is derive_qhat(5).  It factors as the weight of the
+    unique non-toric level-5 relation times a quadratic toric quotient.
+    A second non-toric relation, or a result other than the registered
+    numerator, raises DerivationError."""
     defect = [r for r in basic_relations(5) if not r.toric]
     if len(defect) != 1:
         raise DerivationError(
             f"expected one non-toric relation at level 5, found {len(defect)}"
         )
     weight_factor = defect[0].weight().as_polynomial()
-    result = weight_factor * quotient
+    result = derive_qhat(5)
     if result != qhat(5, registry):
-        raise DerivationError(
-            "reassembled level-5 numerator disagrees with the registry"
-        )
+        raise DerivationError("the level-5 multidegree disagrees with the registry")
     return Qhat5Steps(
-        row_products=(products[0], products[1]),
-        difference=difference,
-        divisor=divisor,
-        toric_quotient=quotient,
+        toric_quotient=poly_divide_exact(result, weight_factor),
         weight_factor=weight_factor,
         result=result,
     )

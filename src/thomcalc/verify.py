@@ -6,6 +6,7 @@ the report carries one entry per check and the caller decides the exit
 code from all_passed.
 """
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
@@ -25,15 +26,19 @@ from .partitions import (
     u_reference_value,
     uhat_reference_value,
 )
-from .poly import Polynomial, cvar, linear_form, zvar
+from .poly import Polynomial, cvar, lamvar, linear_form, thvar, zvar
 from .multidegree import toric_localization_example
 from .thom import (
     DEFAULT_SEED,
+    _distinct_fractions,
+    chern_classes,
+    derive_qhat,
     flag_residue_identity,
     nondistinguished_vanishing,
     pole_sum_class,
     porteous_localization_sum,
     positivity_expansion,
+    qhat,
     qhat5_derivation_steps,
     ronga_reference,
     sampled_class_agreement,
@@ -173,14 +178,9 @@ def _classical(collector: _Collector, seed: int):
 
 def _localization(collector: _Collector, seed: int):
     def porteous():
-        from .poly import lamvar, thvar
-        import random
-
         rng = random.Random(seed)
         for n, k in ((2, 3), (3, 5)):
             sum_form = porteous_localization_sum(n, k)
-            from .thom import chern_classes, _distinct_fractions
-
             target = chern_classes(n, k, k - n + 1).values[k - n + 1]
             for _ in range(3):
                 lam = _distinct_fractions(rng, n)
@@ -283,8 +283,11 @@ def _relations(collector: _Collector, seed: int):
         )
 
     def qhat5():
-        steps = qhat5_derivation_steps()
-        return not steps.result.is_zero(), "rebuilt from the level-5 defect"
+        qhat5_derivation_steps()  # raises DerivationError unless it matches qhat(5)
+        return (
+            derive_qhat(4) == qhat(4),
+            "levels 4 and 5 as multidegrees of the basic relations",
+        )
 
     def toric():
         report = toric_localization_example()

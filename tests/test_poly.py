@@ -11,6 +11,7 @@ from thomcalc import (
     LinearForm,
     NonDivisibleError,
     Polynomial,
+    RationalFunction,
     Variable,
     avar,
     cvar,
@@ -284,3 +285,15 @@ def test_divide_rejects_laurent():
     p = Polynomial.term(1, [(zvar(1), -1)])
     with pytest.raises(ValueError):
         poly_divide_exact(p, Polynomial.one())
+
+
+# -- rational functions ------------------------------------------------
+
+
+def test_adding_the_zero_function_keeps_the_other_denominator():
+    z1, z2 = Polynomial.variable(zvar(1)), Polynomial.variable(zvar(2))
+    f = RationalFunction(z1, z1 + z2)
+    zero = RationalFunction(Polynomial.zero(), z1 - z2)
+    assert (f + zero).den == z1 + z2
+    assert (zero + f).den == z1 + z2
+    assert (f + zero).num == z1

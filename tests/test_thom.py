@@ -14,6 +14,7 @@ from thomcalc import (
     chern_classes,
     default_registry,
     denominator_forms,
+    derive_qhat,
     distinguished_residue_value,
     enumerate_admissible,
     fixed_point_sum,
@@ -30,6 +31,7 @@ from thomcalc import (
     residue_problem_for,
     residue_term_value,
     ronga_reference,
+    sampled_class_agreement,
     shift_check,
     substitute_chern,
     thom_polynomial,
@@ -367,6 +369,15 @@ def test_localization_sum_guards():
         total.evaluate((1, 2), (3, 5))  # 2*z_1 - z_2 dies on this sample
 
 
+def test_depth_one_sum_is_the_rank_one_class():
+    (term,) = fixed_point_terms(1)
+    assert term.distinguished
+    assert term.shifts == (linear_form((1, zvar(1))),)
+    assert term.chart_factors == ()
+    for n, k in ((1, 1), (1, 3), (2, 3)):
+        assert sampled_class_agreement(1, n, k), (n, k)
+
+
 def test_distinguished_term_carries_the_class():
     lam, theta = (1, 5), (3, 7)
     value = distinguished_residue_value(2, lam, theta)
@@ -423,10 +434,15 @@ def test_vanishing_guards():
 # -- the order-five numerator derivation -------------------------------
 
 
+def test_numerators_are_multidegrees_of_the_basic_relations():
+    for d in range(1, 6):
+        assert derive_qhat(d) == qhat(d), d
+    with pytest.raises(ValueError):
+        derive_qhat(0)
+
+
 def test_derivation_steps_cohere():
     steps = qhat5_derivation_steps()
-    assert steps.difference == steps.row_products[0] - steps.row_products[1]
-    assert steps.toric_quotient * steps.divisor == steps.difference
     assert steps.result == steps.weight_factor * steps.toric_quotient
     assert steps.result == qhat(5)
     assert qhat5_derivation() == qhat(5)
