@@ -11,7 +11,9 @@ cross-check each other:
   recursing on the substituted ideal.
 
 Weights are linear forms (usually in eta-symbols); a multidegree is a
-polynomial in whatever symbols the weights use.
+polynomial in whatever symbols the weights use.  basic_relations_ideal
+gives the ideal of the basic relations, whose multidegree is the numerator
+Q_d of the residue formula.
 
 The Groebner route works on exponent tuples: each generator is converted
 once to {exponent tuple: coefficient}, with slot i holding the exponent of
@@ -40,6 +42,7 @@ from .errors import (
     SPairBudgetError,
     WeightInhomogeneityError,
 )
+from .partitions import basic_relations, uhat_index_triples, uhat_weight
 from .poly import (
     LexExps,
     LexHeap,
@@ -52,6 +55,7 @@ from .poly import (
     etavar,
     lex_polynomial,
     lex_terms,
+    uhatvar,
     yvar,
 )
 
@@ -460,3 +464,19 @@ def toric_localization_example() -> ToricExampleReport:
         groebner_route=groebner,
         expected=e[1] + e[3],
     )
+
+
+def basic_relations_ideal(d: int) -> Tuple[PolynomialIdeal, WeightedRing]:
+    """The ideal of basic_relations(d) and its weighted ring.
+
+    The uhat coordinates become y_1..y_n in the order of uhat_index_triples,
+    which is also the lex order of the Groebner degeneration (first entry
+    largest), and each carries its uhat_weight."""
+    if d < 1:
+        raise ValueError("the singularity order must be at least 1")
+    triples = uhat_index_triples(d)
+    order = [yvar(i) for i in range(1, len(triples) + 1)]
+    rename = {uhatvar(*t): Polynomial.variable(y) for t, y in zip(triples, order)}
+    generators = [rel.polynomial.substitute(rename) for rel in basic_relations(d)]
+    ring = WeightedRing(tuple(uhat_weight(uhatvar(*t)) for t in triples))
+    return PolynomialIdeal.of(generators, order), ring

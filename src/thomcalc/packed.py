@@ -1,0 +1,144 @@
+"""Polynomials on packed exponent ints, for the hot products.
+
+A monomial becomes one Python int with a field per variable (Kronecker
+substitution, as in Monagan and Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors"), so a monomial product is one
+int addition.  A packed polynomial is a dict from these keys to
+coefficients, which stay Python ints wherever the inputs are integral and
+are Fractions only where an input has one.  The residue kernel, the
+numerator V_d * Q_d and the 1/form series run here and convert to a
+Polynomial once, at the end.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
+
+from .poly import LinearForm, Monomial, Polynomial, Variable
+
+Coefficient = Union[int, Fraction]
+PackedTerms = Dict[int, Coefficient]
+
+
+def _exact(q: Fraction) -> Coefficient:
+    return q.numerator if q.denominator == 1 else q
+
+
+class ExponentPacking:
+    """One field of `width` bits per variable, in canonical order from the
+    low bits up; when some variables are `graded`, one more field on top
+    holds the sum of their exponents.
+
+    A key is the signed sum of exponent << shift, so multiplying monomials
+    adds their keys.  Adding `bias` (half the field range, in every field)
+    makes each field nonnegative: on a biased key a field is read by a
+    shift and a mask, and a biased key plus unbiased ones stays biased.
+    Keys are exact as long as no exponent that is formed exceeds `bound` in
+    absolute value, so the caller derives `bound` from its own inputs.
+    """
+
+    __slots__ = ("width", "mask", "half", "bias", "shift", "degree_shift", "_graded", "_fields")
+
+    def __init__(self, variables: Iterable[Variable], bound: int, graded: Iterable[Variable] = ()):
+        self._fields = sorted(set(variables), key=lambda v: v.key)
+        self._graded = frozenset(graded)
+        width = max(bound, 1).bit_length() + 1
+        fields = len(self._fields) + (1 if self._graded else 0)
+        self.width = width
+        self.mask = (1 << width) - 1
+        self.half = 1 << (width - 1)
+        self.bias = sum(self.half << (width * i) for i in range(fields))
+        self.shift = {v: width * i for i, v in enumerate(self._fields)}
+        self.degree_shift = width * len(self._fields)
+
+    def key(self, v: Variable, e: int) -> int:
+        """The unbiased key of v^e."""
+        key = e << self.shift[v]
+        if v in self._graded:
+            key += e << self.degree_shift
+        return key
+
+    def terms(self, p: Polynomial, biased: bool = False) -> PackedTerms:
+        pair_key = {pair: self.key(*pair) for pair in p.exponent_pairs()}.__getitem__
+        offset = self.bias if biased else 0
+        return {
+            sum(map(pair_key, mono), offset): _exact(c) for mono, c in p.term_map().items()
+        }
+
+    def polynomial(self, terms: Mapping[int, Coefficient]) -> Polynomial:
+        """Back from biased keys with nonzero coefficients; the degree field
+        is implied and dropped."""
+        width, bias, half = self.width, self.bias, self.half
+        fields = self._fields
+        masks = [self.mask << (width * i) for i in range(len(fields))]
+        pairs: Dict[int, Tuple[Variable, int]] = {}  # one tuple per (variable, exponent)
+        out: Dict[Monomial, Fraction] = {}
+        for key, coeff in terms.items():
+            mono = []
+            # the fields holding exponent 0 read as 0 after the xor
+            rest = key ^ bias
+            while rest:
+                field = ((rest & -rest).bit_length() - 1) // width
+                if field == len(fields):
+                    break
+                bits = key & masks[field]
+                pair = pairs.get(bits)
+                if pair is None:
+                    pair = pairs[bits] = (fields[field], (bits >> (width * field)) - half)
+                mono.append(pair)
+                rest &= ~masks[field]
+            out[tuple(mono)] = Fraction(coeff)
+        result = Polynomial.__new__(Polynomial)
+        result._terms = out
+        return result
+
+
+def packed_mul(a: Mapping[int, Coefficient], b: Mapping[int, Coefficient]) -> PackedTerms:
+    """The product of two packed polynomials; at most one may be biased."""
+    out: PackedTerms = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = k1 + k2
+            q = out.get(key)
+            q = c1 * c2 if q is None else q + c1 * c2
+            if q:
+                out[key] = q
+            else:
+                del out[key]
+    return out
+
+
+def packed_product(*factors: Polynomial) -> Polynomial:
+    """The product of the factors, multiplied on packed exponent ints."""
+    variables = set().union(*(f.variables() for f in factors))
+    bound = sum(max((abs(e) for _, e in f.exponent_pairs()), default=0) for f in factors)
+    packing = ExponentPacking(variables, bound)
+    out = {packing.bias: 1}
+    for f in factors:
+        out = packed_mul(out, packing.terms(f))
+    return packing.polynomial(out)
+
+
+def inverse_series(
+    packing: ExponentPacking, form: LinearForm, order: int
+) -> List[Tuple[int, int, Coefficient]]:
+    """The terms of 1/form through power `order` of its series in its top
+    z-variable (see poly.expand_inverse_factor), as (s, unbiased key,
+    coefficient) in increasing s, where the power-s terms carry top^-(s+1)."""
+    top, a = form.top_z_variable()
+    inv = Fraction(1) / a
+    # one more power of -L0 / a, and of 1/top
+    down = packing.key(top, -1)
+    step = {packing.key(v, 1) + down: _exact(-q * inv) for v, q in form.items if v is not top}
+    if form.constant:
+        step[down] = _exact(-form.constant * inv)
+    power: PackedTerms = {down: _exact(inv)}
+    out = []
+    for s in range(order + 1):
+        if s:
+            if not step:
+                break
+            power = packed_mul(power, step)
+        out.extend((s, key, c) for key, c in power.items())
+    return out

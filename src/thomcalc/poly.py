@@ -10,6 +10,12 @@ canonical key, with no zero exponents.  A polynomial is a dict from monomials
 to nonzero coefficients.  Canonical printing order is graded reverse
 lexicographic, largest term first, which reproduces the usual ordering of
 Chern-class expressions (c1^4 before 6*c1^2*c2 before 2*c2^2 before 9*c1*c3).
+
+The hot products do not run on these tuples: the residue kernel, the
+numerator V_d * Q_d and the 1/form series of expand_inverse_factor run on
+packed exponent ints (packed.py), one Python int per monomial with one
+biased field per variable, and on int coefficients wherever the inputs are
+integral; they convert to a Polynomial once, at the end.
 """
 
 from __future__ import annotations
@@ -354,6 +360,10 @@ class Polynomial:
             for v, _ in mono:
                 out.add(v)
         return out
+
+    def exponent_pairs(self) -> set:
+        """Every (variable, exponent) pair that occurs in some term."""
+        return set().union(*self._terms)
 
     def constant_term(self) -> Fraction:
         return self._terms.get(_ONE, Fraction(0))
@@ -748,21 +758,11 @@ def expand_inverse_factor(form: LinearForm, order: int) -> Polynomial:
     """
     if order < 0:
         raise ValueError("expansion order must be nonnegative")
-    top, a = form.top_z_variable()
-    rest = form.drop(top).as_polynomial()
-    out = Polynomial.zero()
-    power = Polynomial.one()
-    sign = Fraction(1)
-    a_power = a
-    for s in range(order + 1):
-        if s > 0:
-            if rest.is_zero():
-                break
-            power = power * rest
-            sign = -sign
-            a_power *= a
-        out = out + power.multiply_monomial(((top, -(s + 1)),), sign / a_power)
-    return out
+    from .packed import ExponentPacking, inverse_series  # packed imports this module
+
+    packing = ExponentPacking(form.variables(), order + 1)
+    pieces = inverse_series(packing, form, order)
+    return packing.polynomial({packing.bias + key: coeff for _, key, coeff in pieces})
 
 
 LexExps = Tuple[int, ...]

@@ -13,6 +13,13 @@ one of its exponents can no longer reach -1; a variable's own series is
 applied last and only supplies that slice.  No truncation order is guessed
 and nothing is re-run to validate.
 
+The expansion runs on packed exponent ints (packed.ExponentPacking): one
+field per variable, z_1..z_d first, then the Chern and other symbols, and
+one more for the total z-degree, each as wide as the problem's own
+exponent bounds require.  A monomial product is one int addition, reading
+an exponent is a shift and a mask, and coefficients are Python ints unless
+an input carries a Fraction.
+
 An iterated pole sum is the exact second route: the residue at infinity of
 a rational function is minus the sum of its finite residues, so summing
 over simple poles shares no code with the expansion.  The module also
@@ -32,13 +39,13 @@ from .errors import (
     ConstantFormError,
     TruncationUnstableError,
 )
+from .packed import Coefficient, ExponentPacking, PackedTerms, inverse_series
 from .poly import (
     LinearForm,
     Monomial,
     Polynomial,
     RationalFunction,
     Variable,
-    expand_inverse_factor,
     zvar,
 )
 
@@ -148,27 +155,49 @@ class ResidueProblem:
         )
 
 
-def _split(mono: Monomial, v: Variable) -> Tuple[int, Monomial]:
-    # the exponent of v, and the monomial without v
-    for i, (w, e) in enumerate(mono):
-        if w is v:
-            return e, mono[:i] + mono[i + 1:]
-    return 0, mono
-
-
-def _degrees(mono: Monomial, v: Variable) -> Tuple[int, int]:
-    # the exponent of v, and the total z-degree
-    e = zdeg = 0
-    for w, we in mono:
-        if w.family == "z":
-            zdeg += we
-            if w is v:
-                e = we
-    return e, zdeg
-
-
 def _z_homogeneous(form: LinearForm) -> bool:
     return form.constant == 0 and all(v.family == "z" for v, _ in form.items)
+
+
+def _reach(p: Polynomial) -> Dict[Variable, int]:
+    """The largest |exponent| of each symbol of p."""
+    out: Dict[Variable, int] = {}
+    for w, e in p.exponent_pairs():
+        out[w] = max(out.get(w, 0), abs(e))
+    return out
+
+
+def _packing(
+    problem: ResidueProblem,
+    variables: Sequence[Variable],
+    topped: Mapping[Variable, FactorList],
+    series: Mapping[Variable, Polynomial],
+) -> ExponentPacking:
+    """Fields for z_1..z_d, then every other symbol, then the total
+    z-degree, wide enough for any exponent the expansion can form.
+
+    A term is one numerator term times one piece of each factor's series
+    and at most one term of each variable's series, so no exponent exceeds
+    the sum of what each of those can carry.  Going down from the last
+    variable, that sum for v also bounds the power at which v's factors
+    are cut, and a power-s piece carries each lower symbol to at most s.
+    """
+    carry = _reach(problem.numerator)
+    degree = sum(carry.get(v, 0) for v in variables)  # bounds |total z-degree|
+    for v in variables:
+        for w, e in _reach(series[v]).items():
+            carry[w] = carry.get(w, 0) + e
+            degree += e if w is v else 0
+        # the slice lifts v from -1 back to 0
+        carry[v] = carry.get(v, 0) + 1
+        degree += 1
+    for v in reversed(variables):
+        power = carry[v]
+        for form, mult in topped[v]:
+            for w, _ in form.items:
+                carry[w] = carry.get(w, 0) + mult * (power + 1 if w is v else power)
+            degree += mult * (power + 1)
+    return ExponentPacking(carry.keys(), max(degree, *carry.values()), graded=variables)
 
 
 def iterated_residue(
@@ -181,10 +210,13 @@ def iterated_residue(
     truncation order.  A policy's base_order is a budget on that depth:
     when the exact answer needs a deeper power of some factor, the call
     raises TruncationUnstableError instead of expanding further.
+
+    The expansion runs on packed exponent ints (see ExponentPacking) with
+    int coefficients wherever the inputs are integral; the result becomes a
+    Polynomial once, at the end.
     """
     if not problem.variables:
         return problem.numerator
-    from .poly import _mono_mul  # local alias, hot loop
 
     budget = None if policy is None else policy.base_order
     # the regime is |z_1| << |z_2| << ... whatever the listed order: each
@@ -193,14 +225,21 @@ def iterated_residue(
     topped: Dict[Variable, List[Tuple[LinearForm, int]]] = {v: [] for v in variables}
     for form, mult in problem.denominator_factors:
         topped[form.top_z_variable()[0]].append((form, mult))
-    # each variable's series keyed by its own exponent; no series reads as 1
-    series: Dict[Variable, Dict[int, List[Tuple[Monomial, Fraction]]]] = {}
+    own_series = {v: problem.per_variable_series.get(v, Polynomial.one()) for v in variables}
+    packing = _packing(problem, variables, topped, own_series)
+    mask, half, zshift = packing.mask, packing.half, packing.degree_shift
+
+    # each variable's series keyed by its own exponent; no series reads as 1.
+    # A term's key also carries the slice: it lifts v from -1 back to 0 and
+    # takes that -1 out of the total z-degree.
+    series: Dict[Variable, Dict[int, List[Tuple[int, Coefficient]]]] = {}
     for v in variables:
-        by_exp: Dict[int, List[Tuple[Monomial, Fraction]]] = {}
-        own = problem.per_variable_series.get(v, Polynomial.one())
-        for mono, coeff in own.term_map().items():
-            e, rest = _split(mono, v)
-            by_exp.setdefault(e, []).append((rest, coeff))
+        shift = packing.shift[v]
+        lift = (1 << shift) + (1 << zshift)
+        by_exp: Dict[int, List[Tuple[int, Coefficient]]] = {}
+        for key, coeff in packing.terms(own_series[v]).items():
+            e = ((key + packing.bias) >> shift & mask) - half
+            by_exp.setdefault(e, []).append((key + lift, coeff))
         series[v] = by_exp or {0: []}
 
     # Every factor term has total z-degree at most -1, exactly -1 for a
@@ -214,16 +253,17 @@ def iterated_residue(
     series_hi = sum(max(by_exp) for by_exp in series.values())
     series_lo = sum(min(by_exp) for by_exp in series.values())
 
-    current: Dict[Monomial, Fraction] = dict(problem.numerator.term_map())
+    current = packing.terms(problem.numerator, biased=True)
     for i in range(len(variables) - 1, -1, -1):
         v = variables[i]
+        shift = packing.shift[v]
         hi_v, lo_v = max(series[v]), min(series[v])
         # factors topped by v only lower e_v, by at least one each
         v_left = sum(mult for _, mult in topped[v])
         for form, mult in topped[v]:
             if not current:
                 break
-            power = max(_degrees(m, v)[0] for m in current) + hi_v - v_left + 1
+            power = max((key >> shift) & mask for key in current) - half + hi_v - v_left + 1
             if power < 0:
                 current = {}
                 break
@@ -232,46 +272,47 @@ def iterated_residue(
                     f"the residue in {v.text} needs power {power} of 1/({form.to_text()}), "
                     f"past the order budget {budget}"
                 )
-            # the terms of 1/form by s, where the term carries v^-(s+1)
-            pieces = []
-            for mono, coeff in expand_inverse_factor(form, power).term_map().items():
-                e, zdeg = _degrees(mono, v)
-                pieces.append((-1 - e, mono, coeff, zdeg))
-            pieces.sort(key=lambda piece: piece[0])
+            # the terms of 1/form by s, where the term carries v^-(s+1), with
+            # the total z-degree read off the biased key
+            pieces = [
+                (s, key, coeff, ((key + packing.bias) >> zshift & mask) - half)
+                for s, key, coeff in inverse_series(packing, form, power)
+            ]
             homogeneous = _z_homogeneous(form)
             for _ in range(mult):
                 v_left -= 1
                 factors_left -= 1
                 if not homogeneous:
                     inhomogeneous_left -= 1
-                slack = hi_v - v_left
-                zdeg_lo = factors_left - (i + 1) - series_hi
-                zdeg_hi = factors_left - (i + 1) - series_lo
-                merged: Dict[Monomial, Fraction] = {}
-                for m1, c1 in current.items():
-                    e1, z1 = _degrees(m1, v)
-                    reach = e1 + slack
-                    for s, m2, c2, z2 in pieces:
+                # bounds shifted by the bias, to compare with biased fields
+                slack = hi_v - v_left - half
+                zdeg_lo = factors_left - (i + 1) - series_hi + half
+                zdeg_hi = factors_left - (i + 1) - series_lo + half
+                merged: PackedTerms = {}
+                for k1, c1 in current.items():
+                    reach = ((k1 >> shift) & mask) + slack
+                    z1 = (k1 >> zshift) & mask
+                    for s, k2, c2, z2 in pieces:
                         if s > reach:
                             break
                         zdeg = z1 + z2
                         if zdeg < zdeg_lo or (zdeg > zdeg_hi and not inhomogeneous_left):
                             continue
-                        mono = _mono_mul(m1, m2)
-                        q = merged.get(mono)
+                        key = k1 + k2
+                        q = merged.get(key)
                         q = c1 * c2 if q is None else q + c1 * c2
                         if q:
-                            merged[mono] = q
+                            merged[key] = q
                         else:
-                            del merged[mono]
+                            del merged[key]
                 current = merged
         # v's series last: it only has to supply the 1/v slice
-        sliced: Dict[Monomial, Fraction] = {}
-        for mono, coeff in current.items():
-            e, rest = _split(mono, v)
-            for s_mono, s_coeff in series[v].get(-1 - e, ()):
-                key = _mono_mul(rest, s_mono)
-                q = sliced.get(key, 0) + coeff * s_coeff
+        by_exp = series[v]
+        sliced: PackedTerms = {}
+        for k1, c1 in current.items():
+            for k2, c2 in by_exp.get(half - 1 - ((k1 >> shift) & mask), ()):
+                key = k1 + k2
+                q = sliced.get(key, 0) + c1 * c2
                 if q:
                     sliced[key] = q
                 else:
@@ -280,10 +321,9 @@ def iterated_residue(
         series_hi -= hi_v
         series_lo -= lo_v
 
-    result = Polynomial(current)
     if len(variables) % 2:
-        result = -result
-    return result
+        current = {key: -coeff for key, coeff in current.items()}
+    return packing.polynomial(current)
 
 
 # -- the exact pole sum -----------------------------------------------

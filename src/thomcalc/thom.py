@@ -38,9 +38,8 @@ from .partitions import (
     dim_normal_model,
     dim_orbit,
     uhat_index_triples,
-    uhat_weight,
 )
-from .multidegree import PolynomialIdeal, WeightedRing, multidegree
+from .multidegree import basic_relations_ideal, multidegree
 from .poly import (
     LinearForm,
     Polynomial,
@@ -52,10 +51,9 @@ from .poly import (
     linear_form,
     poly_divide_exact,
     thvar,
-    uhatvar,
-    yvar,
     zvar,
 )
+from .packed import packed_product
 from .residue import (
     FactorList,
     ResidueProblem,
@@ -231,11 +229,13 @@ def qhat(d: int, registry: Optional[QhatRegistry] = None) -> Polynomial:
 
 
 def vandermonde(d: int) -> Polynomial:
-    out = Polynomial.one()
-    for m in range(1, d + 1):
-        for l in range(m + 1, d + 1):
-            out = out * linear_form((1, zvar(m)), (-1, zvar(l))).as_polynomial()
-    return out
+    return packed_product(
+        *(
+            linear_form((1, zvar(m)), (-1, zvar(l))).as_polynomial()
+            for m in range(1, d + 1)
+            for l in range(m + 1, d + 1)
+        )
+    )
 
 
 def denominator_forms(d: int) -> List[LinearForm]:
@@ -271,6 +271,25 @@ def _chern_tail(l: int, codim: int, cap: int) -> Polynomial:
     return out
 
 
+_numerator_cache: Dict[Tuple[int, Optional[Tuple[str, str]]], Polynomial] = {}
+
+
+def _numerator(d: int, registry: Optional[QhatRegistry]) -> Polynomial:
+    """(-1)^d V_d Q_d, shared by every codim.  Memoized for the default
+    registry only, keyed like _tp_cache: register can change an explicit
+    registry between calls."""
+    # registry lookup first, so an unregistered order fails before the
+    # Vandermonde product does any work
+    top = qhat(d, registry)
+    key = None if registry is not None else (d, _plugin_key())
+    numerator = _numerator_cache.get(key)
+    if numerator is None:
+        numerator = packed_product(Polynomial.constant((-1) ** d), vandermonde(d), top)
+        if key is not None:
+            _numerator_cache[key] = numerator
+    return numerator
+
+
 def residue_problem_for(
     d: int, codim: int, registry: Optional[QhatRegistry] = None
 ) -> ResidueProblem:
@@ -279,12 +298,7 @@ def residue_problem_for(
         raise ValueError("the singularity order must be at least 1")
     if codim < 0:
         raise ValueError("the codimension parameter must be nonnegative")
-    # registry lookup first, so an unregistered order fails before the
-    # Vandermonde product does any work
-    top = qhat(d, registry)
-    numerator = vandermonde(d) * top
-    if d % 2:
-        numerator = -numerator
+    numerator = _numerator(d, registry)
     forms = denominator_forms(d)
     cap = _series_cap(numerator, len(forms), d, codim)
     series = {zvar(l): _chern_tail(l, codim, cap) for l in range(1, d + 1)}
@@ -478,11 +492,12 @@ def pole_sum_class(
     """
     k = d + codim
     zs = [zvar(l) for l in range(1, d + 1)]
-    numerator = residue_problem_for(d, codim, registry).numerator
+    theta_factors = (
+        linear_form((1, z), (1, thvar(t))).as_polynomial() for z in zs for t in range(1, k + 1)
+    )
+    numerator = packed_product(residue_problem_for(d, codim, registry).numerator, *theta_factors)
     forms = denominator_forms(d)
     for z in zs:
-        for t in range(1, k + 1):
-            numerator = numerator * linear_form((1, z), (1, thvar(t))).as_polynomial()
         forms += [linear_form((1, z), (1, lamvar(i))) for i in range(1, d + 1)]
     return residue_by_pole_sum(numerator, forms, zs).to_polynomial()
 
@@ -528,7 +543,7 @@ def flag_residue_identity(
         if v.family != "z" or not 1 <= v.index <= d:
             raise ValueError(f"numerator must live in z_1..z_{d}, found {v.text}")
     rng = random.Random(seed)
-    weighted = vandermonde(d) * numerator
+    weighted = packed_product(vandermonde(d), numerator)
     for _ in range(samples):
         lam = _distinct_fractions(rng, n)
         lhs = Fraction(0)
@@ -754,11 +769,8 @@ def _elementary_envelope(shift: LinearForm, k: int) -> Polynomial:
 
 
 def compressed_term_numerator(term: FixedPointTerm, k: int) -> Polynomial:
-    d = term.sequence.depth
-    num = vandermonde(d)
-    for shift in term.shifts:
-        num = num * _elementary_envelope(shift, k)
-    return num
+    envelopes = (_elementary_envelope(shift, k) for shift in term.shifts)
+    return packed_product(vandermonde(term.sequence.depth), *envelopes)
 
 
 def _term_factor_list(term: FixedPointTerm, n: int) -> FactorList:
@@ -812,11 +824,10 @@ def residue_term_value(
     d = term.sequence.depth
     lam = [Fraction(x) for x in lam]
     theta = [Fraction(x) for x in theta]
-    num = vandermonde(d)
-    for shift in term.shifts:
-        base = shift.as_polynomial()
-        for t in theta:
-            num = num * (Polynomial.constant(t) - base)
+    num = packed_product(
+        vandermonde(d),
+        *(Polynomial.constant(t) - s.as_polynomial() for s in term.shifts for t in theta),
+    )
     return _term_residue_at_roots(num, term.chart_factors, lam, d).constant_term()
 
 
@@ -893,19 +904,9 @@ def nondistinguished_vanishing(
 
 
 def derive_qhat(d: int) -> Polynomial:
-    """Qhat_d as the multidegree of the ideal of basic_relations(d).
-
-    The uhat coordinates become y_1..y_n in the order of uhat_index_triples,
-    which is also the lex order of the Groebner degeneration (first entry
-    largest), and each carries its uhat_weight."""
-    if d < 1:
-        raise ValueError("the singularity order must be at least 1")
-    triples = uhat_index_triples(d)
-    order = [yvar(i) for i in range(1, len(triples) + 1)]
-    rename = {uhatvar(*t): Polynomial.variable(y) for t, y in zip(triples, order)}
-    generators = [rel.polynomial.substitute(rename) for rel in basic_relations(d)]
-    ring = WeightedRing(tuple(uhat_weight(uhatvar(*t)) for t in triples))
-    return multidegree(PolynomialIdeal.of(generators, order), ring)
+    """Qhat_d as the multidegree of the ideal of basic_relations(d), in the
+    coordinates and weights of basic_relations_ideal."""
+    return multidegree(*basic_relations_ideal(d))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from thomcalc import (
     thom_polynomial,
     zvar,
 )
-from thomcalc.cli import main
+from thomcalc.cli import MAX_CODIM, MAX_PARTITION_DEPTH, main
 from thomcalc.poly import cvar, etavar, yvar
 
 
@@ -60,6 +60,15 @@ def test_tp_usage_errors(runner):
     assert runner.invoke(main, ["tp", "--d", "0", "--codim", "0"]).exit_code == 2
     assert runner.invoke(main, ["tp", "--d", "2"]).exit_code == 2
     assert runner.invoke(main, ["tp", "--d", "2", "--codim", "-1"]).exit_code == 2
+
+
+def test_tp_refuses_codim_past_the_limit(runner):
+    # refused up front: d = 2 would be cheap, the limit is on codim alone
+    result = runner.invoke(main, ["tp", "--d", "2", "--codim", str(MAX_CODIM + 1)])
+    assert result.exit_code == 2
+    assert f"between 0 and {MAX_CODIM}" in result.output
+    help_text = runner.invoke(main, ["tp", "--help"]).output
+    assert f"0 to {MAX_CODIM}" in help_text
 
 
 def test_tp_numerator_plugin(runner, tmp_path):
@@ -185,6 +194,14 @@ def test_partitions_text(runner):
     assert result.output.startswith("depth 3: 8 admissible sequences\n")
     assert "  ([1],[2],[3])\n" in result.output
     assert "orbit dimension 3, model dimension 3, numerator degree 0" in result.output
+
+
+def test_partitions_refuses_depth_past_the_limit(runner):
+    result = runner.invoke(main, ["partitions", "--d", str(MAX_PARTITION_DEPTH + 1)])
+    assert result.exit_code == 2
+    assert f"between 1 and {MAX_PARTITION_DEPTH}" in result.output
+    help_text = runner.invoke(main, ["partitions", "--help"]).output
+    assert f"1 to {MAX_PARTITION_DEPTH}" in help_text
 
 
 def test_partitions_json(runner):

@@ -16,6 +16,7 @@ from thomcalc import (
     WeightInhomogeneityError,
     WeightedRing,
     basic_relations,
+    basic_relations_ideal,
     buchberger_lex,
     deg_qhat,
     etavar,
@@ -28,9 +29,6 @@ from thomcalc import (
     reduce_by_linear_generator,
     subspace_multiplicity,
     toric_localization_example,
-    uhat_index_triples,
-    uhat_weight,
-    uhatvar,
     yvar,
 )
 from thomcalc.multidegree import _lex_basis
@@ -214,32 +212,24 @@ def test_toric_example_report_fields():
 # -- the ideals of basic relations -------------------------------------
 
 
-def relations_ideal(d, permute=None):
-    """basic_relations(d) in the uhat coordinates renamed y_1..y_n, with the
-    uhat weights and the lex order of uhat_index_triples."""
-    triples = uhat_index_triples(d)
-    order = [yvar(i + 1) for i in range(len(triples))]
-    rename = {uhatvar(*t): Polynomial.variable(v) for t, v in zip(triples, order)}
-    gens = [r.polynomial.substitute(rename) for r in basic_relations(d)]
-    if permute is not None:
-        gens = [gens[i] for i in permute]
-    weights = WeightedRing(tuple(uhat_weight(uhatvar(*t)) for t in triples))
-    return PolynomialIdeal.of(gens, order), weights
+def permuted(ideal, perm):
+    return PolynomialIdeal.of([ideal.generators[i] for i in perm], ideal.order)
 
 
 @given(st.permutations(range(len(basic_relations(5)))))
 @settings(max_examples=12, deadline=None)
 def test_level5_multidegree_ignores_generator_order(perm):
-    ideal, weights = relations_ideal(5, perm)
-    assert multidegree(ideal, weights) == qhat(5)
+    ideal, weights = basic_relations_ideal(5)
+    assert multidegree(permuted(ideal, perm), weights) == qhat(5)
 
 
 def test_level6_multidegree_under_two_generator_orders():
     count = len(basic_relations(6))
     shuffled = list(range(count))
     random.Random(6).shuffle(shuffled)
+    ideal, weights = basic_relations_ideal(6)
     results = [
-        multidegree(*relations_ideal(6, perm))
+        multidegree(permuted(ideal, perm), weights)
         for perm in (list(reversed(range(count))), shuffled)
     ]
     assert results[0] == results[1]
@@ -250,7 +240,7 @@ def test_level6_multidegree_under_two_generator_orders():
 
 def test_initial_ideal_matches_sympy_at_level5():
     sympy = pytest.importorskip("sympy")
-    ideal, _ = relations_ideal(5)
+    ideal, _ = basic_relations_ideal(5)
     symbols = sympy.symbols(f"y1:{len(ideal.order) + 1}")
     by_variable = dict(zip(ideal.order, symbols))
     exprs = [

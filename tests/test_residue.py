@@ -18,6 +18,9 @@ from thomcalc import (
     lamvar,
     linear_form,
     residue_by_pole_sum,
+    ronga_reference,
+    shift_check,
+    thom_polynomial,
     vanishing_criterion,
     zvar,
 )
@@ -109,6 +112,23 @@ def test_deep_slice_needs_no_order():
     factors = ((form((1, Z1), (1, Z2)), 1),)
     problem = ResidueProblem(num, factors, variables=(Z1, Z2))
     assert iterated_residue(problem) == Polynomial.one()
+
+
+def test_exponents_past_sixteen_bits():
+    # z1^-(n+1) z2^n / (z1 + z2) needs power n of the factor; with n past
+    # 2^16 the exponents outgrow any fixed field width a packing could pick
+    factors = ((form((1, Z1), (1, Z2)), 1),)
+    for n in (2**16 + 1, 2**16 + 2):
+        num = Polynomial.term(1, [(Z1, -(n + 1)), (Z2, n)])
+        problem = ResidueProblem(num, factors, variables=(Z1, Z2))
+        assert iterated_residue(problem) == Polynomial.constant((-1) ** n)
+
+
+def test_classes_at_large_codim():
+    # the Chern series windows reach z-exponents -152 at (2, 150) and -131
+    # at (3, 64), past a signed 8-bit field, over 300 and 196 Chern symbols
+    assert thom_polynomial(2, 150) == ronga_reference(150)
+    assert shift_check(3, 64)
 
 
 # -- problem construction and serialization ----------------------------

@@ -171,6 +171,19 @@ def test_rewritten_plugin_is_not_served_stale(monkeypatch, tmp_path):
     assert results[0] != results[1]
 
 
+def test_explicit_registry_is_not_served_the_default_numerator():
+    default = thom_polynomial(2, 0)  # fills the memos of the default registry
+    doubled = thom_polynomial(2, 0, QhatRegistry({2: 2 * qhat(2)}))
+    assert doubled.body == 2 * default.body
+
+
+def test_registry_changed_by_register_gives_the_new_class():
+    registry = QhatRegistry()
+    before = thom_polynomial(4, 0, registry)
+    registry.register(4, 3 * qhat(4))
+    assert thom_polynomial(4, 0, registry).body == 3 * before.body
+
+
 # -- residue problem assembly ------------------------------------------
 
 
@@ -230,6 +243,14 @@ def test_order_five_display():
     assert tp.display_body().to_text() == (
         "c1^5 + 10*c1^3*c2 + 10*c1*c2^2 + 25*c1^2*c3"
         " + 12*c2*c3 + 38*c1*c4 + 24*c5"
+    )
+
+
+def test_order_six_class_from_the_derived_numerator():
+    registry = QhatRegistry({6: derive_qhat(6)})
+    assert thom_polynomial(6, 0, registry).to_text() == (
+        "c1^6 + 15*c1^4*c2 + 30*c1^2*c2^2 + 55*c1^3*c3 + 5*c2^3"
+        " + 79*c1*c2*c3 + 141*c1^2*c4 + 17*c3^2 + 55*c2*c4 + 202*c1*c5 + 120*c6"
     )
 
 
