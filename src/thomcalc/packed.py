@@ -13,7 +13,7 @@ Polynomial once, at the end.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .poly import LinearForm, Monomial, Polynomial, Variable
 
@@ -27,24 +27,30 @@ def _exact(q: Fraction) -> Coefficient:
 
 class ExponentPacking:
     """One field of `width` bits per variable, in canonical order from the
-    low bits up; when some variables are `graded`, one more field on top
-    holds the sum of their exponents.
+    low bits up; when some variables carry `weights`, one more field on top
+    holds the weighted degree, the sum of exponent * weight over them.
 
     A key is the signed sum of exponent << shift, so multiplying monomials
     adds their keys.  Adding `bias` (half the field range, in every field)
     makes each field nonnegative: on a biased key a field is read by a
     shift and a mask, and a biased key plus unbiased ones stays biased.
-    Keys are exact as long as no exponent that is formed exceeds `bound` in
-    absolute value, so the caller derives `bound` from its own inputs.
+    Keys are exact as long as no exponent or weighted degree that is formed
+    exceeds `bound` in absolute value, so the caller derives `bound` from
+    its own inputs.
     """
 
-    __slots__ = ("width", "mask", "half", "bias", "shift", "degree_shift", "_graded", "_fields")
+    __slots__ = ("width", "mask", "half", "bias", "shift", "degree_shift", "_weights", "_fields")
 
-    def __init__(self, variables: Iterable[Variable], bound: int, graded: Iterable[Variable] = ()):
+    def __init__(
+        self,
+        variables: Iterable[Variable],
+        bound: int,
+        weights: Optional[Mapping[Variable, int]] = None,
+    ):
         self._fields = sorted(set(variables), key=lambda v: v.key)
-        self._graded = frozenset(graded)
+        self._weights = dict(weights or {})
         width = max(bound, 1).bit_length() + 1
-        fields = len(self._fields) + (1 if self._graded else 0)
+        fields = len(self._fields) + (1 if self._weights else 0)
         self.width = width
         self.mask = (1 << width) - 1
         self.half = 1 << (width - 1)
@@ -54,10 +60,7 @@ class ExponentPacking:
 
     def key(self, v: Variable, e: int) -> int:
         """The unbiased key of v^e."""
-        key = e << self.shift[v]
-        if v in self._graded:
-            key += e << self.degree_shift
-        return key
+        return (e << self.shift[v]) + (e * self._weights.get(v, 0) << self.degree_shift)
 
     def terms(self, p: Polynomial, biased: bool = False) -> PackedTerms:
         pair_key = {pair: self.key(*pair) for pair in p.exponent_pairs()}.__getitem__

@@ -892,10 +892,6 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @staticmethod
-    def of(value: PolyLike) -> "RationalFunction":
-        return RationalFunction(_as_poly(value))
-
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         if other.num.is_zero():
             return self
@@ -906,20 +902,6 @@ class RationalFunction:
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self + (-other)
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by the zero function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
 
     def to_polynomial(self) -> Polynomial:
         """Collapse to a polynomial by exact division; raises if not one."""

@@ -30,8 +30,10 @@ expanding anything.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .errors import (
@@ -39,7 +41,7 @@ from .errors import (
     ConstantFormError,
     TruncationUnstableError,
 )
-from .packed import Coefficient, ExponentPacking, PackedTerms, inverse_series
+from .packed import Coefficient, ExponentPacking, PackedTerms, inverse_series, packed_product
 from .poly import (
     LinearForm,
     Monomial,
@@ -197,7 +199,9 @@ def _packing(
             for w, _ in form.items:
                 carry[w] = carry.get(w, 0) + mult * (power + 1 if w is v else power)
             degree += mult * (power + 1)
-    return ExponentPacking(carry.keys(), max(degree, *carry.values()), graded=variables)
+    return ExponentPacking(
+        carry.keys(), max(degree, *carry.values()), weights=dict.fromkeys(variables, 1)
+    )
 
 
 def iterated_residue(
@@ -343,17 +347,36 @@ def residue_by_pole_sum(
     """
     if numerator.has_negative_exponent():
         raise ValueError("pole-sum backend expects a polynomial numerator")
-    return _pole_sum(numerator, list(forms), list(variables))
+    num, den = _pole_sum(numerator, list(forms), list(variables))
+    return RationalFunction(num, _times(Polynomial.one(), den))
+
+
+# A sum of fractions over a multiset of monic linear forms, so adding two
+# multiplies each numerator by only the factors it lacks.
+Factored = Tuple[Polynomial, Counter]
+
+
+def _times(p: Polynomial, forms: Counter) -> Polynomial:
+    return packed_product(p, *(form.as_polynomial() for form in forms.elements()))
+
+
+def _add(a: Factored, b: Factored) -> Factored:
+    if b[0].is_zero():
+        return a
+    if a[0].is_zero():
+        return b
+    den = a[1] | b[1]
+    return _times(a[0], den - a[1]) + _times(b[0], den - b[1]), den
 
 
 def _pole_sum(
     numerator: Polynomial, forms: List[LinearForm], variables: List[Variable]
-) -> RationalFunction:
+) -> Factored:
     if not variables:
-        result = RationalFunction(numerator)
-        for form in forms:
-            result = result / RationalFunction(form.as_polynomial())
-        return result
+        # the constants and leading coefficients go to the numerator
+        leads = [form.items[0][1] if form.items else form.constant for form in forms]
+        den = Counter(form.scaled(1 / lead) for form, lead in zip(forms, leads) if form.items)
+        return numerator * (1 / prod(leads, start=Fraction(1))), den
     v = variables[-1]
     rest_vars = variables[:-1]
     with_v = [f for f in forms if f.coefficient(v) != 0]
@@ -370,7 +393,7 @@ def _pole_sum(
                     f"poles in {v.text} coincide at {roots[i].to_text()}"
                 )
 
-    total = RationalFunction(Polynomial.zero())
+    total: Factored = (Polynomial.zero(), Counter())
     for f, root in zip(with_v, roots):
         a = f.coefficient(v)
         sub_numerator = numerator.substitute({v: root.as_polynomial()}) * (Fraction(-1) / a)
@@ -381,7 +404,7 @@ def _pole_sum(
             if g is f:
                 continue
             sub_forms.append(g.substitute_linear({v: root}))
-        total = total + _pole_sum(sub_numerator, sub_forms, rest_vars)
+        total = _add(total, _pole_sum(sub_numerator, sub_forms, rest_vars))
     return total
 
 

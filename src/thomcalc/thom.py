@@ -11,8 +11,9 @@ Beyond the main computation this module holds the classical cross-checks
 localization data for depths 1 to 3 (depth 1 is the rank-one Porteous sum)
 together with machinery proving that the non-distinguished contributions
 vanish, the derivation of a numerator Qhat_d as the multidegree of the
-ideal of basic relations, and a Laurent expansion probing the positivity
-of the residue fraction itself.
+ideal of basic relations, and a positivity probe: the residue fraction
+itself at z_l = a_l ... a_(d-1), expanded from the same numerator and the
+same 1/form series as the kernel, on packed exponent ints.
 """
 
 import json
@@ -20,7 +21,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -35,13 +36,12 @@ from .partitions import (
     Partition,
     basic_relations,
     deg_qhat,
-    dim_normal_model,
-    dim_orbit,
     uhat_index_triples,
 )
 from .multidegree import basic_relations_ideal, multidegree
 from .poly import (
     LinearForm,
+    Monomial,
     Polynomial,
     ScalarLike,
     Variable,
@@ -53,7 +53,7 @@ from .poly import (
     thvar,
     zvar,
 )
-from .packed import packed_product
+from .packed import ExponentPacking, PackedTerms, inverse_series, packed_product
 from .residue import (
     FactorList,
     ResidueProblem,
@@ -127,6 +127,9 @@ class QhatRegistry:
 
     def __init__(self, entries: Optional[Mapping[int, Polynomial]] = None):
         self._entries = _builtin_entries()
+        # what thom_polynomial derives from the entries; register clears it
+        self._numerators: Dict[int, Tuple[Polynomial, int]] = {}
+        self._classes: Dict[Tuple[int, int], "ThomPolynomial"] = {}
         if entries:
             for d, poly in entries.items():
                 self.register(d, poly)
@@ -134,6 +137,8 @@ class QhatRegistry:
     def register(self, d: int, poly: Polynomial):
         _validate_qhat(d, poly)
         self._entries[d] = poly
+        self._numerators.clear()
+        self._classes.clear()
 
     def get(self, d: int) -> Polynomial:
         if d not in self._entries:
@@ -246,18 +251,15 @@ def denominator_forms(d: int) -> List[LinearForm]:
     ]
 
 
-def _series_cap(numerator: Polynomial, factor_count: int, d: int, lead: int) -> int:
+def _series_cap(top: int, factor_count: int, d: int, lead: int) -> int:
     """The last index t of a per-variable series sum_t c_t z_l^(lead - t)
-    that can reach the residue.
+    that can reach the residue, for a numerator of z-degree at most top.
 
     Every denominator factor is homogeneous of degree 1 in z, and a term
     on the 1/(z_1 ... z_d) slice has total z-degree -d, so the indices
-    t_1, ..., t_d taken from the d series sum to deg_z(numerator) -
-    factor_count + d * (lead + 1); none of them can exceed that count.
+    t_1, ..., t_d taken from the d series sum to top - factor_count +
+    d * (lead + 1); none of them can exceed that count.
     """
-    top = max(
-        sum(e for v, e in mono if v.family == "z") for mono in numerator.term_map()
-    )
     return max(0, top - factor_count + d * (lead + 1))
 
 
@@ -271,23 +273,18 @@ def _chern_tail(l: int, codim: int, cap: int) -> Polynomial:
     return out
 
 
-_numerator_cache: Dict[Tuple[int, Optional[Tuple[str, str]]], Polynomial] = {}
-
-
-def _numerator(d: int, registry: Optional[QhatRegistry]) -> Polynomial:
-    """(-1)^d V_d Q_d, shared by every codim.  Memoized for the default
-    registry only, keyed like _tp_cache: register can change an explicit
-    registry between calls."""
+def _numerator(d: int, registry: QhatRegistry) -> Tuple[Polynomial, int]:
+    """(-1)^d V_d Q_d, shared by every codim and memoized in the registry,
+    with its z-degree: Q_d is homogeneous, so every term has degree
+    deg_qhat(d) + d (d - 1) / 2."""
     # registry lookup first, so an unregistered order fails before the
     # Vandermonde product does any work
-    top = qhat(d, registry)
-    key = None if registry is not None else (d, _plugin_key())
-    numerator = _numerator_cache.get(key)
-    if numerator is None:
+    top = registry.get(d)
+    entry = registry._numerators.get(d)
+    if entry is None:
         numerator = packed_product(Polynomial.constant((-1) ** d), vandermonde(d), top)
-        if key is not None:
-            _numerator_cache[key] = numerator
-    return numerator
+        entry = registry._numerators[d] = (numerator, deg_qhat(d) + d * (d - 1) // 2)
+    return entry
 
 
 def residue_problem_for(
@@ -298,9 +295,9 @@ def residue_problem_for(
         raise ValueError("the singularity order must be at least 1")
     if codim < 0:
         raise ValueError("the codimension parameter must be nonnegative")
-    numerator = _numerator(d, registry)
+    numerator, degree = _numerator(d, registry or default_registry())
     forms = denominator_forms(d)
-    cap = _series_cap(numerator, len(forms), d, codim)
+    cap = _series_cap(degree, len(forms), d, codim)
     series = {zvar(l): _chern_tail(l, codim, cap) for l in range(1, d + 1)}
     return ResidueProblem(
         numerator=numerator,
@@ -353,28 +350,20 @@ class ThomPolynomial:
         }
 
 
-_tp_cache: Dict[Tuple[int, int, Optional[Tuple[str, str]]], "ThomPolynomial"] = {}
-
-
 def thom_polynomial(
     d: int, codim: int, registry: Optional[QhatRegistry] = None
 ) -> ThomPolynomial:
     """The closed class of the order-d contact locus in codimension shift codim.
 
     Uses the registered numerator for order d, so orders past the built-in
-    range need a plugin.  Results for the default registry are memoized.
+    range need a plugin.  Results are memoized in the registry until
+    register changes it.
     """
-    cache_key = None
-    if registry is None:
-        cache_key = (d, codim, _plugin_key())
-        cached = _tp_cache.get(cache_key)
-        if cached is not None:
-            return cached
-    problem = residue_problem_for(d, codim, registry)
-    body = iterated_residue(problem)
-    result = ThomPolynomial(d=d, codim=codim, body=body)
-    if cache_key is not None:
-        _tp_cache[cache_key] = result
+    registry = registry or default_registry()
+    result = registry._classes.get((d, codim))
+    if result is None:
+        body = iterated_residue(residue_problem_for(d, codim, registry))
+        result = registry._classes[(d, codim)] = ThomPolynomial(d=d, codim=codim, body=body)
     return result
 
 
@@ -786,7 +775,8 @@ def _compressed_term_residue(term: FixedPointTerm, n: int, k: int) -> Polynomial
     and the root poles compressed to complete homogeneous symbols."""
     d = term.sequence.depth
     num = compressed_term_numerator(term, k)
-    cap = _series_cap(num, len(term.chart_factors), d, -n)
+    top = max(sum(e for v, e in mono if v.family == "z") for mono in num.term_map())
+    cap = _series_cap(top, len(term.chart_factors), d, -n)
     sign = -1 if n % 2 else 1
     series = {zvar(l): sign * _chern_tail(l, -n, cap) for l in range(1, d + 1)}
     problem = ResidueProblem(
@@ -962,72 +952,67 @@ class PositivityReport:
 def positivity_expansion(
     d: int, total_order: int, registry: Optional[QhatRegistry] = None
 ) -> PositivityReport:
-    """Expand the residue fraction in consecutive-ratio coordinates.
+    """The residue fraction F_d = V_d Q_d / prod(z_m + z_r - z_l) at
+    z_l = a_l ... a_(d-1), expanded where each z_m / z_l with m < l is
+    small, through total degree total_order in the a_t.  The positivity
+    conjecture predicts nonnegative coefficients; the report carries the
+    smallest one, with a witness monomial.
 
-    Substituting a_t for z_t / z_(t+1) and normalizing z_d to 1 turns the
-    fraction into a Laurent series whose coefficients the positivity
-    conjecture predicts to be nonnegative.  The report carries the smallest
-    coefficient seen up to the requested total order, with a witness
-    monomial."""
+    A term prod z_l^e_l becomes prod_t a_t^(e_1 + ... + e_t), of degree
+    sum_l e_l (d - l), which the packing keeps in its top field.  Each
+    inverse_series factor keeps a term while its degree plus the lowest
+    degrees of the factors still to come is in range: d = 5 takes about
+    0.03 s to degree 12."""
     if d < 1:
         raise ValueError("the singularity order must be at least 1")
     if total_order < 0:
         raise ValueError("the expansion order must be nonnegative")
-    q = qhat(d, registry)
-    ratios = [avar(t) for t in range(1, d)]
+    numerator, reach = _numerator(d, registry or default_registry())
+    forms = denominator_forms(d)
+    zs = [zvar(l) for l in range(1, d + 1)]
+    weights = {z: d - z.index for z in zs}
+    # the power-s term of 1/form, topped by z_l, has degree at least s - (d - l)
+    leads = [-weights[form.top_z_variable()[0]] for form in forms]
+    lowest = min(sum(e * weights[v] for v, e in mono) for mono in numerator.term_map())
+    slack = max(0, total_order - lowest - sum(leads))
+    # weights are below d, and a power-s term carries 2s + 1 exponents
+    packing = ExponentPacking(zs, d * (reach + len(forms) * (2 * slack + 1)), weights)
+    mask, half, dshift = packing.mask, packing.half, packing.degree_shift
 
-    def ratio_mono(m: int, l: int):
-        return [(ratios[t - 1], 1) for t in range(m, l)]
-
-    def mono_degree(mono) -> int:
-        return sum(e for _, e in mono)
-
-    def trunc(p: Polynomial, bound: int) -> Polynomial:
-        return Polynomial(
-            {m: c for m, c in p.term_map().items() if mono_degree(m) <= bound}
-        )
-
-    # prefactor exponents from collecting z_l powers before normalization
-    per_level = [(l - 1) - (l * l) // 4 for l in range(1, d + 1)]
-    prefactor_pairs = []
-    for t in range(1, d):
-        e = sum(per_level[:t])
-        if e:
-            prefactor_pairs.append((ratios[t - 1], e))
-    total_shift = sum(e for _, e in prefactor_pairs)
-    working = total_order + max(0, -total_shift)
-
-    series = Polynomial.one()
-    for m in range(1, d + 1):
-        for l in range(m + 1, d + 1):
-            series = trunc(
-                series * (Polynomial.one() - Polynomial.term(1, ratio_mono(m, l))),
-                working,
-            )
-    z_images = {
-        zvar(l): Polynomial.term(1, ratio_mono(l, d)) for l in range(1, d + 1)
+    sign = (-1) ** d  # carried by _numerator for the residue, not by F_d
+    rest = sum(leads)
+    current = {
+        key: sign * coeff
+        for key, coeff in packing.terms(numerator, biased=True).items()
+        if (key >> dshift & mask) - half + rest <= total_order
     }
-    series = trunc(series * q.substitute(z_images), working)
-    for m, r, l in uhat_index_triples(d):
-        base = Polynomial.term(1, ratio_mono(m, l)) + Polynomial.term(
-            1, ratio_mono(r, l)
+    for form, lead in zip(forms, leads):
+        rest -= lead
+        pieces = sorted(
+            ((key + packing.bias >> dshift & mask) - half, key, coeff)
+            for _, key, coeff in inverse_series(packing, form, slack)
         )
-        geometric = Polynomial.one()
-        power = Polynomial.one()
-        for _ in range(working):
-            power = trunc(power * base, working)
-            if power.is_zero():
-                break
-            geometric = geometric + power
-        series = trunc(series * geometric, working)
+        cut = total_order - rest + half  # compared with biased fields
+        merged: PackedTerms = {}
+        for k1, c1 in current.items():
+            room = cut - (k1 >> dshift & mask)
+            for degree, k2, c2 in pieces:
+                if degree > room:
+                    break
+                key = k1 + k2
+                q = merged.get(key)
+                q = c1 * c2 if q is None else q + c1 * c2
+                if q:
+                    merged[key] = q
+                else:
+                    del merged[key]
+        current = merged
 
-    sign = -1 if (dim_orbit(d) + dim_normal_model(d)) % 2 else 1
-    result = series.multiply_monomial(tuple(prefactor_pairs), sign)
-    kept = {
-        mono: coeff
-        for mono, coeff in result.term_map().items()
-        if mono_degree(mono) <= total_order
-    }
+    # homogeneity fixes e_d, so distinct terms give distinct monomials
+    kept: Dict[Monomial, Fraction] = {}
+    for key, coeff in current.items():
+        exps = accumulate((key >> packing.shift[z] & mask) - half for z in zs[:-1])
+        kept[tuple((avar(t), e) for t, e in enumerate(exps, 1) if e)] = Fraction(coeff)
     if not kept:
         return PositivityReport(
             d=d, order=total_order, minimum=Fraction(0), witness="", term_count=0

@@ -14,7 +14,7 @@ from thomcalc import (
     thom_polynomial,
     zvar,
 )
-from thomcalc.cli import MAX_CODIM, MAX_PARTITION_DEPTH, main
+from thomcalc.cli import MAX_CODIM, MAX_PARTITION_DEPTH, MAX_POSITIVITY_ORDER, main
 from thomcalc.poly import cvar, etavar, yvar
 
 
@@ -259,6 +259,18 @@ def test_positivity_json(runner):
     assert payload["witness"] == "a1*a2*a3^2*a4"
     assert payload["term_count"] == 155
     assert payload["nonnegative"] is False
+
+
+def test_positivity_refuses_order_past_the_limit(runner):
+    # refused up front: d = 1 would be cheap, the limit is on the order alone
+    result = runner.invoke(
+        main, ["positivity", "--d", "1", "--order", str(MAX_POSITIVITY_ORDER + 1)]
+    )
+    assert result.exit_code == 2
+    assert f"between 0 and {MAX_POSITIVITY_ORDER}" in result.output
+    assert runner.invoke(main, ["positivity", "--d", "2", "--order", "-1"]).exit_code == 2
+    help_text = runner.invoke(main, ["positivity", "--help"]).output
+    assert f"0 to {MAX_POSITIVITY_ORDER}" in help_text
 
 
 def test_repeat_runs_are_identical(runner):

@@ -171,6 +171,28 @@ def test_rewritten_plugin_is_not_served_stale(monkeypatch, tmp_path):
     assert results[0] != results[1]
 
 
+def test_one_plugin_scan_per_uncached_class(monkeypatch, tmp_path):
+    (tmp_path / "qhat_4.json").write_text(
+        json.dumps({"d": 4, "polynomial": qhat(4).to_json_dict()})
+    )
+    monkeypatch.setenv("THOMCALC_QHAT_DIR", str(tmp_path))
+    default_registry()  # loads the plugin
+    scans = []
+    files = thom._plugin_files
+    monkeypatch.setattr(thom, "_plugin_files", lambda env: scans.append(env) or files(env))
+    thom_polynomial(4, 1)
+    assert scans == [str(tmp_path)]
+
+
+def test_default_registry_changed_by_register_is_not_served_stale(monkeypatch, tmp_path):
+    # a plugin directory of its own, so the shared default is left alone
+    monkeypatch.setenv("THOMCALC_QHAT_DIR", str(tmp_path))
+    before = thom_polynomial(4, 0)
+    default_registry().register(4, 3 * qhat(4))
+    assert thom_polynomial(4, 0).body == 3 * before.body
+    assert positivity_expansion(4, 4).minimum == 3 * positivity_expansion(4, 4, QhatRegistry()).minimum
+
+
 def test_explicit_registry_is_not_served_the_default_numerator():
     default = thom_polynomial(2, 0)  # fills the memos of the default registry
     doubled = thom_polynomial(2, 0, QhatRegistry({2: 2 * qhat(2)}))
@@ -489,6 +511,36 @@ def test_positivity_report_shapes():
     assert report.term_count == 5
     assert report.minimum == Fraction(1)
     assert report.nonnegative
+
+
+@pytest.mark.parametrize(
+    "d, order, minimum, witness, term_count",
+    [
+        (1, 12, 1, "1", 1),
+        (2, 12, 1, "1", 13),
+        (3, 12, 1, "1", 79),
+        (4, 12, 1, "1", 305),
+        (5, 8, -1, "a1*a2*a3^2*a4", 155),
+        (5, 12, -1, "a1*a2*a3^2*a4", 687),
+        (5, 16, -3, "a1^2*a2^2*a3^6*a4^5", 2143),
+    ],
+)
+def test_positivity_reports_pinned(d, order, minimum, witness, term_count):
+    report = positivity_expansion(d, order)
+    assert (report.minimum, report.witness, report.term_count) == (minimum, witness, term_count)
+
+
+def test_positivity_honours_an_explicit_registry():
+    positivity_expansion(5, 8)  # fills the memo of the default numerator
+    doubled = positivity_expansion(5, 8, QhatRegistry({5: 2 * qhat(5)}))
+    assert (doubled.minimum, doubled.witness, doubled.term_count) == (-2, "a1*a2*a3^2*a4", 155)
+
+
+def test_positivity_is_the_integrand_in_ratio_coordinates():
+    # with Q_2 = -1, F_2 = -(z1 - z2) / (2 z1 - z2) at z1 = a1, z2 = 1 is
+    # -(1 - a1) / (1 - 2 a1) = -(1 + a1 + 2 a1^2 + 4 a1^3 + ...)
+    report = positivity_expansion(2, 3, QhatRegistry({2: Polynomial.constant(-1)}))
+    assert (report.minimum, report.witness, report.term_count) == (-4, "a1^3", 4)
 
 
 def test_positivity_guards():

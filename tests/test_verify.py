@@ -38,3 +38,35 @@ def test_classical_suite_passes():
         ("classical.structure", True),
         ("classical.pole-sum", True),
     ]
+
+
+def test_all_suites_pass():
+    report = run_suite("all")
+    assert report.all_passed
+    assert [check.check_id for check in report.results] == [
+        "classical.order1",
+        "classical.order2",
+        "classical.order3",
+        "classical.order4",
+        "classical.shift",
+        "classical.structure",
+        "classical.pole-sum",
+        "localization.porteous",
+        "localization.flag",
+        "localization.class-agreement",
+        "localization.vanishing",
+        "relations.annihilation",
+        "relations.reference",
+        "relations.homogeneity",
+        "relations.quartic-weight",
+        "relations.splitting",
+        "relations.dimensions",
+        "relations.census",
+        "relations.qhat5-derivation",
+        "relations.toric-multidegree",
+        "positivity.series",
+        "positivity.series-probe-order5",
+        "positivity.classes",
+    ]
+    details = {check.check_id: check.detail for check in report.results}
+    assert details["positivity.series-probe-order5"] == "minimum -1 at a1*a2*a3^2*a4"
