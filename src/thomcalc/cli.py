@@ -32,10 +32,15 @@ from .verify import SUITES, run_suite
 # (16,019 terms), 15 takes about 15 s.  partitions lists 21,504 sequences
 # at depth 6 and 817,152 at depth 7.  The ratio expansion grows 1.1-1.2x
 # per degree: positivity --d 5 --order 46 takes about 9.5 s (163,642
-# terms, 118 MiB), 47 takes about 11.6 s.
+# terms, 118 MiB), 47 takes about 11.6 s.  At d = 6 (from a numerator
+# plugin) it grows 1.2-1.3x per degree: --d 6 --order 30 takes about 9-10 s
+# (128,444 terms, 104 MiB), 31 about 12 s and 32 about 15 s (150 MiB).
+# d = 7 stays out, as in partitions.
 MAX_CODIM = 14
 MAX_PARTITION_DEPTH = 6
+MAX_POSITIVITY_D = 6
 MAX_POSITIVITY_ORDER = 46
+MAX_POSITIVITY_ORDER_D6 = 30
 
 
 def _common(fn):
@@ -299,24 +304,31 @@ def verify_command(suite, fmt, seed):
 
 
 @main.command("positivity")
-@click.option("--d", "order", type=int, required=True, help="Singularity order.")
+@click.option(
+    "--d",
+    "order",
+    type=int,
+    required=True,
+    help=f"Singularity order, 1 to {MAX_POSITIVITY_D} (orders past 5 need a numerator plugin).",
+)
 @click.option(
     "--order",
     "total_order",
     type=int,
     default=12,
     show_default=True,
-    help=f"Total degree bound for the ratio expansion, 0 to {MAX_POSITIVITY_ORDER} "
-    "(--d 5 at the limit takes about 10 s).",
+    help=f"Total degree bound for the ratio expansion, 0 to {MAX_POSITIVITY_ORDER}, "
+    f"or 0 to {MAX_POSITIVITY_ORDER_D6} at --d 6 (either limit takes about 10 s).",
 )
 @_common
 @_guard
 def positivity_command(order, total_order, fmt, seed):
     """Laurent expansion of the residue fraction in ratio coordinates."""
-    if order < 1:
-        raise click.BadParameter("--d must be at least 1")
-    if not 0 <= total_order <= MAX_POSITIVITY_ORDER:
-        raise click.BadParameter(f"--order must be between 0 and {MAX_POSITIVITY_ORDER}")
+    if not 1 <= order <= MAX_POSITIVITY_D:
+        raise click.BadParameter(f"--d must be between 1 and {MAX_POSITIVITY_D}")
+    limit = MAX_POSITIVITY_ORDER_D6 if order == 6 else MAX_POSITIVITY_ORDER
+    if not 0 <= total_order <= limit:
+        raise click.BadParameter(f"--order must be between 0 and {limit} at --d {order}")
     report = positivity_expansion(order, total_order)
     if fmt == "text":
         click.echo(f"order-{report.d} expansion to total degree {report.order}")

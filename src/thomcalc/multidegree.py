@@ -42,6 +42,7 @@ from .errors import (
     SPairBudgetError,
     WeightInhomogeneityError,
 )
+from .packed import packed_product
 from .partitions import basic_relations, uhat_index_triples, uhat_weight
 from .poly import (
     LexExps,
@@ -78,10 +79,7 @@ class WeightedRing:
 
 
 def euler_class(ring: WeightedRing) -> Polynomial:
-    out = Polynomial.one()
-    for w in ring.weights:
-        out = out * w.as_polynomial()
-    return out
+    return packed_product(*(w.as_polynomial() for w in ring.weights))
 
 
 Exponents = Dict[int, int]
@@ -175,10 +173,8 @@ def multidegree_monomial(ideal: MonomialIdeal, ring: WeightedRing) -> Polynomial
         mult = subspace_multiplicity(ideal, subset)
         if mult == 0:
             continue
-        piece = Polynomial.constant(mult)
-        for t in sorted(subset):
-            piece = piece * ring.weight_of(t).as_polynomial()
-        total = total + piece
+        weights = (ring.weight_of(t).as_polynomial() for t in sorted(subset))
+        total = total + packed_product(*weights) * mult
     return total
 
 
@@ -429,13 +425,8 @@ def toric_localization_example() -> ToricExampleReport:
     neighbors = {1: (2, 4), 2: (1, 3), 3: (2, 4), 4: (1, 3)}
     total = RationalFunction(Polynomial.zero())
     for s in (1, 2, 3, 4):
-        num = Polynomial.one()
-        for t in (1, 2, 3, 4):
-            if t != s:
-                num = num * values[t]
-        den = Polynomial.one()
-        for t in neighbors[s]:
-            den = den * (values[t] - values[s])
+        num = packed_product(*(values[t] for t in (1, 2, 3, 4) if t != s))
+        den = packed_product(*(values[t] - values[s] for t in neighbors[s]))
         total = total + RationalFunction(num, den)
     localization = total.to_polynomial()
 

@@ -1,13 +1,13 @@
-"""Polynomials on packed exponent ints, for the hot products.
+"""Polynomials on packed exponent ints: every product and substitution.
 
 A monomial becomes one Python int with a field per variable (Kronecker
 substitution, as in Monagan and Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors"), so a monomial product is one
 int addition.  A packed polynomial is a dict from these keys to
 coefficients, which stay Python ints wherever the inputs are integral and
-are Fractions only where an input has one.  The residue kernel, the
-numerator V_d * Q_d and the 1/form series run here and convert to a
-Polynomial once, at the end.
+are Fractions only where an input has one.  Polynomial products, powers and
+substitution, the residue kernel, the numerator V_d * Q_d and the 1/form
+series run here and convert to a Polynomial once, at the end.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from .poly import LinearForm, Monomial, Polynomial, Variable
+from .poly import LinearForm, Monomial, PolyLike, Polynomial, Variable, _as_poly
 
 Coefficient = Union[int, Fraction]
 PackedTerms = Dict[int, Coefficient]
@@ -114,12 +114,63 @@ def packed_mul(a: Mapping[int, Coefficient], b: Mapping[int, Coefficient]) -> Pa
 
 def packed_product(*factors: Polynomial) -> Polynomial:
     """The product of the factors, multiplied on packed exponent ints."""
-    variables = set().union(*(f.variables() for f in factors))
-    bound = sum(max((abs(e) for _, e in f.exponent_pairs()), default=0) for f in factors)
-    packing = ExponentPacking(variables, bound)
+    pairs = [f.exponent_pairs() for f in factors]
+    packing = ExponentPacking(
+        {v for ps in pairs for v, _ in ps},
+        sum(max((abs(e) for _, e in ps), default=0) for ps in pairs),
+    )
     out = {packing.bias: 1}
     for f in factors:
         out = packed_mul(out, packing.terms(f))
+    return packing.polynomial(out)
+
+
+def packed_substitute(p: Polynomial, assignment: Mapping[Variable, PolyLike]) -> Polynomial:
+    """p with each assigned variable replaced by a polynomial or a scalar, a
+    scalar being a constant polynomial.  A negative power needs a value of
+    one term: ValueError for more, ZeroDivisionError for the value 0."""
+    present = p.variables()
+    values = {v: _as_poly(q) for v, q in assignment.items() if v in present}
+    reach = {v: max((abs(e) for _, e in q.exponent_pairs()), default=0) for v, q in values.items()}
+    packing = ExponentPacking(
+        (present - values.keys()).union(*(q.variables() for q in values.values())),
+        max((sum(abs(e) * reach.get(v, 1) for v, e in mono) for mono in p.term_map()), default=0),
+    )
+    # v -> {e: value^e}, filled on demand from the nearest known power
+    powers = {v: {1: packing.terms(q)} for v, q in values.items()}
+
+    def power(v: Variable, e: int) -> PackedTerms:
+        table = powers[v]
+        if e < 0 and -1 not in table:
+            if not table[1]:
+                raise ZeroDivisionError(f"substituting 0 for {v.text}^{e}")
+            if len(table[1]) > 1:
+                raise ValueError("cannot invert a polynomial with more than one term")
+            [(key, c)] = table[1].items()
+            table[-1] = {-key: _exact(1 / Fraction(c))}
+        step = 1 if e > 0 else -1
+        known = e
+        while known not in table:
+            known -= step
+        while known != e:
+            table[known + step] = packed_mul(table[known], table[step])
+            known += step
+        return table[e]
+
+    out: PackedTerms = {}
+    for mono, coeff in p.term_map().items():
+        kept = sum(packing.key(v, e) for v, e in mono if v not in values)
+        term = {packing.bias + kept: _exact(coeff)}
+        for v, e in mono:
+            if v in values:
+                term = packed_mul(term, power(v, e))
+        for key, c in term.items():
+            q = out.get(key)
+            q = c if q is None else q + c
+            if q:
+                out[key] = q
+            else:
+                del out[key]
     return packing.polynomial(out)
 
 

@@ -11,11 +11,13 @@ to nonzero coefficients.  Canonical printing order is graded reverse
 lexicographic, largest term first, which reproduces the usual ordering of
 Chern-class expressions (c1^4 before 6*c1^2*c2 before 2*c2^2 before 9*c1*c3).
 
-The hot products do not run on these tuples: the residue kernel, the
-numerator V_d * Q_d and the 1/form series of expand_inverse_factor run on
-packed exponent ints (packed.py), one Python int per monomial with one
-biased field per variable, and on int coefficients wherever the inputs are
-integral; they convert to a Polynomial once, at the end.
+No product runs on these tuples.  Polynomial products, powers and
+substitution, the residue kernel, the numerator V_d * Q_d and the 1/form
+series of expand_inverse_factor all run on packed exponent ints
+(packed.py), one Python int per monomial with one biased field per
+variable, and on int coefficients wherever the inputs are integral; they
+convert to a Polynomial once, at the end.  The tuples are the storage,
+printing and JSON format.
 """
 
 from __future__ import annotations
@@ -225,34 +227,6 @@ def _mono_from_pairs(pairs: Iterable[Tuple[Variable, int]]) -> Monomial:
     return tuple(sorted(((v, e) for v, e in merged.items() if e != 0), key=lambda p: p[0].key))
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    # merge of two sorted pair tuples; exponents that cancel are dropped
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va is vb or va.key == vb.key:
-            e = ea + eb
-            if e != 0:
-                out.append((va, e))
-            i += 1
-            j += 1
-        elif va.key < vb.key:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
-
 def _mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
@@ -432,75 +406,33 @@ class Polynomial:
             result = Polynomial.__new__(Polynomial)
             result._terms = {m: c * q for m, c in self._terms.items()}
             return result
-        out: Dict[Monomial, Fraction] = {}
-        small, large = self._terms, other._terms
-        if len(small) > len(large):
-            small, large = large, small
-        for m1, c1 in small.items():
-            for m2, c2 in large.items():
-                mono = _mono_mul(m1, m2)
-                q = out.get(mono, 0) + c1 * c2
-                if q:
-                    out[mono] = q
-                else:
-                    out.pop(mono, None)
-        result = Polynomial.__new__(Polynomial)
-        result._terms = out
-        return result
+        from .packed import packed_product  # packed imports this module
+
+        return packed_product(self, other)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial powers are not defined")
-        result = Polynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        from .packed import packed_product
+
+        return packed_product(*[self] * n)
 
     def multiply_monomial(self, mono: Monomial, coeff: ScalarLike = 1) -> "Polynomial":
-        q = Fraction(coeff)
-        if not q:
-            return Polynomial.zero()
-        result = Polynomial.__new__(Polynomial)
-        result._terms = {_mono_mul(m, mono): c * q for m, c in self._terms.items()}
-        return result
+        return self * Polynomial({mono: coeff})
 
     # -- substitution and evaluation ----------------------------------
 
     def substitute(self, assignment: Mapping[Variable, PolyLike]) -> "Polynomial":
         """Replace each assigned variable by a polynomial or scalar.
 
-        Negative exponents are only substitutable by nonzero scalars or by
-        single-term monomials, anything else raises ValueError.
+        A negative exponent is only substitutable by a single-term value:
+        more terms raise ValueError, the value 0 ZeroDivisionError.
         """
-        out = Polynomial.zero()
-        for mono, coeff in self._terms.items():
-            kept = []
-            factor = Polynomial.constant(coeff)
-            for v, e in mono:
-                if v not in assignment:
-                    kept.append((v, e))
-                    continue
-                value = assignment[v]
-                if isinstance(value, (int, Fraction)):
-                    q = Fraction(value)
-                    if e < 0 and q == 0:
-                        raise ZeroDivisionError(f"substituting 0 for {v.text}^{e}")
-                    factor = factor * q ** e
-                elif e >= 0:
-                    factor = factor * value ** e
-                else:
-                    inv = _invert_monomial_poly(value)
-                    factor = factor * inv ** (-e)
-            if kept:
-                factor = factor.multiply_monomial(tuple(kept))
-            out = out + factor
-        return out
+        from .packed import packed_substitute
+
+        return packed_substitute(self, assignment)
 
     def evaluate(self, assignment: Mapping[Variable, ScalarLike]) -> Fraction:
         """Evaluate with every variable assigned, exactly."""
@@ -597,15 +529,6 @@ def _as_poly(value: PolyLike) -> Polynomial:
     if isinstance(value, Polynomial):
         return value
     return Polynomial.constant(value)
-
-
-def _invert_monomial_poly(p: Polynomial) -> Polynomial:
-    items = list(p.term_map().items())
-    if len(items) != 1:
-        raise ValueError("cannot invert a polynomial with more than one term")
-    mono, coeff = items[0]
-    inv_mono = tuple((v, -e) for v, e in mono)
-    return Polynomial({inv_mono: Fraction(1) / coeff})
 
 
 class LinearForm:

@@ -15,7 +15,7 @@ _ACCEPTANCE: list = []
 def pytest_runtest_makereport(item, call):
     outcome = yield
     report = outcome.get_result()
-    if report.when == "call" and "test_acceptance" in item.nodeid:
+    if report.when == "call" and item.path.name == "test_acceptance.py":
         _ACCEPTANCE.append((item, report))
 
 

@@ -14,7 +14,14 @@ from thomcalc import (
     thom_polynomial,
     zvar,
 )
-from thomcalc.cli import MAX_CODIM, MAX_PARTITION_DEPTH, MAX_POSITIVITY_ORDER, main
+from thomcalc.cli import (
+    MAX_CODIM,
+    MAX_PARTITION_DEPTH,
+    MAX_POSITIVITY_D,
+    MAX_POSITIVITY_ORDER,
+    MAX_POSITIVITY_ORDER_D6,
+    main,
+)
 from thomcalc.poly import cvar, etavar, yvar
 
 
@@ -271,6 +278,32 @@ def test_positivity_refuses_order_past_the_limit(runner):
     assert runner.invoke(main, ["positivity", "--d", "2", "--order", "-1"]).exit_code == 2
     help_text = runner.invoke(main, ["positivity", "--help"]).output
     assert f"0 to {MAX_POSITIVITY_ORDER}" in help_text
+
+
+def test_positivity_refuses_order_past_the_d6_limit(runner, monkeypatch, tmp_path):
+    # an unreadable plugin directory fails with exit 1 once plugins load, so
+    # exit 2 shows the order was refused first
+    monkeypatch.setenv("THOMCALC_QHAT_DIR", str(tmp_path / "missing"))
+    result = runner.invoke(
+        main, ["positivity", "--d", "6", "--order", str(MAX_POSITIVITY_ORDER_D6 + 1)]
+    )
+    assert result.exit_code == 2
+    assert f"between 0 and {MAX_POSITIVITY_ORDER_D6}" in result.output
+    assert runner.invoke(main, ["positivity", "--d", "6", "--order", "0"]).exit_code == 1
+    help_text = runner.invoke(main, ["positivity", "--help"]).output
+    assert f"0 to {MAX_POSITIVITY_ORDER_D6} at --d 6" in help_text
+
+
+def test_positivity_refuses_d_past_the_limit(runner, monkeypatch, tmp_path):
+    monkeypatch.setenv("THOMCALC_QHAT_DIR", str(tmp_path / "missing"))
+    result = runner.invoke(
+        main, ["positivity", "--d", str(MAX_POSITIVITY_D + 1), "--order", "0"]
+    )
+    assert result.exit_code == 2
+    assert f"between 1 and {MAX_POSITIVITY_D}" in result.output
+    assert runner.invoke(main, ["positivity", "--d", "0"]).exit_code == 2
+    help_text = runner.invoke(main, ["positivity", "--help"]).output
+    assert f"1 to {MAX_POSITIVITY_D}" in help_text
 
 
 def test_repeat_runs_are_identical(runner):

@@ -1,14 +1,15 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package, its tests or its scripts
+imports a name it never uses."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    p for p in (Path(__file__).resolve().parent.parent / "src" / "thomcalc").glob("*.py")
-    if p.name != "__init__.py"
-)
+_ROOT = Path(__file__).resolve().parent.parent
+# the package's __init__.py imports names only to re-export them
+SOURCES = sorted(p for p in (_ROOT / "src" / "thomcalc").glob("*.py") if p.name != "__init__.py")
+SOURCES += sorted((_ROOT / "tests").glob("*.py")) + sorted((_ROOT / "scripts").glob("*.py"))
 
 
 def _annotation_names(node):

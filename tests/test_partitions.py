@@ -1,7 +1,5 @@
 """Partition combinatorics, the uhat relations, and the u-space actions."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st

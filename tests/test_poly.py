@@ -35,15 +35,26 @@ coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 
 
 @st.composite
-def polynomials(draw, pool=POOL, max_terms=4, max_exp=3):
+def polynomials(draw, pool=POOL, max_terms=4, min_exp=1, max_exp=3):
     p = Polynomial.zero()
     for _ in range(draw(st.integers(0, max_terms))):
         pairs = [
-            (v, draw(st.integers(1, max_exp)))
+            (v, draw(st.integers(min_exp, max_exp).filter(bool)))
             for v in draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
         ]
         p = p + Polynomial.term(draw(coeffs), pairs)
     return p
+
+
+laurent_terms = st.builds(
+    lambda c, v, e: Polynomial.term(c, [(v, e)]),
+    coeffs.filter(bool),
+    st.sampled_from(POOL),
+    st.integers(-3, 3),
+)
+points = st.fixed_dictionaries(
+    {v: st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool) for v in POOL}
+)
 
 
 PLAIN_POOL = [cvar(1), cvar(2), zvar(1)]
@@ -106,6 +117,12 @@ def test_additive_inverse(p):
     assert p + Polynomial.zero() == p
     assert p * Polynomial.one() == p
     assert (p * Polynomial.zero()).is_zero()
+
+
+@given(polynomials(min_exp=-3), polynomials(min_exp=-3), points)
+@settings(max_examples=60, deadline=None)
+def test_product_evaluates_to_the_product_of_values(p, q, pt):
+    assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt)
 
 
 def test_zero_coefficients_are_dropped():
@@ -182,6 +199,28 @@ def test_substitute_polynomial_value():
     q = p.substitute({zvar(1): Polynomial.variable(zvar(2)) + Polynomial.one()})
     z2 = Polynomial.variable(zvar(2))
     assert q == z2 ** 2 + 3 * z2 + Polynomial.one()
+
+
+@given(
+    polynomials(min_exp=-3), st.sampled_from(POOL), polynomials(min_exp=-3), laurent_terms, points
+)
+@settings(max_examples=60, deadline=None)
+def test_substitute_then_evaluate_is_evaluate_at_the_value(p, x, q, term, pt):
+    # a negative power of x can only take a single-term value
+    value = term if p.exponent_range(x)[0] < 0 else q
+    assert p.substitute({x: value}).evaluate(pt) == p.evaluate({**pt, x: value.evaluate(pt)})
+
+
+def test_substitute_into_negative_powers():
+    z1, z2, z3 = zvar(1), zvar(2), zvar(3)
+    p = Polynomial.term(Fraction(3, 2), [(z1, -2), (z2, 1)])
+    p = p + Polynomial.term(1, [(z1, 1), (z2, 1)])
+    q = p.substitute({z1: Polynomial.term(2, [(z3, 1)])})
+    assert q.to_text() == "2*z_2*z_3 + 3/8*z_2*z_3^-2"
+    with pytest.raises(ValueError, match="more than one term"):
+        p.substitute({z1: Polynomial.variable(z3) + Polynomial.one()})
+    with pytest.raises(ZeroDivisionError, match="substituting 0 for z_1"):
+        p.substitute({z1: 0})
 
 
 @given(polynomials(pool=PLAIN_POOL), coeffs, coeffs, coeffs)

@@ -48,7 +48,7 @@ from thomcalc.errors import (
     QhatFormatError,
 )
 from thomcalc.partitions import deg_qhat
-from thomcalc.poly import avar, cvar, lamvar, thvar, zvar
+from thomcalc.poly import cvar, lamvar, thvar, zvar
 
 
 def zmono(coeff, *pairs):
