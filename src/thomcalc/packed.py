@@ -5,20 +5,28 @@ substitution, as in Monagan and Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors"), so a monomial product is one
 int addition.  A packed polynomial is a dict from these keys to
 coefficients, which stay Python ints wherever the inputs are integral and
-are Fractions only where an input has one.  Polynomial products, powers and
-substitution, the residue kernel, the numerator V_d * Q_d and the 1/form
-series run here and convert to a Polynomial once, at the end.
+are Fractions only where an input has one.
+
+There is one product loop, cut_mul: packed terms times (rank, key,
+coefficient) pieces listed by increasing rank, where a term meets only the
+pieces its room allows.  packed_mul is the uncut case; the residue kernel
+cuts each 1/form series at the depth a term can still carry to the residue
+slice, and the positivity expansion at the degree still left under its
+order.  Polynomial products, powers and substitution, the numerator
+V_d * Q_d and the 1/form series all multiply here and convert to a
+Polynomial once, at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .poly import LinearForm, Monomial, PolyLike, Polynomial, Variable, _as_poly
 
 Coefficient = Union[int, Fraction]
 PackedTerms = Dict[int, Coefficient]
+Piece = Tuple[int, int, Coefficient]  # (rank, unbiased key, coefficient)
 
 
 def _exact(q: Fraction) -> Coefficient:
@@ -97,11 +105,18 @@ class ExponentPacking:
         return result
 
 
-def packed_mul(a: Mapping[int, Coefficient], b: Mapping[int, Coefficient]) -> PackedTerms:
-    """The product of two packed polynomials; at most one may be biased."""
+def cut_mul(
+    terms: Mapping[int, Coefficient], pieces: Sequence[Piece], room: Callable[[int], int]
+) -> PackedTerms:
+    """The sum of c1 * c2 at key k1 + k2 over the terms (k1, c1) and the
+    pieces (rank, k2, c2) with rank <= room(k1).  The pieces come in
+    increasing rank, so a term stops at the first piece past its room."""
     out: PackedTerms = {}
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
+    for k1, c1 in terms.items():
+        limit = room(k1)
+        for rank, k2, c2 in pieces:
+            if rank > limit:
+                break
             key = k1 + k2
             q = out.get(key)
             q = c1 * c2 if q is None else q + c1 * c2
@@ -110,6 +125,15 @@ def packed_mul(a: Mapping[int, Coefficient], b: Mapping[int, Coefficient]) -> Pa
             else:
                 del out[key]
     return out
+
+
+def _no_room(key: int) -> int:
+    return 0
+
+
+def packed_mul(a: Mapping[int, Coefficient], b: Mapping[int, Coefficient]) -> PackedTerms:
+    """The product of two packed polynomials; at most one may be biased."""
+    return cut_mul(a, [(0, key, c) for key, c in b.items()], _no_room)
 
 
 def packed_product(*factors: Polynomial) -> Polynomial:
@@ -176,10 +200,11 @@ def packed_substitute(p: Polynomial, assignment: Mapping[Variable, PolyLike]) ->
 
 def inverse_series(
     packing: ExponentPacking, form: LinearForm, order: int
-) -> List[Tuple[int, int, Coefficient]]:
+) -> List[Piece]:
     """The terms of 1/form through power `order` of its series in its top
     z-variable (see poly.expand_inverse_factor), as (s, unbiased key,
-    coefficient) in increasing s, where the power-s terms carry top^-(s+1)."""
+    coefficient) pieces in increasing s, where the power-s terms carry
+    top^-(s+1)."""
     top, a = form.top_z_variable()
     inv = Fraction(1) / a
     # one more power of -L0 / a, and of 1/top

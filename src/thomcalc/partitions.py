@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import WeightInhomogeneityError
 from .poly import (
     LinearForm,
+    Monomial,
     Polynomial,
     Variable,
     _mono_text,
@@ -362,20 +363,24 @@ def _permutation_sign(perm: Sequence[int]) -> int:
 def expansion_relation(rho: AdmissibleSequence, tau: Partition) -> Polynomial:
     """The signed sum over permutations and insertion slots of rho's
     entries with tau merged into one slot, keeping admissible outcomes."""
-    d = rho.depth
-    out = Polynomial.zero()
-    for perm in itertools.permutations(range(d)):
+    # slot l holds weight at most l, and merging tau only adds weight, so
+    # the bound is tested on integers before any union is built
+    weights = [e.weight for e in rho.entries]
+    signed: Dict[Monomial, int] = {}
+    for perm in itertools.permutations(range(rho.depth)):
+        if any(weights[p] > l for l, p in enumerate(perm, start=1)):
+            continue
         sign = _permutation_sign(perm)
-        permuted = [rho.entries[p] for p in perm]
-        for slot in range(d):
-            entries = list(permuted)
-            entries[slot] = entries[slot].union(tau)
-            if any(e.weight > l for l, e in enumerate(entries, start=1)):
+        for slot, p in enumerate(perm):
+            if weights[p] + tau.weight > slot + 1:
                 continue
+            entries = [rho.entries[q] for q in perm]
+            entries[slot] = entries[slot].union(tau)
             if len(set(entries)) != len(entries):
                 continue
-            out = out + u_monomial(entries) * sign
-    return out
+            (mono,) = u_monomial(entries).term_map()
+            signed[mono] = signed.get(mono, 0) + sign
+    return Polynomial(signed)
 
 
 def apply_right_action(p: Polynomial, m: int) -> Polynomial:

@@ -435,14 +435,20 @@ class Polynomial:
         return packed_substitute(self, assignment)
 
     def evaluate(self, assignment: Mapping[Variable, ScalarLike]) -> Fraction:
-        """Evaluate with every variable assigned, exactly."""
+        """Evaluate with every variable assigned, exactly; each power of a
+        value is computed once."""
+        powers: Dict[Tuple[Variable, int], Fraction] = {}
         total = Fraction(0)
         for mono, coeff in self._terms.items():
             value = coeff
-            for v, e in mono:
-                if v not in assignment:
-                    raise UnassignedVariableError(v.text)
-                value *= Fraction(assignment[v]) ** e
+            for pair in mono:
+                q = powers.get(pair)
+                if q is None:
+                    v, e = pair
+                    if v not in assignment:
+                        raise UnassignedVariableError(v.text)
+                    q = powers[pair] = Fraction(assignment[v]) ** e
+                value *= q
             total += value
         return total
 

@@ -14,11 +14,12 @@ applied last and only supplies that slice.  No truncation order is guessed
 and nothing is re-run to validate.
 
 The expansion runs on packed exponent ints (packed.ExponentPacking): one
-field per variable, z_1..z_d first, then the Chern and other symbols, and
-one more for the total z-degree, each as wide as the problem's own
-exponent bounds require.  A monomial product is one int addition, reading
-an exponent is a shift and a mask, and coefficients are Python ints unless
-an input carries a Fraction.
+field per variable, z_1..z_d first, then the Chern and other symbols, each
+as wide as the problem's own exponent bounds require.  A monomial product
+is one int addition, reading an exponent is a shift and a mask, and
+coefficients are Python ints unless an input carries a Fraction.  Each
+factor's step is packed.cut_mul, the product loop every packed product
+shares.
 
 An iterated pole sum is the exact second route: the residue at infinity of
 a rational function is minus the sum of its finite residues, so summing
@@ -41,7 +42,14 @@ from .errors import (
     ConstantFormError,
     TruncationUnstableError,
 )
-from .packed import Coefficient, ExponentPacking, PackedTerms, inverse_series, packed_product
+from .packed import (
+    Coefficient,
+    ExponentPacking,
+    PackedTerms,
+    cut_mul,
+    inverse_series,
+    packed_product,
+)
 from .poly import (
     LinearForm,
     Monomial,
@@ -157,10 +165,6 @@ class ResidueProblem:
         )
 
 
-def _z_homogeneous(form: LinearForm) -> bool:
-    return form.constant == 0 and all(v.family == "z" for v, _ in form.items)
-
-
 def _reach(p: Polynomial) -> Dict[Variable, int]:
     """The largest |exponent| of each symbol of p."""
     out: Dict[Variable, int] = {}
@@ -175,8 +179,8 @@ def _packing(
     topped: Mapping[Variable, FactorList],
     series: Mapping[Variable, Polynomial],
 ) -> ExponentPacking:
-    """Fields for z_1..z_d, then every other symbol, then the total
-    z-degree, wide enough for any exponent the expansion can form.
+    """Fields for z_1..z_d, then every other symbol, wide enough for any
+    exponent the expansion can form.
 
     A term is one numerator term times one piece of each factor's series
     and at most one term of each variable's series, so no exponent exceeds
@@ -185,23 +189,17 @@ def _packing(
     are cut, and a power-s piece carries each lower symbol to at most s.
     """
     carry = _reach(problem.numerator)
-    degree = sum(carry.get(v, 0) for v in variables)  # bounds |total z-degree|
     for v in variables:
         for w, e in _reach(series[v]).items():
             carry[w] = carry.get(w, 0) + e
-            degree += e if w is v else 0
         # the slice lifts v from -1 back to 0
         carry[v] = carry.get(v, 0) + 1
-        degree += 1
     for v in reversed(variables):
         power = carry[v]
         for form, mult in topped[v]:
             for w, _ in form.items:
                 carry[w] = carry.get(w, 0) + mult * (power + 1 if w is v else power)
-            degree += mult * (power + 1)
-    return ExponentPacking(
-        carry.keys(), max(degree, *carry.values()), weights=dict.fromkeys(variables, 1)
-    )
+    return ExponentPacking(carry.keys(), max(carry.values()))
 
 
 def iterated_residue(
@@ -216,8 +214,11 @@ def iterated_residue(
     raises TruncationUnstableError instead of expanding further.
 
     The expansion runs on packed exponent ints (see ExponentPacking) with
-    int coefficients wherever the inputs are integral; the result becomes a
-    Polynomial once, at the end.
+    int coefficients wherever the inputs are integral.  Each factor's step
+    is packed.cut_mul, a term meeting only the series pieces whose power s
+    its exponent of the factor's top variable can still bring back to -1;
+    each variable's series then supplies the slice by a lookup on that
+    exponent.  The result becomes a Polynomial once, at the end.
     """
     if not problem.variables:
         return problem.numerator
@@ -231,37 +232,18 @@ def iterated_residue(
         topped[form.top_z_variable()[0]].append((form, mult))
     own_series = {v: problem.per_variable_series.get(v, Polynomial.one()) for v in variables}
     packing = _packing(problem, variables, topped, own_series)
-    mask, half, zshift = packing.mask, packing.half, packing.degree_shift
+    mask, half = packing.mask, packing.half
 
-    # each variable's series keyed by its own exponent; no series reads as 1.
-    # A term's key also carries the slice: it lifts v from -1 back to 0 and
-    # takes that -1 out of the total z-degree.
-    series: Dict[Variable, Dict[int, List[Tuple[int, Coefficient]]]] = {}
-    for v in variables:
+    current = packing.terms(problem.numerator, biased=True)
+    for v in reversed(variables):
         shift = packing.shift[v]
-        lift = (1 << shift) + (1 << zshift)
+        # v's series keyed by its own exponent; no series reads as 1.  A
+        # term's key also carries the slice: it lifts v from -1 back to 0.
         by_exp: Dict[int, List[Tuple[int, Coefficient]]] = {}
         for key, coeff in packing.terms(own_series[v]).items():
             e = ((key + packing.bias) >> shift & mask) - half
-            by_exp.setdefault(e, []).append((key + lift, coeff))
-        series[v] = by_exp or {0: []}
-
-    # Every factor term has total z-degree at most -1, exactly -1 for a
-    # factor homogeneous in z, and each variable ends at exponent -1 after
-    # its series; so the total z-degree D of a term over the variables not
-    # yet sliced is bounded by what the remaining factors and series can do.
-    factors_left = sum(mult for _, mult in problem.denominator_factors)
-    inhomogeneous_left = sum(
-        mult for form, mult in problem.denominator_factors if not _z_homogeneous(form)
-    )
-    series_hi = sum(max(by_exp) for by_exp in series.values())
-    series_lo = sum(min(by_exp) for by_exp in series.values())
-
-    current = packing.terms(problem.numerator, biased=True)
-    for i in range(len(variables) - 1, -1, -1):
-        v = variables[i]
-        shift = packing.shift[v]
-        hi_v, lo_v = max(series[v]), min(series[v])
+            by_exp.setdefault(e, []).append((key + (1 << shift), coeff))
+        hi_v = max(by_exp, default=0)
         # factors topped by v only lower e_v, by at least one each
         v_left = sum(mult for _, mult in topped[v])
         for form, mult in topped[v]:
@@ -276,42 +258,14 @@ def iterated_residue(
                     f"the residue in {v.text} needs power {power} of 1/({form.to_text()}), "
                     f"past the order budget {budget}"
                 )
-            # the terms of 1/form by s, where the term carries v^-(s+1), with
-            # the total z-degree read off the biased key
-            pieces = [
-                (s, key, coeff, ((key + packing.bias) >> zshift & mask) - half)
-                for s, key, coeff in inverse_series(packing, form, power)
-            ]
-            homogeneous = _z_homogeneous(form)
+            # the power-s piece of 1/form carries v^-(s+1)
+            pieces = inverse_series(packing, form, power)
             for _ in range(mult):
                 v_left -= 1
-                factors_left -= 1
-                if not homogeneous:
-                    inhomogeneous_left -= 1
-                # bounds shifted by the bias, to compare with biased fields
+                # compared with the biased field of v
                 slack = hi_v - v_left - half
-                zdeg_lo = factors_left - (i + 1) - series_hi + half
-                zdeg_hi = factors_left - (i + 1) - series_lo + half
-                merged: PackedTerms = {}
-                for k1, c1 in current.items():
-                    reach = ((k1 >> shift) & mask) + slack
-                    z1 = (k1 >> zshift) & mask
-                    for s, k2, c2, z2 in pieces:
-                        if s > reach:
-                            break
-                        zdeg = z1 + z2
-                        if zdeg < zdeg_lo or (zdeg > zdeg_hi and not inhomogeneous_left):
-                            continue
-                        key = k1 + k2
-                        q = merged.get(key)
-                        q = c1 * c2 if q is None else q + c1 * c2
-                        if q:
-                            merged[key] = q
-                        else:
-                            del merged[key]
-                current = merged
+                current = cut_mul(current, pieces, lambda k1: (k1 >> shift & mask) + slack)
         # v's series last: it only has to supply the 1/v slice
-        by_exp = series[v]
         sliced: PackedTerms = {}
         for k1, c1 in current.items():
             for k2, c2 in by_exp.get(half - 1 - ((k1 >> shift) & mask), ()):
@@ -322,8 +276,6 @@ def iterated_residue(
                 else:
                     del sliced[key]
         current = sliced
-        series_hi -= hi_v
-        series_lo -= lo_v
 
     if len(variables) % 2:
         current = {key: -coeff for key, coeff in current.items()}

@@ -53,7 +53,7 @@ from .poly import (
     thvar,
     zvar,
 )
-from .packed import ExponentPacking, PackedTerms, inverse_series, packed_product
+from .packed import ExponentPacking, cut_mul, inverse_series, packed_product
 from .residue import (
     FactorList,
     ResidueProblem,
@@ -263,14 +263,28 @@ def _series_cap(top: int, factor_count: int, d: int, lead: int) -> int:
     return max(0, top - factor_count + d * (lead + 1))
 
 
-def _chern_tail(l: int, codim: int, cap: int) -> Polynomial:
-    """The window c_0 z_l^codim + ... + c_cap z_l^(codim - cap) of the Chern
-    series; the cap is the degree count of _series_cap, which for the
-    residue of tp(d, codim) is the weighted degree d * (codim + 1)."""
-    out = Polynomial.zero()
-    for i in range(cap + 1):
-        out = out + Polynomial.term(1, [(cvar(i), 1), (zvar(l), codim - i)])
-    return out
+def _chern_window_problem(
+    numerator: Polynomial,
+    top: int,
+    forms: Sequence[LinearForm],
+    d: int,
+    lead: int,
+    sign: int = 1,
+) -> ResidueProblem:
+    """numerator / prod(forms) over z_1..z_d, with sign times the window
+    c_0 z_l^lead + ... + c_cap z_l^(lead - cap) of the Chern series on each
+    z_l.  top bounds the numerator's z-degree; the cap is the degree count
+    of _series_cap, which for the residue of tp(d, codim) is the weighted
+    degree d * (codim + 1)."""
+    cap = _series_cap(top, len(forms), d, lead)
+    zs = tuple(zvar(l) for l in range(1, d + 1))
+    series = {}
+    for z in zs:
+        window = Polynomial.zero()
+        for i in range(cap + 1):
+            window = window + Polynomial.term(sign, [(cvar(i), 1), (z, lead - i)])
+        series[z] = window
+    return ResidueProblem(numerator, tuple((form, 1) for form in forms), series, zs)
 
 
 def _numerator(d: int, registry: QhatRegistry) -> Tuple[Polynomial, int]:
@@ -296,15 +310,7 @@ def residue_problem_for(
     if codim < 0:
         raise ValueError("the codimension parameter must be nonnegative")
     numerator, degree = _numerator(d, registry or default_registry())
-    forms = denominator_forms(d)
-    cap = _series_cap(degree, len(forms), d, codim)
-    series = {zvar(l): _chern_tail(l, codim, cap) for l in range(1, d + 1)}
-    return ResidueProblem(
-        numerator=numerator,
-        denominator_factors=tuple((form, 1) for form in forms),
-        per_variable_series=series,
-        variables=tuple(zvar(l) for l in range(1, d + 1)),
-    )
+    return _chern_window_problem(numerator, degree, denominator_forms(d), d, codim)
 
 
 @dataclass(frozen=True)
@@ -776,16 +782,8 @@ def _compressed_term_residue(term: FixedPointTerm, n: int, k: int) -> Polynomial
     d = term.sequence.depth
     num = compressed_term_numerator(term, k)
     top = max(sum(e for v, e in mono if v.family == "z") for mono in num.term_map())
-    cap = _series_cap(top, len(term.chart_factors), d, -n)
     sign = -1 if n % 2 else 1
-    series = {zvar(l): sign * _chern_tail(l, -n, cap) for l in range(1, d + 1)}
-    problem = ResidueProblem(
-        numerator=num,
-        denominator_factors=tuple((chart, 1) for chart in term.chart_factors),
-        per_variable_series=series,
-        variables=tuple(zvar(l) for l in range(1, d + 1)),
-    )
-    return iterated_residue(problem)
+    return iterated_residue(_chern_window_problem(num, top, term.chart_factors, d, -n, sign))
 
 
 def _term_residue_at_roots(
@@ -960,9 +958,10 @@ def positivity_expansion(
 
     A term prod z_l^e_l becomes prod_t a_t^(e_1 + ... + e_t), of degree
     sum_l e_l (d - l), which the packing keeps in its top field.  Each
-    inverse_series factor keeps a term while its degree plus the lowest
-    degrees of the factors still to come is in range: d = 5 takes about
-    0.03 s to degree 12."""
+    inverse_series factor is one packed.cut_mul, ranked by degree: a term
+    meets a piece only while their degrees plus the lowest degrees of the
+    factors still to come stay in range.  d = 5 takes about 0.03 s to
+    degree 12."""
     if d < 1:
         raise ValueError("the singularity order must be at least 1")
     if total_order < 0:
@@ -993,20 +992,7 @@ def positivity_expansion(
             for _, key, coeff in inverse_series(packing, form, slack)
         )
         cut = total_order - rest + half  # compared with biased fields
-        merged: PackedTerms = {}
-        for k1, c1 in current.items():
-            room = cut - (k1 >> dshift & mask)
-            for degree, k2, c2 in pieces:
-                if degree > room:
-                    break
-                key = k1 + k2
-                q = merged.get(key)
-                q = c1 * c2 if q is None else q + c1 * c2
-                if q:
-                    merged[key] = q
-                else:
-                    del merged[key]
-        current = merged
+        current = cut_mul(current, pieces, lambda k1: cut - (k1 >> dshift & mask))
 
     # homogeneity fixes e_d, so distinct terms give distinct monomials
     kept: Dict[Monomial, Fraction] = {}

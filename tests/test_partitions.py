@@ -199,6 +199,21 @@ def test_expansion_relation_by_hand():
     assert u_reference_value(rel) == 0
 
 
+def test_expansion_relation_skips_heavy_slots():
+    # slot 1 must hold (1), so two orders of rho remain, with signs + and -;
+    # in each, merging tau = (1) overflows slots 1 and 2 and fits slot 3.
+    # Listing rho's entries in the other order negates the relation.
+    rho = useq((1,), (2,), (1, 1))
+    rel = expansion_relation(rho, P(1))
+    expected = uterm(1, (1, (1,)), (2, (2,)), (3, (1, 1, 1))) - uterm(
+        1, (1, (1,)), (2, (1, 1)), (3, (1, 2))
+    )
+    assert rel == expected
+    assert expansion_relation(useq((1,), (1, 1), (2,)), P(1)) == -expected
+    # tau = (2) overflows all six slots
+    assert expansion_relation(rho, P(2)).is_zero()
+
+
 def test_expansion_relation_can_collapse():
     # every insertion of a weight-3 part overflows a depth-2 sequence
     rel = expansion_relation(useq((1,), (2,)), P(3))

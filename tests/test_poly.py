@@ -12,6 +12,7 @@ from thomcalc import (
     NonDivisibleError,
     Polynomial,
     RationalFunction,
+    UnassignedVariableError,
     Variable,
     avar,
     cvar,
@@ -221,6 +222,24 @@ def test_substitute_into_negative_powers():
         p.substitute({z1: Polynomial.variable(z3) + Polynomial.one()})
     with pytest.raises(ZeroDivisionError, match="substituting 0 for z_1"):
         p.substitute({z1: 0})
+
+
+def test_evaluate_names_a_variable_missing_from_a_later_term():
+    z1, c1 = zvar(1), cvar(1)
+    p = Polynomial.term(1, [(z1, 2)]) + Polynomial.term(3, [(z1, 2), (c1, 1)])
+    assert list(p.term_map())[0] == ((z1, 2),)  # c_1 only in the second term
+    with pytest.raises(UnassignedVariableError, match="c1"):
+        p.evaluate({z1: 2})
+
+
+def test_evaluate_negative_exponents():
+    z1, z2 = zvar(1), zvar(2)
+    p = Polynomial.term(Fraction(3, 2), [(z1, -2), (z2, 1)])
+    p = p + Polynomial.term(1, [(z1, -1)]) + Polynomial.term(1, [(z1, -2)])
+    # 3/2 * 1/4 * (-3) + 1/2 + 1/4
+    assert p.evaluate({z1: 2, z2: -3}) == Fraction(-3, 8)
+    with pytest.raises(ZeroDivisionError):
+        p.evaluate({z1: 0, z2: 1})
 
 
 @given(polynomials(pool=PLAIN_POOL), coeffs, coeffs, coeffs)
