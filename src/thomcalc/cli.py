@@ -16,7 +16,7 @@ import click
 from .errors import CalcError
 from .multidegree import PolynomialIdeal, WeightedRing, multidegree, toric_localization_example
 from .partitions import deg_qhat, dim_normal_model, dim_orbit, enumerate_admissible
-from .poly import LinearForm, Polynomial, cvar, yvar
+from .poly import LinearForm, Polynomial, cvar, json_int, yvar
 from .residue import ResidueProblem, TruncationPolicy, iterated_residue
 from .thom import (
     DEFAULT_SEED,
@@ -227,7 +227,7 @@ def mdeg_command(ideal_file, example, fmt, seed):
         weights = tuple(LinearForm.from_json_dict(w) for w in obj["weights"])
         order = None
         if obj.get("order"):
-            order = tuple(yvar(i) for i in obj["order"])
+            order = tuple(yvar(json_int(i)) for i in obj["order"])
     except (OSError, ValueError, KeyError, TypeError) as err:
         raise click.ClickException(f"cannot read ideal file {ideal_file}: {err}")
     ideal = PolynomialIdeal.of(generators, order=order)

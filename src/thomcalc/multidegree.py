@@ -51,7 +51,6 @@ from .poly import (
     LinearForm,
     Monomial,
     Polynomial,
-    RationalFunction,
     Variable,
     etavar,
     lex_polynomial,
@@ -59,6 +58,7 @@ from .poly import (
     uhatvar,
     yvar,
 )
+from .residue import fraction_sum
 
 
 @dataclass(frozen=True)
@@ -417,34 +417,26 @@ def toric_localization_example() -> ToricExampleReport:
     localization sum, the two-point sum over the resolved factor, and lex
     degeneration of the defining ideal.  All must give eta_1 + eta_3.
     """
-    e = [None] + [Polynomial.variable(etavar(i)) for i in range(1, 5)]
-    eta4 = e[1] + e[3] - e[2]
-
     # four fixed points on the cone, cyclic neighbors 1-2-3-4
-    values = {1: e[1], 2: e[2], 3: e[3], 4: eta4}
+    eta = {t: LinearForm(0, {etavar(t): 1}) for t in (1, 2, 3)}
+    eta[4] = LinearForm(0, {etavar(1): 1, etavar(3): 1, etavar(2): -1})
+    e = {t: w.as_polynomial() for t, w in eta.items()}
     neighbors = {1: (2, 4), 2: (1, 3), 3: (2, 4), 4: (1, 3)}
-    total = RationalFunction(Polynomial.zero())
-    for s in (1, 2, 3, 4):
-        num = packed_product(*(values[t] for t in (1, 2, 3, 4) if t != s))
-        den = packed_product(*(values[t] - values[s] for t in neighbors[s]))
-        total = total + RationalFunction(num, den)
-    localization = total.to_polynomial()
+    localization = fraction_sum(
+        (
+            packed_product(*(e[t] for t in eta if t != s)),
+            [eta[t].minus(eta[s]) for t in neighbors[s]],
+        )
+        for s in eta
+    )
 
     # the same class from the two-fixed-point factor: eta1*eta2/(eta2-eta3)
     # plus eta3*eta4/(eta3-eta2)
-    two_term = (
-        RationalFunction(e[1] * e[2], e[2] - e[3])
-        + RationalFunction(e[3] * eta4, e[3] - e[2])
-    ).to_polynomial()
-
-    ring = WeightedRing(
-        (
-            LinearForm(0, {etavar(1): 1}),
-            LinearForm(0, {etavar(2): 1}),
-            LinearForm(0, {etavar(3): 1}),
-            LinearForm(0, {etavar(1): 1, etavar(3): 1, etavar(2): -1}),
-        )
+    two_term = fraction_sum(
+        [(e[1] * e[2], [eta[2].minus(eta[3])]), (e[3] * e[4], [eta[3].minus(eta[2])])]
     )
+
+    ring = WeightedRing(tuple(eta.values()))
     y = [None] + [Polynomial.variable(yvar(i)) for i in range(1, 5)]
     ideal = PolynomialIdeal.of([y[1] * y[3] - y[2] * y[4]])
     groebner = multidegree(ideal, ring)

@@ -1,9 +1,10 @@
 """Sparse Laurent polynomials over exact rationals.
 
 Everything downstream (residue expansion, multidegrees, the Thom calculator)
-runs on the four types here: Variable, Polynomial, LinearForm and
-RationalFunction.  Coefficients are stdlib Fractions, so all arithmetic is
-exact and reduction to lowest terms is automatic.
+runs on the three types here: Variable, Polynomial and LinearForm.
+Coefficients are stdlib Fractions, so all arithmetic is exact and reduction
+to lowest terms is automatic.  Sums of fractions over linear forms live in
+residue.fraction_sum.
 
 A monomial is a tuple of (Variable, exponent) pairs sorted by the variable's
 canonical key, with no zero exponents.  A polynomial is a dict from monomials
@@ -103,9 +104,11 @@ class Variable:
         family = obj["family"]
         idx = obj["index"]
         if family == "uhat":
-            idx = tuple(idx)
+            idx = tuple(map(json_int, idx))
         elif family == "u":
-            idx = (idx[0], tuple(idx[1]))
+            idx = (json_int(idx[0]), tuple(map(json_int, idx[1])))
+        else:
+            idx = json_int(idx)
         return Variable(family, idx)
 
 
@@ -503,11 +506,17 @@ class Polynomial:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "Polynomial":
+        # each row must match vars: nothing is cut, merged or rounded
         vars_list = [Variable.from_json(v) for v in obj["vars"]]
+        if len(set(vars_list)) != len(vars_list):
+            raise ValueError("repeated variable in vars")
         out: Dict[Monomial, Fraction] = {}
         for term in obj["terms"]:
-            mono = _mono_from_pairs(zip(vars_list, term["exps"]))
-            coeff = Fraction(term["coeff"])
+            exps = [json_int(e) for e in term["exps"]]
+            if len(exps) != len(vars_list):
+                raise ValueError(f"exps {exps} do not match the {len(vars_list)} vars")
+            mono = _mono_from_pairs(zip(vars_list, exps))
+            coeff = json_fraction(term["coeff"])
             if coeff:
                 out[mono] = out.get(mono, Fraction(0)) + coeff
         return Polynomial(out)
@@ -521,6 +530,21 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_text()})"
+
+
+def json_int(value) -> int:
+    """An integer read from JSON; 1.9 is refused, not rounded."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_fraction(value) -> Fraction:
+    """An integer or a string such as "-3/4"; a float is refused, as 0.1
+    would read as a binary fraction, not 1/10."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"expected an integer or a fraction string, got {value!r}")
+    return Fraction(value)
 
 
 def _coeff_text(q: Fraction) -> str:
@@ -647,10 +671,10 @@ class LinearForm:
     @staticmethod
     def from_json_dict(obj: dict) -> "LinearForm":
         coeffs = {
-            variable_from_text(name): Fraction(value)
+            variable_from_text(name): json_fraction(value)
             for name, value in obj.get("coeffs", {}).items()
         }
-        return LinearForm(Fraction(obj.get("constant", 0)), coeffs)
+        return LinearForm(json_fraction(obj.get("constant", 0)), coeffs)
 
     @staticmethod
     def from_polynomial(p: Polynomial) -> "LinearForm":
@@ -760,19 +784,14 @@ class LexHeap:
                     del terms[key]
 
 
-def poly_divide_exact(
-    p: Polynomial,
-    q: Polynomial,
-    order: Optional[Sequence[Variable]] = None,
-) -> Polynomial:
+def poly_divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
     """Divide p by q, requiring a zero remainder.
 
-    Runs single-divisor division under the lex order given by ``order``
-    (first entry largest); by default all variables present, sorted by
-    canonical key descending.  Terms are keyed by exponent tuples once, so
-    each step finds the leading term of the remainder from a heap.  Laurent
-    inputs are rejected.  Raises NonDivisibleError when the division leaves
-    a remainder.
+    Runs single-divisor division under the lex order of the variables
+    present, sorted by canonical key descending.  Terms are keyed by
+    exponent tuples once, so each step finds the leading term of the
+    remainder from a heap.  Laurent inputs are rejected.  Raises
+    NonDivisibleError when the division leaves a remainder.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -780,14 +799,7 @@ def poly_divide_exact(
         raise ValueError("exact division expects plain polynomials, not Laurent terms")
     if p.is_zero():
         return Polynomial.zero()
-    if order is None:
-        ordered = sorted(p.variables() | q.variables(), key=lambda v: v.key, reverse=True)
-    else:
-        ordered = list(order)
-        missing = (p.variables() | q.variables()) - set(ordered)
-        if missing:
-            names = ", ".join(sorted(v.text for v in missing))
-            raise ValueError(f"division order does not cover: {names}")
+    ordered = sorted(p.variables() | q.variables(), key=lambda v: v.key, reverse=True)
     pos = {v: i for i, v in enumerate(ordered)}
     divisor = lex_terms(q, pos)
     lead = max(divisor)
@@ -806,41 +818,3 @@ def poly_divide_exact(
         quotient[shift] = coeff / lead_coeff
         remainder.subtract(tail, shift, quotient[shift])
     return lex_polynomial(quotient, ordered)
-
-
-class RationalFunction:
-    """An unreduced quotient of polynomials, for small exact eliminations."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Polynomial, den: Optional[Polynomial] = None):
-        if den is None:
-            den = Polynomial.one()
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        self.num = num
-        self.den = den
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.num.is_zero():
-            return self
-        if self.num.is_zero():
-            return other
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def to_polynomial(self) -> Polynomial:
-        """Collapse to a polynomial by exact division; raises if not one."""
-        return poly_divide_exact(self.num, self.den)
-
-    def evaluate(self, assignment: Mapping[Variable, ScalarLike]) -> Fraction:
-        den = self.den.evaluate(assignment)
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes at the given point")
-        return self.num.evaluate(assignment) / den
-
-    def __repr__(self) -> str:
-        return f"RationalFunction(({self.num.to_text()}) / ({self.den.to_text()}))"

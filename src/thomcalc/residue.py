@@ -23,10 +23,12 @@ shares.
 
 An iterated pole sum is the exact second route: the residue at infinity of
 a rational function is minus the sum of its finite residues, so summing
-over simple poles shares no code with the expansion.  The module also
-hosts the degree bookkeeping (deg on a variable subset, leading-factor
-counts) behind the criterion that certifies a residue vanishes without
-expanding anything.
+over simple poles shares no code with the expansion.  Its adder, over a
+multiset of monic linear forms with one division at the end, is the
+package's one exact sum of fractions, public as fraction_sum.  The
+module also hosts the degree bookkeeping (deg on a variable subset,
+leading-factor counts) behind the criterion that certifies a residue
+vanishes without expanding anything.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import prod
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -54,8 +57,10 @@ from .poly import (
     LinearForm,
     Monomial,
     Polynomial,
-    RationalFunction,
     Variable,
+    json_int,
+    poly_divide_exact,
+    variable_from_text,
     zvar,
 )
 
@@ -147,12 +152,10 @@ class ResidueProblem:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "ResidueProblem":
-        from .poly import variable_from_text
-
         factors = []
         for entry in obj.get("denominator_factors", []):
             form = LinearForm.from_json_dict(entry)
-            factors.append((form, int(entry.get("mult", 1))))
+            factors.append((form, json_int(entry.get("mult", 1))))
         series = {
             variable_from_text(name): Polynomial.from_json_dict(p)
             for name, p in obj.get("per_variable_series", {}).items()
@@ -289,23 +292,41 @@ def residue_by_pole_sum(
     numerator: Polynomial,
     forms: Sequence[LinearForm],
     variables: Sequence[Variable],
-) -> RationalFunction:
+) -> Polynomial:
     """Iterated residue at infinity as a nested sum over simple poles.
 
     Exact (no truncation), at the price of requiring each variable's
     denominator factors to have pairwise distinct linear roots.  Intended
     for cross-checks, at numeric parameter values or at symbolic roots
-    that keep the poles apart.
+    that keep the poles apart.  The poles' fractions are added as in
+    fraction_sum; NonDivisibleError says the sum is not a polynomial.
     """
     if numerator.has_negative_exponent():
         raise ValueError("pole-sum backend expects a polynomial numerator")
-    num, den = _pole_sum(numerator, list(forms), list(variables))
-    return RationalFunction(num, _times(Polynomial.one(), den))
+    return _quotient(_pole_sum(numerator, list(forms), list(variables)))
+
+
+def fraction_sum(terms: Iterable[Tuple[Polynomial, Sequence[LinearForm]]]) -> Polynomial:
+    """The polynomial sum of numerator / prod(forms) over the pairs.
+
+    Each fraction is made monic, the sum keeps its denominator as a
+    multiset of monic forms, and one exact division ends it.  Raises
+    NonDivisibleError when the sum is not a polynomial.
+    """
+    parts = (_monic(numerator, forms) for numerator, forms in terms)
+    return _quotient(reduce(_add, parts, (Polynomial.zero(), Counter())))
 
 
 # A sum of fractions over a multiset of monic linear forms, so adding two
 # multiplies each numerator by only the factors it lacks.
 Factored = Tuple[Polynomial, Counter]
+
+
+def _monic(numerator: Polynomial, forms: Sequence[LinearForm]) -> Factored:
+    # the constants and leading coefficients go to the numerator
+    leads = [form.items[0][1] if form.items else form.constant for form in forms]
+    den = Counter(form.scaled(1 / lead) for form, lead in zip(forms, leads) if form.items)
+    return numerator * (1 / prod(leads, start=Fraction(1))), den
 
 
 def _times(p: Polynomial, forms: Counter) -> Polynomial:
@@ -321,14 +342,15 @@ def _add(a: Factored, b: Factored) -> Factored:
     return _times(a[0], den - a[1]) + _times(b[0], den - b[1]), den
 
 
+def _quotient(total: Factored) -> Polynomial:
+    return poly_divide_exact(total[0], _times(Polynomial.one(), total[1]))
+
+
 def _pole_sum(
     numerator: Polynomial, forms: List[LinearForm], variables: List[Variable]
 ) -> Factored:
     if not variables:
-        # the constants and leading coefficients go to the numerator
-        leads = [form.items[0][1] if form.items else form.constant for form in forms]
-        den = Counter(form.scaled(1 / lead) for form, lead in zip(forms, leads) if form.items)
-        return numerator * (1 / prod(leads, start=Fraction(1))), den
+        return _monic(numerator, forms)
     v = variables[-1]
     rest_vars = variables[:-1]
     with_v = [f for f in forms if f.coefficient(v) != 0]

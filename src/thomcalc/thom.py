@@ -47,6 +47,7 @@ from .poly import (
     Variable,
     avar,
     cvar,
+    json_int,
     lamvar,
     linear_form,
     poly_divide_exact,
@@ -162,7 +163,7 @@ class QhatRegistry:
             raise QhatFormatError(f"{path}: expected a JSON object")
         try:
             if "polynomial" in obj:
-                d = int(obj["d"])
+                d = json_int(obj["d"])
                 poly = Polynomial.from_json_dict(obj["polynomial"])
             else:
                 poly = Polynomial.from_json_dict(obj)
@@ -494,7 +495,7 @@ def pole_sum_class(
     forms = denominator_forms(d)
     for z in zs:
         forms += [linear_form((1, z), (1, lamvar(i))) for i in range(1, d + 1)]
-    return residue_by_pole_sum(numerator, forms, zs).to_polynomial()
+    return residue_by_pole_sum(numerator, forms, zs)
 
 
 # -- localization over flags ------------------------------------------
@@ -751,15 +752,13 @@ def sampled_class_agreement(
 
 
 def _elementary_envelope(shift: LinearForm, k: int) -> Polynomial:
-    # prod_j (theta_j - X) with the elementary symmetric coefficients of
-    # the theta alphabet riding as opaque a-symbols
-    x = shift.as_polynomial()
-    out = Polynomial.zero()
-    for t in range(k + 1):
-        piece = (-x) ** (k - t)
-        if t > 0:
-            piece = piece * Polynomial.variable(avar(t))
-        out = out + piece
+    # prod_j (theta_j - X) = sum_t a_t (-X)^(k - t), with the elementary
+    # symmetric coefficients a_t of the theta alphabet riding as opaque
+    # a-symbols (a_0 = 1), by Horner's rule in -X
+    minus_x = -shift.as_polynomial()
+    out = Polynomial.one()
+    for t in range(1, k + 1):
+        out = out * minus_x + Polynomial.variable(avar(t))
     return out
 
 
@@ -776,11 +775,11 @@ def _term_factor_list(term: FixedPointTerm, n: int) -> FactorList:
     return tuple(factors)
 
 
-def _compressed_term_residue(term: FixedPointTerm, n: int, k: int) -> Polynomial:
+def _compressed_term_residue(term: FixedPointTerm, num: Polynomial, n: int) -> Polynomial:
     """The term's full residue with theta compressed to elementary symbols
-    and the root poles compressed to complete homogeneous symbols."""
+    (num is its compressed_term_numerator) and the root poles compressed to
+    complete homogeneous symbols."""
     d = term.sequence.depth
-    num = compressed_term_numerator(term, k)
     top = max(sum(e for v, e in mono if v.family == "z") for mono in num.term_map())
     sign = -1 if n % 2 else 1
     return iterated_residue(_chern_window_problem(num, top, term.chart_factors, d, -n, sign))
@@ -870,7 +869,7 @@ def nondistinguished_vanishing(
             if vanishing_criterion(num, factors, l, d):
                 position = l
                 break
-        expansion = _compressed_term_residue(term, n, k)
+        expansion = _compressed_term_residue(term, num, n)
         sampled_zero = True
         for _ in range(samples):
             lam = _distinct_fractions(rng, n)

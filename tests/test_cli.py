@@ -97,6 +97,62 @@ def test_tp_numerator_plugin(runner, tmp_path):
     assert result.exit_code == 1
 
 
+MALFORMED_NUMERATORS = (
+    "row-too-long",
+    "row-too-short",
+    "fractional-exponent",
+    "repeated-variable",
+    "float-coefficient",
+    "fractional-variable-index",
+    "fractional-order",
+)
+
+
+def _malformed_numerator(case):
+    # Q_4 = 2*z1 + z2 - z4 with one entry malformed
+    poly = qhat(4).to_json_dict()
+    rows = [term["exps"] for term in poly["terms"]]
+    if case == "row-too-long":
+        rows[0].append(3)
+    elif case == "row-too-short":
+        rows[1].pop()
+    elif case == "fractional-exponent":
+        rows[2][-1] = 1.9
+    elif case == "repeated-variable":
+        poly["vars"].append(poly["vars"][-1])
+        for row in rows:
+            row.append(0)
+    elif case == "float-coefficient":
+        poly["terms"][0]["coeff"] = 2.0
+    elif case == "fractional-variable-index":
+        poly["vars"][-1]["index"] = 4.0
+    return {"d": 4.5 if case == "fractional-order" else 4, "polynomial": poly}
+
+
+@pytest.mark.parametrize("case", MALFORMED_NUMERATORS)
+def test_tp_refuses_a_malformed_numerator_file(runner, tmp_path, case):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_malformed_numerator(case)))
+    result = runner.invoke(
+        main, ["tp", "--d", "4", "--codim", "0", "--qhat-file", str(bad)]
+    )
+    assert result.exit_code == 1
+    assert f"{bad}: malformed numerator file" in result.output
+
+
+@pytest.mark.parametrize(
+    "field, value", [("mult", 1.8), ("constant", 0.5), ("coeffs", {"z_1": 1.0})]
+)
+def test_residue_refuses_a_malformed_problem_file(runner, tmp_path, field, value):
+    obj = residue_problem_for(2, 0).to_json_dict()
+    obj["denominator_factors"][0][field] = value
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, ["residue", "--problem", str(path)])
+    assert result.exit_code == 1
+    assert f"cannot read problem file {path}" in result.output
+
+
 def test_residue_from_file(runner, tmp_path):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(residue_problem_for(2, 0).to_json_dict()))
@@ -184,6 +240,22 @@ def test_mdeg_ideal_file(runner, tmp_path):
     result = runner.invoke(main, ["mdeg", "--ideal-file", str(path)])
     assert result.exit_code == 0
     assert result.output == "2*e_1*e_2\n"
+
+
+def test_mdeg_refuses_a_fractional_variable_order(runner, tmp_path):
+    path = tmp_path / "ideal.json"
+    path.write_text(
+        json.dumps(
+            {
+                "generators": [Polynomial.variable(yvar(1)).to_json_dict()],
+                "weights": [linear_form((1, etavar(1))).to_json_dict()],
+                "order": [1.5],
+            }
+        )
+    )
+    result = runner.invoke(main, ["mdeg", "--ideal-file", str(path)])
+    assert result.exit_code == 1
+    assert f"cannot read ideal file {path}" in result.output
 
 
 def test_mdeg_requires_one_source(runner, tmp_path):

@@ -1,5 +1,5 @@
-"""Byte-identity of the computed classes, positivity reports and verify
-report against tests/data/golden.json.
+"""Byte-identity of the computed classes, pole-sum classes, toric example,
+positivity reports and verify report against tests/data/golden.json.
 
 The file was written before a refactor of the residue kernel and is not
 meant to change: a refactor that moves any of these outputs is a change of
@@ -11,7 +11,14 @@ results, not of design.  Regenerate it only on purpose, with
 import json
 from pathlib import Path
 
-from thomcalc import QhatRegistry, derive_qhat, positivity_expansion, thom_polynomial
+from thomcalc import (
+    QhatRegistry,
+    derive_qhat,
+    pole_sum_class,
+    positivity_expansion,
+    thom_polynomial,
+    toric_localization_example,
+)
 from thomcalc.verify import run_suite
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden.json"
@@ -24,6 +31,12 @@ def snapshot() -> dict:
     order_six = QhatRegistry({6: derive_qhat(6)})
     classes = [thom_polynomial(d, j).to_json_dict() for d in range(1, 6) for j in range(3)]
     classes += [thom_polynomial(6, j, order_six).to_json_dict() for j in range(3)]
+    pole_sums = [pole_sum_class(d, j).to_json_dict() for d in (1, 2) for j in range(3)]
+    toric = toric_localization_example()
+    toric_polys = {
+        name: getattr(toric, name).to_json_dict()
+        for name in ("localization_sum", "two_term_sum", "groebner_route", "expected")
+    }
     reports = []
     for d, order in POSITIVITY_CASES:
         report = positivity_expansion(d, order)
@@ -38,6 +51,8 @@ def snapshot() -> dict:
         )
     return {
         "classes": classes,
+        "pole_sums": pole_sums,
+        "toric": toric_polys,
         "positivity": reports,
         "verify": run_suite("all", 1729).to_json_dict(),
     }

@@ -11,7 +11,6 @@ from thomcalc import (
     LinearForm,
     NonDivisibleError,
     Polynomial,
-    RationalFunction,
     UnassignedVariableError,
     Variable,
     avar,
@@ -186,6 +185,66 @@ def test_json_round_trip(p):
     assert Polynomial.from_json(p.to_json()) == p
 
 
+Z_VARS = [{"family": "z", "index": i} for i in (1, 2, 4)]
+
+
+def _reshaped(vars_list, rows, coeffs=("2/1", "1/1", "-1/1")):
+    return {"vars": vars_list, "terms": [{"coeff": c, "exps": e} for c, e in zip(coeffs, rows)]}
+
+
+# 2*z1 + z2 - z4 with one entry malformed, and the refusal each gets;
+# none may be cut, rounded or merged
+MALFORMED_POLYNOMIALS = {
+    "row-too-long": (
+        _reshaped(Z_VARS, [[1, 0, 0, 3], [0, 1, 0], [0, 0, 1]]),
+        "do not match the 3 vars",
+    ),
+    "row-too-short": (
+        _reshaped(Z_VARS, [[1, 0, 0], [0, 1], [0, 0, 1]]),
+        "do not match the 3 vars",
+    ),
+    "fractional-exponent": (
+        _reshaped(Z_VARS, [[1, 0, 0], [0, 1, 0], [0, 0, 1.9]]),
+        "expected an integer, got 1.9",
+    ),
+    "repeated-variable": (
+        _reshaped(Z_VARS + Z_VARS[2:], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]),
+        "repeated variable",
+    ),
+    "float-coefficient": (
+        _reshaped(Z_VARS, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], coeffs=(0.1, "1/1", "-1/1")),
+        "got 0.1",
+    ),
+    "fractional-variable-index": (
+        _reshaped(Z_VARS[:2] + [{"family": "z", "index": 4.5}], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        "expected an integer, got 4.5",
+    ),
+}
+
+
+def test_json_well_formed_sample_reads():
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    z1, z2, z4 = (Polynomial.variable(zvar(i)) for i in (1, 2, 4))
+    read = Polynomial.from_json_dict(_reshaped(Z_VARS, rows, (2, "1", "-1/1")))
+    assert read == 2 * z1 + z2 - z4
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_POLYNOMIALS))
+def test_json_malformed_polynomial_is_refused(case):
+    payload, refusal = MALFORMED_POLYNOMIALS[case]
+    with pytest.raises(ValueError, match=refusal):
+        Polynomial.from_json_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"constant": "0/1", "coeffs": {"z_1": 0.1}}, {"constant": 0.1, "coeffs": {"z_1": "1/1"}}],
+)
+def test_json_float_linear_form_coefficient_is_refused(payload):
+    with pytest.raises(ValueError, match="got 0.1"):
+        LinearForm.from_json_dict(payload)
+
+
 def test_json_coefficients_carry_denominators():
     p = Polynomial.term(6, [(cvar(1), 1)])
     payload = p.to_json_dict()
@@ -344,14 +403,3 @@ def test_divide_rejects_laurent():
     with pytest.raises(ValueError):
         poly_divide_exact(p, Polynomial.one())
 
-
-# -- rational functions ------------------------------------------------
-
-
-def test_adding_the_zero_function_keeps_the_other_denominator():
-    z1, z2 = Polynomial.variable(zvar(1)), Polynomial.variable(zvar(2))
-    f = RationalFunction(z1, z1 + z2)
-    zero = RationalFunction(Polynomial.zero(), z1 - z2)
-    assert (f + zero).den == z1 + z2
-    assert (zero + f).den == z1 + z2
-    assert (f + zero).num == z1

@@ -1,6 +1,8 @@
 """Residue engines: series extraction, exact pole sums, vanishing certificates."""
 
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,11 +11,13 @@ import hypothesis.strategies as st
 from thomcalc import (
     CoincidentPoleError,
     ConstantFormError,
+    NonDivisibleError,
     Polynomial,
     ResidueProblem,
     TruncationPolicy,
     TruncationUnstableError,
     cvar,
+    fraction_sum,
     iterated_residue,
     lamvar,
     linear_form,
@@ -24,7 +28,7 @@ from thomcalc import (
     vanishing_criterion,
     zvar,
 )
-from thomcalc.residue import deg_in_subset, lead_count
+from thomcalc.residue import _add, _monic, deg_in_subset, lead_count
 
 Z1, Z2, Z3 = zvar(1), zvar(2), zvar(3)
 
@@ -173,6 +177,15 @@ def test_problem_json_round_trip():
     assert iterated_residue(back) == iterated_residue(problem)
 
 
+def test_problem_json_refuses_a_fractional_multiplicity():
+    obj = ResidueProblem(
+        Polynomial.one(), ((form((1, Z1)), 1),), variables=(Z1,)
+    ).to_json_dict()
+    obj["denominator_factors"][0]["mult"] = 1.8
+    with pytest.raises(ValueError, match="integer"):
+        ResidueProblem.from_json_dict(obj)
+
+
 # -- the exact pole sum ------------------------------------------------
 
 
@@ -184,7 +197,7 @@ def test_pole_sum_agrees_with_series_engine():
         form((1, Z2), constant=-2),
         form((1, Z2), constant=-5),
     ]
-    by_poles = residue_by_pole_sum(num, numeric_forms, (Z1, Z2)).to_polynomial()
+    by_poles = residue_by_pole_sum(num, numeric_forms, (Z1, Z2))
     problem = ResidueProblem(
         num, tuple((f, 1) for f in numeric_forms), variables=(Z1, Z2)
     )
@@ -212,7 +225,7 @@ def test_pole_sum_coincident_roots():
 def test_backends_agree_on_numeric_roots(a, b, roots):
     num = Polynomial.term(1, [(Z1, a)]) + Polynomial.term(b + 1, [(Z1, b)])
     forms = [form((1, Z1), constant=-r) for r in roots]
-    by_poles = residue_by_pole_sum(num, forms, (Z1,)).to_polynomial()
+    by_poles = residue_by_pole_sum(num, forms, (Z1,))
     series = iterated_residue(
         ResidueProblem(num, tuple((f, 1) for f in forms), variables=(Z1,))
     )
@@ -242,13 +255,63 @@ def test_two_variable_backends_agree(terms, r_roots, s_roots, t_roots):
     forms += [form((1, Z2), constant=-s) for s in s_roots]
     forms += [form((1, Z2), (-1, Z1), constant=-t) for t in t_roots]
     try:
-        by_poles = residue_by_pole_sum(num, forms, (Z1, Z2)).to_polynomial()
+        by_poles = residue_by_pole_sum(num, forms, (Z1, Z2))
     except CoincidentPoleError:
         assume(False)
     series = iterated_residue(
         ResidueProblem(num, tuple((f, 1) for f in forms), variables=(Z1, Z2))
     )
     assert by_poles == series
+
+
+# -- the exact sum of fractions ---------------------------------------
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+FRACTION_VARS = (Z1, Z2, lamvar(1))
+
+
+@st.composite
+def nonzero_forms(draw):
+    # non-monic leads and nonzero constant forms included
+    support = draw(st.lists(st.sampled_from(FRACTION_VARS), unique=True))
+    f = form(*((draw(SMALL), v) for v in support), constant=draw(SMALL))
+    assume(not f.is_zero())
+    return f
+
+
+@st.composite
+def plain_numerators(draw):
+    num = Polynomial.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        support = draw(st.lists(st.sampled_from(FRACTION_VARS), max_size=2, unique=True))
+        num = num + Polynomial.term(draw(SMALL), [(v, draw(st.integers(1, 2))) for v in support])
+    return num
+
+
+@given(st.lists(st.tuples(plain_numerators(), st.lists(nonzero_forms(), max_size=3)), max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_fraction_sum_of_cleared_fractions_is_the_sum_of_numerators(pairs):
+    terms = [
+        (num * prod((f.as_polynomial() for f in forms), start=Polynomial.one()), forms)
+        for num, forms in pairs
+    ]
+    expected = sum((num for num, _ in pairs), Polynomial.zero())
+    assert fraction_sum(terms) == expected
+
+
+def test_a_zero_numerator_adds_no_forms():
+    f, g = form((1, Z1), (1, Z2)), form((1, Z1), (-1, Z2))
+    z1 = Polynomial.variable(Z1)
+    kept = _monic(z1, [f])
+    zero = _monic(Polynomial.zero(), [g])
+    assert _add(kept, zero) == (z1, Counter([f]))
+    assert _add(zero, kept) == (z1, Counter([f]))
+    assert fraction_sum([(z1 * f.as_polynomial(), [f]), (Polynomial.zero(), [g])]) == z1
+
+
+def test_fraction_sum_rejects_a_proper_fraction():
+    with pytest.raises(NonDivisibleError):
+        fraction_sum([(Polynomial.one(), [form((1, Z1), (-1, Z2))])])
 
 
 # -- degree bookkeeping ------------------------------------------------

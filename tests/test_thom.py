@@ -136,6 +136,11 @@ def test_load_file_variants(tmp_path):
     with pytest.raises(QhatFormatError, match="explicit order"):
         reg.load_file(str(constant))
 
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text(json.dumps({"d": 4.5, "polynomial": qhat(4).to_json_dict()}))
+    with pytest.raises(QhatFormatError, match="integer"):
+        reg.load_file(str(fractional))
+
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     with pytest.raises(QhatFormatError):
@@ -460,11 +465,17 @@ def test_longer_series_window_changes_no_compressed_residue(monkeypatch):
         for term in fixed_point_terms(d)
         for n, k in ((5, 5), (3, 3), (4, 2), (6, 4))
     ]
-    exact = [thom._compressed_term_residue(*case) for case in cases]
+    exact = [
+        thom._compressed_term_residue(term, thom.compressed_term_numerator(term, k), n)
+        for term, n, k in cases
+    ]
     assert any(not residue.is_zero() for residue in exact)
     cap = thom._series_cap
     monkeypatch.setattr(thom, "_series_cap", lambda *args: cap(*args) + 3)
-    assert [thom._compressed_term_residue(*case) for case in cases] == exact
+    assert [
+        thom._compressed_term_residue(term, thom.compressed_term_numerator(term, k), n)
+        for term, n, k in cases
+    ] == exact
 
 
 def test_vanishing_guards():
