@@ -405,6 +405,61 @@ def test_depth_three_term_table():
         fixed_point_terms(4)
 
 
+# {sequence: (shifts, chart factors sorted as text, distinguished)} per depth
+PINNED_TERMS = {
+    1: {"([1])": (("z_1",), (), True)},
+    2: {
+        "([1],[2])": (("z_1", "z_2"), ("2*z_1 - z_2",), True),
+        "([1],[1,1])": (("z_1", "2*z_1"), ("-2*z_1 + z_2",), False),
+    },
+    3: {
+        "([1],[2],[3])": (
+            ("z_1", "z_2", "z_3"),
+            ("2*z_1 - z_2", "2*z_1 - z_3", "z_1 + z_2 - z_3"),
+            True,
+        ),
+        "([1],[2],[1,2])": (
+            ("z_1", "z_2", "z_1 + z_2"),
+            ("-z_1 - z_2 + z_3", "2*z_1 - z_2", "z_1 - z_2"),
+            False,
+        ),
+        "([1],[2],[1,1])": (
+            ("z_1", "z_2", "2*z_1"),
+            ("-2*z_1 + z_3", "-z_1 + z_2", "2*z_1 - z_2"),
+            False,
+        ),
+        "([1],[1,1],[3])": (
+            ("z_1", "2*z_1", "z_3"),
+            ("-2*z_1 + z_2", "3*z_1 - z_3", "z_2 - z_3"),
+            False,
+        ),
+        "([1],[1,1],[1,1,1])": (
+            ("z_1", "2*z_1", "3*z_1"),
+            ("-2*z_1 + z_2", "-3*z_1 + z_2", "-3*z_1 + z_3"),
+            False,
+        ),
+        "([1],[1,1],[2])": (
+            ("z_1", "2*z_1", "z_2"),
+            ("-2*z_1 + z_2", "-z_2 + z_3", "3*z_1 - z_2"),
+            False,
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fixed_point_terms_match_the_pinned_tables(d):
+    got = {}
+    for term in fixed_point_terms(d):
+        got[term.sequence.to_text()] = (
+            tuple(s.to_text() for s in term.shifts),
+            tuple(sorted(c.to_text() for c in term.chart_factors)),
+            term.distinguished,
+        )
+    assert len(got) == len(fixed_point_terms(d))
+    assert got == PINNED_TERMS[d]
+
+
 def test_localization_sum_guards():
     with pytest.raises(ValueError):
         fixed_point_sum(3, 2, 2)
