@@ -16,8 +16,8 @@ import click
 from .errors import CalcError
 from .multidegree import PolynomialIdeal, WeightedRing, multidegree, toric_localization_example
 from .partitions import deg_qhat, dim_normal_model, dim_orbit, enumerate_admissible
-from .poly import LinearForm, Polynomial, cvar, json_int, yvar
-from .residue import ResidueProblem, TruncationPolicy, iterated_residue
+from .poly import LinearForm, Polynomial, cvar, read_json, yvar
+from .residue import ResidueProblem, iterated_residue
 from .thom import (
     DEFAULT_SEED,
     QhatRegistry,
@@ -168,12 +168,11 @@ def residue_command(problem_path, order, fmt, seed):
         raise click.BadParameter("--order must be nonnegative")
     try:
         with open(problem_path) as handle:
-            obj = json.load(handle)
+            obj = read_json(handle.read())
         problem = ResidueProblem.from_json_dict(obj)
     except (OSError, ValueError, KeyError, TypeError) as err:
         raise click.ClickException(f"cannot read problem file {problem_path}: {err}")
-    policy = TruncationPolicy(base_order=order) if order is not None else None
-    result = iterated_residue(problem, policy)
+    result = iterated_residue(problem, order)
     if fmt == "text":
         # same display rule as closed classes: background symbol suppressed
         shown = result.substitute({cvar(0): Polynomial.one()})
@@ -222,12 +221,12 @@ def mdeg_command(ideal_file, example, fmt, seed):
         return
     try:
         with open(ideal_file) as handle:
-            obj = json.load(handle)
+            obj = read_json(handle.read())
         generators = [Polynomial.from_json_dict(g) for g in obj["generators"]]
         weights = tuple(LinearForm.from_json_dict(w) for w in obj["weights"])
         order = None
         if obj.get("order"):
-            order = tuple(yvar(json_int(i)) for i in obj["order"])
+            order = tuple(yvar(i) for i in obj["order"])
     except (OSError, ValueError, KeyError, TypeError) as err:
         raise click.ClickException(f"cannot read ideal file {ideal_file}: {err}")
     ideal = PolynomialIdeal.of(generators, order=order)

@@ -70,10 +70,6 @@ class WeightInhomogeneityError(CalcError):
     """An object that must be torus-weight homogeneous is not."""
 
 
-class MissingGeneratorError(CalcError):
-    """The stated linear generator is not in the ideal's generating set."""
-
-
 class DerivationError(CalcError):
     """A derived numerator disagrees with the registry, or the relations
     it is split along are not the expected ones."""

@@ -1,14 +1,15 @@
 """Equivariant multidegrees of coordinate-ring quotients.
 
-Three computation routes, kept deliberately independent so they can
-cross-check each other:
+Two computation routes:
 
 * monomial ideals directly, as a weighted sum of staircase counts over
   minimal coordinate subspaces,
 * general weight-homogeneous ideals by lex Groebner degeneration to the
-  initial monomial ideal,
-* ideals with a linear generator y_j - f, peeling off the factor eta_j and
-  recursing on the substituted ideal.
+  initial monomial ideal.
+
+The third check is independent of both: toric_localization_example sums
+the worked quadric cone's multidegree over its torus fixed points (with
+residue.fraction_sum) and compares it with the Groebner route.
 
 Weights are linear forms (usually in eta-symbols); a multidegree is a
 polynomial in whatever symbols the weights use.  basic_relations_ideal
@@ -38,7 +39,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     InfiniteStaircaseError,
-    MissingGeneratorError,
     SPairBudgetError,
     WeightInhomogeneityError,
 )
@@ -67,19 +67,8 @@ class WeightedRing:
 
     weights: Tuple[LinearForm, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
     def weight_of(self, index: int) -> LinearForm:
         return self.weights[index - 1]
-
-    def variables(self) -> List[Variable]:
-        return [yvar(i) for i in range(1, self.n + 1)]
-
-
-def euler_class(ring: WeightedRing) -> Polynomial:
-    return packed_product(*(w.as_polynomial() for w in ring.weights))
 
 
 Exponents = Dict[int, int]
@@ -357,41 +346,6 @@ def multidegree(ideal: PolynomialIdeal, ring: WeightedRing, pair_budget: int = 1
         return Polynomial.one()
     init = initial_ideal(ideal, pair_budget)
     return multidegree_monomial(init, ring)
-
-
-def reduce_by_linear_generator(
-    ideal: PolynomialIdeal, ring: WeightedRing, j: int, f: Polynomial
-) -> Tuple[PolynomialIdeal, LinearForm]:
-    """Split off a generator y_j - f: returns the substituted ideal in the
-    remaining coordinates and the weight factor eta_j that multiplies its
-    multidegree."""
-    target = Polynomial.variable(yvar(j)) - f
-    kept = []
-    found = False
-    for g in ideal.generators:
-        if not found and _scalar_multiple(g, target):
-            found = True
-            continue
-        kept.append(g.substitute({yvar(j): f}))
-    if not found:
-        raise MissingGeneratorError(f"no generator of the form y_{j} - ({f.to_text()})")
-    kept = [g for g in kept if not g.is_zero()]
-    order = tuple(v for v in ideal.order if v.index != j)
-    return PolynomialIdeal(tuple(kept), order), ring.weight_of(j)
-
-
-def _scalar_multiple(a: Polynomial, b: Polynomial) -> bool:
-    ta, tb = a.term_map(), b.term_map()
-    if set(ta) != set(tb) or not ta:
-        return False
-    ratio = None
-    for mono, coeff in ta.items():
-        r = coeff / tb[mono]
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ whose l-th entry has weight at most l and whose entries are pairwise
 distinct.  The functions here enumerate those sequences, test the
 completeness condition that cuts out fixed points, and build the quadratic
 relations among the pair-indexed weights uhat^l_{m,r} together with the
-nilpotent actions used to certify them.
+nilpotent right action used to certify them.
 """
 
 from __future__ import annotations
@@ -387,51 +387,20 @@ def apply_right_action(p: Polynomial, m: int) -> Polynomial:
     """Leibniz action of the right-side lowering operator E_{m,m+1}:
     u^l_tau maps to u^{l-1}_tau when l = m + 1 and weight(tau) < l,
     and to zero otherwise."""
-    return _leibniz(p, lambda l, tau: _right_step(l, tau, m))
-
-
-def _right_step(l: int, tau: Tuple[int, ...], m: int):
-    if sum(tau) == l or l != m + 1:
-        return None
-    return (1, uvar(l - 1, tau))
-
-
-def apply_left_action(p: Polynomial, m: int) -> Polynomial:
-    """Leibniz action of the left-side operator: u^l_tau maps to
-    count(m in tau) * u^l_{tau with one m bumped to m+1} when
-    weight(tau) < l, and to zero otherwise."""
-    return _leibniz(p, lambda l, tau: _left_step(l, tau, m))
-
-
-def _left_step(l: int, tau: Tuple[int, ...], m: int):
-    if sum(tau) == l:
-        return None
-    mult = tau.count(m)
-    if mult == 0:
-        return None
-    bumped = list(tau)
-    bumped.remove(m)
-    bumped.append(m + 1)
-    return (mult, uvar(l, tuple(sorted(bumped))))
-
-
-def _leibniz(p: Polynomial, step) -> Polynomial:
     out = Polynomial.zero()
     for mono, coeff in p.term_map().items():
         for pos, (v, e) in enumerate(mono):
             if v.family != "u":
                 raise ValueError(f"expected u-variables only, found {v.text}")
             l, tau = v.index
-            result = step(l, tau)
-            if result is None:
+            if sum(tau) == l or l != m + 1:
                 continue
-            mult, image = result
             rest = list(mono)
             if e == 1:
                 del rest[pos]
             else:
                 rest[pos] = (v, e - 1)
-            out = out + Polynomial.term(coeff * e * mult, rest + [(image, 1)])
+            out = out + Polynomial.term(coeff * e, rest + [(uvar(l - 1, tau), 1)])
     return out
 
 

@@ -29,7 +29,7 @@ import re
 from fractions import Fraction
 from functools import cmp_to_key
 from operator import add, neg, sub
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     ConstantFormError,
@@ -101,34 +101,26 @@ class Variable:
 
     @staticmethod
     def from_json(obj: dict) -> "Variable":
-        family = obj["family"]
-        idx = obj["index"]
-        if family == "uhat":
-            idx = tuple(map(json_int, idx))
-        elif family == "u":
-            idx = (json_int(idx[0]), tuple(map(json_int, idx[1])))
-        else:
-            idx = json_int(idx)
-        return Variable(family, idx)
+        return Variable(obj["family"], obj["index"])
 
 
 def _normalize_index(family: str, index):
     if family not in _FAMILY_RANK:
         raise ValueError(f"unknown variable family {family!r}")
     if family == "uhat":
-        m, r, l = index
+        m, r, l = map(strict_int, index)
         if not (1 <= m <= r and m + r <= l):
             raise ValueError(f"bad uhat index {(m, r, l)}: need 1 <= m <= r, m + r <= l")
-        return (int(m), int(r), int(l))
+        return (m, r, l)
     if family == "u":
         l, tau = index
-        tau = tuple(int(t) for t in tau)
+        l, tau = strict_int(l), tuple(map(strict_int, tau))
         if not tau or any(t < 1 for t in tau) or list(tau) != sorted(tau):
             raise ValueError(f"bad partition index {tau}: need nondecreasing positive parts")
         if sum(tau) > l:
             raise ValueError(f"partition {tau} does not fit under level {l}")
-        return (int(l), tau)
-    index = int(index)
+        return (l, tau)
+    index = strict_int(index)
     if family == "c":
         if index < 0:
             raise ValueError("c-variables are indexed from 0")
@@ -512,7 +504,7 @@ class Polynomial:
             raise ValueError("repeated variable in vars")
         out: Dict[Monomial, Fraction] = {}
         for term in obj["terms"]:
-            exps = [json_int(e) for e in term["exps"]]
+            exps = [strict_int(e) for e in term["exps"]]
             if len(exps) != len(vars_list):
                 raise ValueError(f"exps {exps} do not match the {len(vars_list)} vars")
             mono = _mono_from_pairs(zip(vars_list, exps))
@@ -526,14 +518,15 @@ class Polynomial:
 
     @staticmethod
     def from_json(text: str) -> "Polynomial":
-        return Polynomial.from_json_dict(json.loads(text))
+        return Polynomial.from_json_dict(read_json(text))
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_text()})"
 
 
-def json_int(value) -> int:
-    """An integer read from JSON; 1.9 is refused, not rounded."""
+def strict_int(value) -> int:
+    """An int as given, from JSON or from a caller: 1.9, 4.0 and True are
+    refused, not rounded."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"expected an integer, got {value!r}")
     return value
@@ -545,6 +538,21 @@ def json_fraction(value) -> Fraction:
     if isinstance(value, (bool, float)):
         raise ValueError(f"expected an integer or a fraction string, got {value!r}")
     return Fraction(value)
+
+
+def _refuse_repeated_keys(pairs: List[Tuple[str, object]]) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
+def read_json(text: str):
+    """Parse JSON text, refusing an object that repeats a key instead of
+    keeping its last value."""
+    return json.loads(text, object_pairs_hook=_refuse_repeated_keys)
 
 
 def _coeff_text(q: Fraction) -> str:

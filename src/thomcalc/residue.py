@@ -34,7 +34,6 @@ vanishes without expanding anything.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import prod
@@ -58,8 +57,8 @@ from .poly import (
     Monomial,
     Polynomial,
     Variable,
-    json_int,
     poly_divide_exact,
+    strict_int,
     variable_from_text,
     zvar,
 )
@@ -67,18 +66,6 @@ from .poly import (
 NEG_INF = float("-inf")
 
 FactorList = Sequence[Tuple[LinearForm, int]]
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """A budget on the expansion: base_order is the deepest power of any
-    denominator factor's series the residue may use."""
-
-    base_order: int
-
-    def __post_init__(self):
-        if self.base_order < 0:
-            raise ValueError("base_order must be nonnegative")
 
 
 class ResidueProblem:
@@ -106,6 +93,7 @@ class ResidueProblem:
 
         factors = []
         for form, mult in denominator_factors:
+            mult = strict_int(mult)
             if mult < 1:
                 raise ValueError("factor multiplicities must be positive")
             zs = [v for v in form.variables() if v.family == "z"]
@@ -114,7 +102,7 @@ class ResidueProblem:
             stray = [v for v in zs if v not in var_set]
             if stray:
                 raise ValueError(f"factor {form.to_text()} uses unlisted variable {stray[0].text}")
-            factors.append((form, int(mult)))
+            factors.append((form, mult))
 
         series = dict(per_variable_series or {})
         for v, s in series.items():
@@ -155,7 +143,7 @@ class ResidueProblem:
         factors = []
         for entry in obj.get("denominator_factors", []):
             form = LinearForm.from_json_dict(entry)
-            factors.append((form, json_int(entry.get("mult", 1))))
+            factors.append((form, entry.get("mult", 1)))
         series = {
             variable_from_text(name): Polynomial.from_json_dict(p)
             for name, p in obj.get("per_variable_series", {}).items()
@@ -205,16 +193,16 @@ def _packing(
     return ExponentPacking(carry.keys(), max(carry.values()))
 
 
-def iterated_residue(
-    problem: ResidueProblem, policy: Optional[TruncationPolicy] = None
-) -> Polynomial:
+def iterated_residue(problem: ResidueProblem, order: Optional[int] = None) -> Polynomial:
     """Residue at infinity in every listed variable, exactly.
 
     Each denominator factor is expanded once, only as deep as the terms in
     play can still reach the 1/(z_1 ... z_d) slice, so the answer needs no
-    truncation order.  A policy's base_order is a budget on that depth:
-    when the exact answer needs a deeper power of some factor, the call
-    raises TruncationUnstableError instead of expanding further.
+    truncation order.  An order is a budget on that depth, the deepest
+    power of any factor's series the residue may use: when the exact
+    answer needs a deeper power of some factor, the call raises
+    TruncationUnstableError instead of expanding further.  A negative
+    order raises ValueError.
 
     The expansion runs on packed exponent ints (see ExponentPacking) with
     int coefficients wherever the inputs are integral.  Each factor's step
@@ -223,10 +211,11 @@ def iterated_residue(
     each variable's series then supplies the slice by a lookup on that
     exponent.  The result becomes a Polynomial once, at the end.
     """
+    if order is not None and order < 0:
+        raise ValueError("the order budget must be nonnegative")
     if not problem.variables:
         return problem.numerator
 
-    budget = None if policy is None else policy.base_order
     # the regime is |z_1| << |z_2| << ... whatever the listed order: each
     # factor is a series in its z-variable of largest index
     variables = sorted(problem.variables, key=lambda v: v.index)
@@ -256,10 +245,10 @@ def iterated_residue(
             if power < 0:
                 current = {}
                 break
-            if budget is not None and power > budget:
+            if order is not None and power > order:
                 raise TruncationUnstableError(
                     f"the residue in {v.text} needs power {power} of 1/({form.to_text()}), "
-                    f"past the order budget {budget}"
+                    f"past the order budget {order}"
                 )
             # the power-s piece of 1/form carries v^-(s+1)
             pieces = inverse_series(packing, form, power)

@@ -8,15 +8,14 @@ denominator is the product of the arithmetic weights z_m + z_r - z_l.
 
 Beyond the main computation this module holds the classical cross-checks
 (the length-two closed form, the series shift), the fixed-point
-localization data for depths 1 to 3 (depth 1 is the rank-one Porteous sum)
-together with machinery proving that the non-distinguished contributions
-vanish, the derivation of a numerator Qhat_d as the multidegree of the
+localization terms for depths 1 to 3, generated from the complete
+admissible sequences (depth 1 is the rank-one Porteous sum), together
+with machinery proving that the non-distinguished contributions vanish, the derivation of a numerator Qhat_d as the multidegree of the
 ideal of basic relations, and a positivity probe: the residue fraction
 itself at z_l = a_l ... a_(d-1), expanded from the same numerator and the
 same 1/form series as the kernel, on packed exponent ints.
 """
 
-import json
 import os
 import random
 from dataclasses import dataclass
@@ -33,9 +32,9 @@ from .errors import (
 )
 from .partitions import (
     AdmissibleSequence,
-    Partition,
     basic_relations,
     deg_qhat,
+    enumerate_admissible,
     uhat_index_triples,
 )
 from .multidegree import basic_relations_ideal, multidegree
@@ -47,10 +46,11 @@ from .poly import (
     Variable,
     avar,
     cvar,
-    json_int,
     lamvar,
     linear_form,
     poly_divide_exact,
+    read_json,
+    strict_int,
     thvar,
     zvar,
 )
@@ -156,14 +156,14 @@ class QhatRegistry:
         """Register one numerator from a JSON file, returning its order."""
         try:
             with open(path) as handle:
-                obj = json.load(handle)
+                obj = read_json(handle.read())
         except (OSError, ValueError) as err:
             raise QhatFormatError(f"cannot read numerator file {path}: {err}")
         if not isinstance(obj, dict):
             raise QhatFormatError(f"{path}: expected a JSON object")
         try:
             if "polynomial" in obj:
-                d = json_int(obj["d"])
+                d = strict_int(obj["d"])
                 poly = Polynomial.from_json_dict(obj["polynomial"])
             else:
                 poly = Polynomial.from_json_dict(obj)
@@ -329,7 +329,7 @@ class ThomPolynomial:
 
     def __post_init__(self):
         weighted = self.d * (self.codim + 1)
-        for mono, _ in self.body.terms():
+        for mono in self.body.term_map():
             count = 0
             weight = 0
             for v, e in mono:
@@ -575,95 +575,37 @@ class FixedPointTerm:
     distinguished: bool
 
 
-def _seq(*parts: Sequence[int]) -> AdmissibleSequence:
-    return AdmissibleSequence(tuple(Partition(tuple(p)) for p in parts))
-
-
 def fixed_point_terms(d: int) -> Tuple[FixedPointTerm, ...]:
-    """The hand-tabulated localization terms; stored for depths 1 to 3."""
-    z1, z2, z3 = zvar(1), zvar(2), zvar(3)
-    form = linear_form
-    if d == 1:
-        return (FixedPointTerm(_seq([1]), (form((1, z1)),), (), True),)
-    if d == 2:
-        return (
-            FixedPointTerm(
-                _seq([1], [2]),
-                (form((1, z1)), form((1, z2))),
-                (form((2, z1), (-1, z2)),),
-                True,
-            ),
-            FixedPointTerm(
-                _seq([1], [1, 1]),
-                (form((1, z1)), form((2, z1))),
-                (form((1, z2), (-2, z1)),),
-                False,
-            ),
-        )
-    if d == 3:
-        return (
-            FixedPointTerm(
-                _seq([1], [2], [3]),
-                (form((1, z1)), form((1, z2)), form((1, z3))),
-                (
-                    form((2, z1), (-1, z2)),
-                    form((2, z1), (-1, z3)),
-                    form((1, z1), (1, z2), (-1, z3)),
-                ),
-                True,
-            ),
-            FixedPointTerm(
-                _seq([1], [2], [1, 2]),
-                (form((1, z1)), form((1, z2)), form((1, z1), (1, z2))),
-                (
-                    form((2, z1), (-1, z2)),
-                    form((1, z3), (-1, z1), (-1, z2)),
-                    form((1, z1), (-1, z2)),
-                ),
-                False,
-            ),
-            FixedPointTerm(
-                _seq([1], [2], [1, 1]),
-                (form((1, z1)), form((1, z2)), form((2, z1))),
-                (
-                    form((2, z1), (-1, z2)),
-                    form((1, z3), (-2, z1)),
-                    form((1, z2), (-1, z1)),
-                ),
-                False,
-            ),
-            FixedPointTerm(
-                _seq([1], [1, 1], [3]),
-                (form((1, z1)), form((2, z1)), form((1, z3))),
-                (
-                    form((1, z2), (-2, z1)),
-                    form((1, z2), (-1, z3)),
-                    form((3, z1), (-1, z3)),
-                ),
-                False,
-            ),
-            FixedPointTerm(
-                _seq([1], [1, 1], [1, 1, 1]),
-                (form((1, z1)), form((2, z1)), form((3, z1))),
-                (
-                    form((1, z2), (-2, z1)),
-                    form((1, z3), (-3, z1)),
-                    form((1, z2), (-3, z1)),
-                ),
-                False,
-            ),
-            FixedPointTerm(
-                _seq([1], [1, 1], [2]),
-                (form((1, z1)), form((2, z1)), form((1, z2))),
-                (
-                    form((1, z2), (-2, z1)),
-                    form((1, z3), (-1, z2)),
-                    form((3, z1), (-1, z2)),
-                ),
-                False,
-            ),
-        )
-    raise ValueError("localization tables are stored for depths 1 to 3 only")
+    """The localization terms at depth d, one per complete admissible
+    sequence pi = (pi_1, ..., pi_d); generated for depths 1 to 3.
+
+    The shifts are s_l = sum of z_i over the parts i of pi_l, counted with
+    multiplicity.  Each triple (m, r, l) of uhat_index_triples(d) gives one
+    chart factor: z_q - s_l when pi_m and pi_r merge into some pi_q with
+    q <= l, otherwise s_m + s_r - s_l, and z_l - s_l where that is zero.
+    The distinguished term has pi_l = [l] for every l.  At depth 4 the rule
+    fails class agreement (the orbit closure is singular there, so a fixed
+    point needs its equivariant multiplicity), and d >= 4 raises ValueError.
+    """
+    if not 1 <= d <= 3:
+        raise ValueError("localization terms are generated for depths 1 to 3 only")
+    terms = []
+    for seq in enumerate_admissible(d, complete_only=True):
+        pi = (None,) + seq.entries
+        # s_l as (coefficient, z_i) pairs, a part i repeated as often as it occurs
+        s = [None] + [[(1, zvar(i)) for i in p.parts] for p in seq.entries]
+        charts = []
+        for m, r, l in uhat_index_triples(d):
+            less_s = [(-1, v) for _, v in s[l]]
+            q = next((q for q in range(1, l + 1) if pi[q] == pi[m].union(pi[r])), None)
+            weight = linear_form(*([(1, zvar(q))] if q else s[m] + s[r]), *less_s)
+            if weight.is_zero():
+                weight = linear_form((1, zvar(l)), *less_s)
+            charts.append(weight)
+        shifts = tuple(linear_form(*s[l]) for l in range(1, d + 1))
+        distinguished = all(p.parts == (l,) for l, p in enumerate(seq.entries, start=1))
+        terms.append(FixedPointTerm(seq, shifts, tuple(charts), distinguished))
+    return tuple(terms)
 
 
 @dataclass(frozen=True)
@@ -710,12 +652,6 @@ def fixed_point_sum(d: int, n: int, k: int) -> LocalizationSum:
     if not d <= n <= k:
         raise ValueError("need d <= n <= k")
     return LocalizationSum(d=d, n=n, k=k, terms=fixed_point_terms(d))
-
-
-def porteous_localization_sum(n: int, k: int) -> LocalizationSum:
-    """The rank-one degeneracy class as a sum over source roots: the
-    depth-1 fixed-point sum."""
-    return fixed_point_sum(1, n, k)
 
 
 def sampled_class_agreement(
@@ -802,27 +738,6 @@ def _term_residue_at_roots(
         variables=tuple(zvar(l) for l in range(1, d + 1)),
     )
     return iterated_residue(problem)
-
-
-def residue_term_value(
-    term: FixedPointTerm, lam: Sequence[ScalarLike], theta: Sequence[ScalarLike]
-) -> Fraction:
-    """One term's iterated residue at a fully numeric root sample."""
-    d = term.sequence.depth
-    lam = [Fraction(x) for x in lam]
-    theta = [Fraction(x) for x in theta]
-    num = packed_product(
-        vandermonde(d),
-        *(Polynomial.constant(t) - s.as_polynomial() for s in term.shifts for t in theta),
-    )
-    return _term_residue_at_roots(num, term.chart_factors, lam, d).constant_term()
-
-
-def distinguished_residue_value(
-    d: int, lam: Sequence[ScalarLike], theta: Sequence[ScalarLike]
-) -> Fraction:
-    terms = [t for t in fixed_point_terms(d) if t.distinguished]
-    return residue_term_value(terms[0], lam, theta)
 
 
 @dataclass(frozen=True)
@@ -924,10 +839,6 @@ def qhat5_derivation_steps(registry: Optional[QhatRegistry] = None) -> Qhat5Step
         weight_factor=weight_factor,
         result=result,
     )
-
-
-def qhat5_derivation(registry: Optional[QhatRegistry] = None) -> Polynomial:
-    return qhat5_derivation_steps(registry).result
 
 
 # -- positivity of the residue fraction -------------------------------

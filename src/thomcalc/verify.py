@@ -33,10 +33,10 @@ from .thom import (
     _distinct_fractions,
     chern_classes,
     derive_qhat,
+    fixed_point_sum,
     flag_residue_identity,
     nondistinguished_vanishing,
     pole_sum_class,
-    porteous_localization_sum,
     positivity_expansion,
     qhat,
     qhat5_derivation_steps,
@@ -180,7 +180,7 @@ def _localization(collector: _Collector, seed: int):
     def porteous():
         rng = random.Random(seed)
         for n, k in ((2, 3), (3, 5)):
-            sum_form = porteous_localization_sum(n, k)
+            sum_form = fixed_point_sum(1, n, k)
             target = chern_classes(n, k, k - n + 1).values[k - n + 1]
             for _ in range(3):
                 lam = _distinct_fractions(rng, n)

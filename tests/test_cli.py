@@ -140,6 +140,16 @@ def test_tp_refuses_a_malformed_numerator_file(runner, tmp_path, case):
     assert f"{bad}: malformed numerator file" in result.output
 
 
+def test_tp_refuses_a_repeated_key_in_a_numerator_file(runner, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"d": 4, "d": 4, "polynomial": %s}' % json.dumps(qhat(4).to_json_dict()))
+    result = runner.invoke(
+        main, ["tp", "--d", "4", "--codim", "0", "--qhat-file", str(bad)]
+    )
+    assert result.exit_code == 1
+    assert f"cannot read numerator file {bad}: repeated key 'd'" in result.output
+
+
 @pytest.mark.parametrize(
     "field, value", [("mult", 1.8), ("constant", 0.5), ("coeffs", {"z_1": 1.0})]
 )
@@ -151,6 +161,16 @@ def test_residue_refuses_a_malformed_problem_file(runner, tmp_path, field, value
     result = runner.invoke(main, ["residue", "--problem", str(path)])
     assert result.exit_code == 1
     assert f"cannot read problem file {path}" in result.output
+
+
+def test_residue_refuses_a_repeated_key(runner, tmp_path):
+    text = json.dumps(residue_problem_for(2, 0).to_json_dict())
+    text = text.replace('"coeffs": {', '"coeffs": {"z_1": "1/1", ', 1)
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    result = runner.invoke(main, ["residue", "--problem", str(path)])
+    assert result.exit_code == 1
+    assert f"cannot read problem file {path}: repeated key 'z_1'" in result.output
 
 
 def test_residue_from_file(runner, tmp_path):
@@ -256,6 +276,18 @@ def test_mdeg_refuses_a_fractional_variable_order(runner, tmp_path):
     result = runner.invoke(main, ["mdeg", "--ideal-file", str(path)])
     assert result.exit_code == 1
     assert f"cannot read ideal file {path}" in result.output
+
+
+def test_mdeg_refuses_a_repeated_key(runner, tmp_path):
+    weights = json.dumps([linear_form((1, etavar(1))).to_json_dict()])
+    generators = json.dumps([Polynomial.variable(yvar(1)).to_json_dict()])
+    path = tmp_path / "ideal.json"
+    path.write_text(
+        f'{{"generators": {generators}, "weights": {weights}, "weights": {weights}}}'
+    )
+    result = runner.invoke(main, ["mdeg", "--ideal-file", str(path)])
+    assert result.exit_code == 1
+    assert f"cannot read ideal file {path}: repeated key 'weights'" in result.output
 
 
 def test_mdeg_requires_one_source(runner, tmp_path):

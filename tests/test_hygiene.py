@@ -1,15 +1,19 @@
 """Source hygiene: no module of the package, its tests or its scripts
-imports a name it never uses."""
+imports a name it never uses, and every public name has a use outside the
+tests."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 _ROOT = Path(__file__).resolve().parent.parent
+_INIT = _ROOT / "src" / "thomcalc" / "__init__.py"
 # the package's __init__.py imports names only to re-export them
-SOURCES = sorted(p for p in (_ROOT / "src" / "thomcalc").glob("*.py") if p.name != "__init__.py")
-SOURCES += sorted((_ROOT / "tests").glob("*.py")) + sorted((_ROOT / "scripts").glob("*.py"))
+MODULES = sorted(p for p in _INIT.parent.glob("*.py") if p != _INIT)
+SCRIPTS = sorted((_ROOT / "scripts").glob("*.py"))
+SOURCES = MODULES + sorted((_ROOT / "tests").glob("*.py")) + SCRIPTS
 
 
 def _annotation_names(node):
@@ -56,3 +60,51 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(source):
+    """Every name the code reads, as a name, an attribute or inside a
+    quoted annotation; the names bound by def, class and import lines do
+    not count."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+    return used
+
+
+def test_the_scan_sees_a_name_nothing_reads():
+    source = (
+        "from m import imported\n"
+        "class Kept: pass\n"
+        "def helper(): pass\n"
+        "def unread(x: 'Kept'): return helper() + m.attr\n"
+    )
+    assert referenced_names(source) == {"Kept", "helper", "m", "attr"}
+
+
+def test_every_export_has_a_use_outside_the_tests():
+    exported = [
+        alias.asname or alias.name
+        for node in ast.parse(_INIT.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    used = set()
+    for path in MODULES + SCRIPTS:
+        used |= referenced_names(path.read_text())
+    readme = (_ROOT / "README.md").read_text()
+    unused = [
+        name
+        for name in exported
+        if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)
+    ]
+    assert unused == []

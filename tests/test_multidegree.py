@@ -1,4 +1,4 @@
-"""Multidegree routes: staircase counts, lex degeneration, linear reduction."""
+"""Multidegree routes: staircase counts and lex degeneration."""
 
 import random
 
@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 
 from thomcalc import (
     InfiniteStaircaseError,
-    MissingGeneratorError,
     MonomialIdeal,
     PolynomialIdeal,
     Polynomial,
@@ -20,13 +19,11 @@ from thomcalc import (
     buchberger_lex,
     deg_qhat,
     etavar,
-    euler_class,
     initial_ideal,
     linear_form,
     multidegree,
     multidegree_monomial,
     qhat,
-    reduce_by_linear_generator,
     subspace_multiplicity,
     toric_localization_example,
     yvar,
@@ -46,7 +43,8 @@ def sorted_items(gen):
 
 
 def test_euler_class_is_weight_product():
-    assert euler_class(ring(3)) == E[1] * E[2] * E[3]
+    # the origin's multidegree is its Euler class
+    assert multidegree(PolynomialIdeal.of([Y[1], Y[2], Y[3]]), ring(3)) == E[1] * E[2] * E[3]
 
 
 # -- monomial ideals and staircases ------------------------------------
@@ -170,34 +168,6 @@ def test_ideal_validation():
         PolynomialIdeal.of([Y[1]], order=[etavar(1)])
     with pytest.raises(ValueError):
         PolynomialIdeal((Y[2],), (yvar(1),))
-
-
-# -- linear-generator reduction ----------------------------------------
-
-
-def test_reduction_splits_a_weight_factor():
-    ideal = PolynomialIdeal.of([Y[1] - Y[2] * Y[3], Y[2] ** 2])
-    reduced, factor = reduce_by_linear_generator(ideal, ring(3), 1, Y[2] * Y[3])
-    assert factor == linear_form((1, etavar(1)))
-    assert multidegree(reduced, ring(3)) == 2 * E[2]
-    total = factor.as_polynomial() * multidegree(reduced, ring(3))
-    assert total == 2 * E[1] * E[2]
-
-
-def test_reduction_applied_twice():
-    ideal = PolynomialIdeal.of([Y[1] - Y[2], Y[2] - Y[3]])
-    once, f1 = reduce_by_linear_generator(ideal, ring(3), 1, Y[2])
-    twice, f2 = reduce_by_linear_generator(once, ring(3), 2, Y[3])
-    assert not twice.generators
-    assert f1.as_polynomial() * f2.as_polynomial() * multidegree(
-        twice, ring(3)
-    ) == E[1] * E[2]
-
-
-def test_reduction_requires_the_generator():
-    ideal = PolynomialIdeal.of([Y[1] - Y[2], Y[2] ** 2])
-    with pytest.raises(MissingGeneratorError):
-        reduce_by_linear_generator(ideal, ring(3), 3, Y[1])
 
 
 # -- the toric cross-check ---------------------------------------------

@@ -92,6 +92,23 @@ def test_bad_indices_rejected():
         Variable("w", 1)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: zvar(1.9),
+        lambda: cvar(Fraction(2)),
+        lambda: zvar(True),
+        lambda: uhatvar(1, 1, 2.5),
+        lambda: uvar(3.0, (1, 1)),
+        lambda: uvar(3, (1, 1.0)),
+    ],
+    ids=["float", "fraction", "bool", "uhat-float", "u-level-float", "u-part-float"],
+)
+def test_an_index_that_is_not_an_int_is_refused(make):
+    with pytest.raises(ValueError, match="integer"):
+        make()
+
+
 def test_u_family_text():
     assert uvar(3, (1, 2)).text == "u[1,2]^3"
     assert uhatvar(1, 1, 2).text == "u_{1,1}^{2}"
@@ -243,6 +260,14 @@ def test_json_malformed_polynomial_is_refused(case):
 def test_json_float_linear_form_coefficient_is_refused(payload):
     with pytest.raises(ValueError, match="got 0.1"):
         LinearForm.from_json_dict(payload)
+
+
+def test_json_repeated_key_is_refused():
+    text = '{"vars": [{"family": "z", "index": 1}], "terms": [], "terms": [%s]}' % (
+        '{"coeff": "1/1", "exps": [1]}'
+    )
+    with pytest.raises(ValueError, match="repeated key 'terms'"):
+        Polynomial.from_json(text)
 
 
 def test_json_coefficients_carry_denominators():

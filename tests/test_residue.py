@@ -14,7 +14,6 @@ from thomcalc import (
     NonDivisibleError,
     Polynomial,
     ResidueProblem,
-    TruncationPolicy,
     TruncationUnstableError,
     cvar,
     fraction_sum,
@@ -85,8 +84,8 @@ def test_truncation_instability_is_detected():
     factors = ((form((1, Z1), (1, Z2)), 1),)
     problem = ResidueProblem(num, factors, variables=(Z1, Z2))
     with pytest.raises(TruncationUnstableError):
-        iterated_residue(problem, TruncationPolicy(base_order=2))
-    stable = iterated_residue(problem, TruncationPolicy(base_order=3))
+        iterated_residue(problem, order=2)
+    stable = iterated_residue(problem, order=3)
     assert stable == Polynomial.constant(-1)
 
 
@@ -106,8 +105,10 @@ def test_listed_order_does_not_change_the_regime():
 
 
 def test_policy_validation():
+    # the order budget is the truncation policy; a negative one is refused
+    problem = ResidueProblem(Polynomial.one(), ((form((1, Z1)), 1),), variables=(Z1,))
     with pytest.raises(ValueError):
-        TruncationPolicy(base_order=-1)
+        iterated_residue(problem, order=-1)
 
 
 def test_deep_slice_needs_no_order():
@@ -184,6 +185,12 @@ def test_problem_json_refuses_a_fractional_multiplicity():
     obj["denominator_factors"][0]["mult"] = 1.8
     with pytest.raises(ValueError, match="integer"):
         ResidueProblem.from_json_dict(obj)
+
+
+@pytest.mark.parametrize("mult", [Fraction(3, 2), 1.0, True])
+def test_problem_refuses_a_multiplicity_that_is_not_an_int(mult):
+    with pytest.raises(ValueError, match="integer"):
+        ResidueProblem(Polynomial.one(), ((form((1, Z1)), mult),), variables=(Z1,))
 
 
 # -- the exact pole sum ------------------------------------------------

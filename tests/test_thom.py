@@ -15,7 +15,6 @@ from thomcalc import (
     default_registry,
     denominator_forms,
     derive_qhat,
-    distinguished_residue_value,
     enumerate_admissible,
     fixed_point_sum,
     fixed_point_terms,
@@ -23,13 +22,10 @@ from thomcalc import (
     linear_form,
     nondistinguished_vanishing,
     pole_sum_class,
-    porteous_localization_sum,
     positivity_expansion,
     qhat,
-    qhat5_derivation,
     qhat5_derivation_steps,
     residue_problem_for,
-    residue_term_value,
     ronga_reference,
     sampled_class_agreement,
     shift_check,
@@ -47,6 +43,7 @@ from thomcalc.errors import (
     MissingQhatError,
     QhatFormatError,
 )
+from thomcalc.packed import packed_product
 from thomcalc.partitions import deg_qhat
 from thomcalc.poly import cvar, lamvar, thvar, zvar
 
@@ -348,16 +345,16 @@ def test_substituted_rank_one_class():
 
 
 def test_porteous_sample_value():
-    total = porteous_localization_sum(2, 2).evaluate((1, 2), (3, 5))
+    total = fixed_point_sum(1, 2, 2).evaluate((1, 2), (3, 5))
     substituted = substitute_chern(thom_polynomial(1, 0), 2, 2)
     direct = substituted.evaluate(
         {lamvar(1): 1, lamvar(2): 2, thvar(1): 3, thvar(2): 5}
     )
     assert total == direct == Fraction(5)
     with pytest.raises(CoincidentPoleError):
-        porteous_localization_sum(2, 2).evaluate((1, 1), (3, 5))
+        fixed_point_sum(1, 2, 2).evaluate((1, 1), (3, 5))
     with pytest.raises(ValueError):
-        porteous_localization_sum(0, 2)
+        fixed_point_sum(1, 0, 2)
 
 
 def test_pole_sum_tells_a_wrong_class_apart():
@@ -379,6 +376,14 @@ def test_flag_identity_and_guards():
 
 
 # -- fixed-point terms and their residues ------------------------------
+
+
+def residue_term_value(term, lam, theta):
+    """One term's iterated residue at a fully numeric root sample."""
+    d = term.sequence.depth
+    factors = (Polynomial.constant(t) - s.as_polynomial() for s in term.shifts for t in theta)
+    num = packed_product(vandermonde(d), *factors)
+    return thom._term_residue_at_roots(num, term.chart_factors, lam, d).constant_term()
 
 
 def test_depth_two_term_table():
@@ -483,7 +488,8 @@ def test_depth_one_sum_is_the_rank_one_class():
 
 def test_distinguished_term_carries_the_class():
     lam, theta = (1, 5), (3, 7)
-    value = distinguished_residue_value(2, lam, theta)
+    (term,) = [t for t in fixed_point_terms(2) if t.distinguished]
+    value = residue_term_value(term, lam, theta)
     substituted = substitute_chern(thom_polynomial(2, 0), 2, 2)
     direct = substituted.evaluate(
         {lamvar(1): 1, lamvar(2): 5, thvar(1): 3, thvar(2): 7}
@@ -495,7 +501,8 @@ def test_distinguished_term_carries_the_class():
 def test_depth_three_distinguished_value():
     lam = (Fraction(1), Fraction(5), Fraction(17, 2))
     theta = (Fraction(3), Fraction(7), Fraction(23, 3))
-    value = distinguished_residue_value(3, lam, theta)
+    (term,) = [t for t in fixed_point_terms(3) if t.distinguished]
+    value = residue_term_value(term, lam, theta)
     substituted = substitute_chern(thom_polynomial(3, 0), 3, 3)
     assignment = {lamvar(i + 1): lam[i] for i in range(3)}
     assignment.update({thvar(j + 1): theta[j] for j in range(3)})
@@ -554,7 +561,6 @@ def test_derivation_steps_cohere():
     steps = qhat5_derivation_steps()
     assert steps.result == steps.weight_factor * steps.toric_quotient
     assert steps.result == qhat(5)
-    assert qhat5_derivation() == qhat(5)
 
 
 def test_derivation_detects_corrupted_registry():
@@ -562,7 +568,7 @@ def test_derivation_detects_corrupted_registry():
     # comparison can catch it
     fake = QhatRegistry({5: zmono(1, (1, 3))})
     with pytest.raises(DerivationError):
-        qhat5_derivation(fake)
+        qhat5_derivation_steps(fake)
 
 
 # -- positivity --------------------------------------------------------
