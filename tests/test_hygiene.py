@@ -27,18 +27,12 @@ def _annotation_names(node):
     return set()
 
 
-def unused_imports(source):
-    tree = ast.parse(source)
-    imported = {}
+def _names_read(tree):
+    # names in load position and inside quoted annotations; the names that
+    # def, class and import lines bind are not Name nodes
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                name = (alias.asname or alias.name).split(".")[0]
-                imported[name] = node.lineno
-        elif isinstance(node, ast.Name):
+        if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.arg) and node.annotation is not None:
             used |= _annotation_names(node.annotation)
@@ -46,6 +40,20 @@ def unused_imports(source):
             used |= _annotation_names(node.returns)
         elif isinstance(node, ast.AnnAssign):
             used |= _annotation_names(node.annotation)
+    return used
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                imported[name] = node.lineno
+    used = _names_read(tree)
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -66,19 +74,8 @@ def referenced_names(source):
     """Every name the code reads, as a name, an attribute or inside a
     quoted annotation; the names bound by def, class and import lines do
     not count."""
-    used = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-        elif isinstance(node, ast.arg) and node.annotation is not None:
-            used |= _annotation_names(node.annotation)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
-            used |= _annotation_names(node.returns)
-        elif isinstance(node, ast.AnnAssign):
-            used |= _annotation_names(node.annotation)
-    return used
+    tree = ast.parse(source)
+    return _names_read(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
 
 
 def test_the_scan_sees_a_name_nothing_reads():
