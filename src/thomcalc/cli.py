@@ -227,9 +227,9 @@ def mdeg_command(ideal_file, example, fmt, seed):
         order = None
         if obj.get("order"):
             order = tuple(yvar(i) for i in obj["order"])
+        ideal = PolynomialIdeal.of(generators, order=order)
     except (OSError, ValueError, KeyError, TypeError) as err:
         raise click.ClickException(f"cannot read ideal file {ideal_file}: {err}")
-    ideal = PolynomialIdeal.of(generators, order=order)
     ring = WeightedRing(weights=weights)
     result = multidegree(ideal, ring)
     if fmt == "text":

@@ -16,10 +16,11 @@ polynomial in whatever symbols the weights use.  basic_relations_ideal
 gives the ideal of the basic relations, whose multidegree is the numerator
 Q_d of the residue formula.
 
-The Groebner route works on exponent tuples: each generator is converted
-once to {exponent tuple: coefficient}, with slot i holding the exponent of
-the i-th variable of the lex order, so tuple comparison is the monomial
-order and a reduction step updates a dict.  Buchberger's algorithm takes
+The Groebner route works on packed exponent ints (packed.ExponentPacking):
+each generator is converted once to {key: coefficient} with the first
+variable of the lex order in the top field, so int comparison is the
+monomial order, a divisibility test is one subtraction against the guard
+bits and a reduction step updates a dict.  Buchberger's algorithm takes
 S-pairs first in, first out and skips a pair by the coprime criterion or by
 the chain criterion (Gebauer and Moeller, J. Symb. Comput. 6, 1988); its
 ``pair_budget`` counts every pair taken from the queue, skipped or reduced.
@@ -34,7 +35,6 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -42,22 +42,9 @@ from .errors import (
     SPairBudgetError,
     WeightInhomogeneityError,
 )
-from .packed import packed_product
+from .packed import Divisor, ExponentPacking, PackedTerms, TermHeap, exact_quotient, packed_product
 from .partitions import basic_relations, uhat_index_triples, uhat_weight
-from .poly import (
-    LexExps,
-    LexHeap,
-    LexTerms,
-    LinearForm,
-    Monomial,
-    Polynomial,
-    Variable,
-    etavar,
-    lex_polynomial,
-    lex_terms,
-    uhatvar,
-    yvar,
-)
+from .poly import LinearForm, Monomial, Polynomial, Variable, etavar, uhatvar, yvar
 from .residue import fraction_sum
 
 
@@ -190,6 +177,8 @@ class PolynomialIdeal:
 
     def __post_init__(self):
         known = set(self.order)
+        if len(known) != len(self.order):
+            raise ValueError("repeated variable in the order list")
         for v in self.order:
             if v.family != "y":
                 raise ValueError("ideal coordinates must be y-variables")
@@ -208,53 +197,52 @@ class PolynomialIdeal:
         return PolynomialIdeal(tuple(generators), tuple(order))
 
 
-class _Entry:
-    """A basis element keyed by exponent tuples: its lex-leading exponents
-    and coefficient, its other terms, and the leading exponents as
-    (slot, exponent) pairs for the divisibility test."""
-
-    __slots__ = ("terms", "lead", "coeff", "tail", "support")
-
-    def __init__(self, terms: LexTerms):
-        self.terms = terms
-        self.lead = max(terms)
-        self.coeff = terms[self.lead]
-        self.tail = [(e, c) for e, c in terms.items() if e != self.lead]
-        self.support = [(i, k) for i, k in enumerate(self.lead) if k]
-
-    def divides(self, exps: LexExps) -> bool:
-        for i, k in self.support:
-            if exps[i] < k:
-                return False
-        return True
-
-
-def _reduce(work: LexHeap, basis: List[_Entry]) -> LexTerms:
+def _reduce(work: TermHeap, basis: List[Divisor]) -> PackedTerms:
     """Full reduction of the terms in work (consumed) by the basis, largest
     term first; returns the remainder."""
-    remainder: LexTerms = {}
-    while (top := work.pop()) is not None:
-        exps, coeff = top
+    guard = work.guard
+    remainder: PackedTerms = {}
+    for key, coeff in work.drain():
         for entry in basis:
-            if entry.divides(exps):
-                work.subtract(entry.tail, tuple(map(sub, exps, entry.lead)), coeff / entry.coeff)
+            shift = key - entry.lead
+            if not shift & guard:
+                work.subtract(entry.tail, shift, exact_quotient(coeff, entry.coeff))
                 break
         else:
-            remainder[exps] = coeff
+            remainder[key] = coeff
     return remainder
 
 
-def _s_polynomial(a: _Entry, b: _Entry, lcm: LexExps) -> LexHeap:
-    out = LexHeap({})
-    out.subtract(a.tail, tuple(map(sub, lcm, a.lead)), -1 / a.coeff)
-    out.subtract(b.tail, tuple(map(sub, lcm, b.lead)), 1 / b.coeff)
+def _s_polynomial(a: Divisor, b: Divisor, lcm: int, guard: int) -> TermHeap:
+    out = TermHeap({}, guard)
+    out.subtract(a.tail, lcm - a.lead, exact_quotient(-1, a.coeff))
+    out.subtract(b.tail, lcm - b.lead, exact_quotient(1, b.coeff))
     return out
 
 
-def _lex_basis(ideal: PolynomialIdeal, pair_budget: int) -> Tuple[List[_Entry], Dict[str, int]]:
-    """The Buchberger loop behind buchberger_lex; also returns its counters."""
-    pos = {v: i for i, v in enumerate(ideal.order)}
-    basis = [_Entry(lex_terms(g, pos)) for g in ideal.generators if not g.is_zero()]
+def _lex_basis(ideal: PolynomialIdeal, pair_budget: int) -> Tuple[List[Polynomial], Dict[str, int]]:
+    """The basis and counters of the Buchberger loop behind buchberger_lex.
+
+    The fields first hold the generators' largest exponent.  A new key that
+    outgrows them runs the loop again on fields twice as wide; the run is
+    deterministic, so it takes the same pairs to the same counters."""
+    generators = [g for g in ideal.generators if not g.is_zero()]
+    bound = max((e for g in generators for _, e in g.exponent_pairs()), default=0)
+    while True:
+        packing = ExponentPacking(ideal.order, bound, lex=True)
+        try:
+            return _buchberger(packing, generators, pair_budget)
+        except OverflowError:
+            bound = packing.half ** 2
+
+
+def _buchberger(
+    packing: ExponentPacking, generators: List[Polynomial], pair_budget: int
+) -> Tuple[List[Polynomial], Dict[str, int]]:
+    """The Buchberger loop on one packing; OverflowError when a key
+    outgrows it."""
+    guard, width, mask = packing.bias, packing.width, packing.mask
+    basis = [Divisor(packing.terms(g)) for g in generators]
     pairs = deque((a, b) for b in range(len(basis)) for a in range(b))
     taken = set()
     counts = {"taken": 0, "reduced": 0, "coprime": 0, "chain": 0}
@@ -265,12 +253,15 @@ def _lex_basis(ideal: PolynomialIdeal, pair_budget: int) -> Tuple[List[_Entry], 
         counts["taken"] += 1
         taken.add((a, b))
         lead_a, lead_b = basis[a].lead, basis[b].lead
-        lcm = tuple(map(max, lead_a, lead_b))
-        if lcm == tuple(map(add, lead_a, lead_b)):
+        # the guard bit stays set in each field where lead_a's exponent is
+        # at least lead_b's; spread to a full field, it picks lead_a's there
+        pick_a = ((((lead_a | guard) - lead_b) & guard) >> (width - 1)) * mask
+        lcm = (lead_a & pick_a) | (lead_b & ~pick_a)
+        if lcm == lead_a + lead_b:
             counts["coprime"] += 1
             continue
         if any(
-            entry.divides(lcm)
+            not (lcm - entry.lead) & guard
             and (min(a, k), max(a, k)) in taken
             and (min(b, k), max(b, k)) in taken
             for k, entry in enumerate(basis)
@@ -278,39 +269,41 @@ def _lex_basis(ideal: PolynomialIdeal, pair_budget: int) -> Tuple[List[_Entry], 
             counts["chain"] += 1
             continue
         counts["reduced"] += 1
-        remainder = _reduce(_s_polynomial(basis[a], basis[b], lcm), basis)
+        remainder = _reduce(_s_polynomial(basis[a], basis[b], lcm, guard), basis)
         if remainder:
-            basis.append(_Entry(remainder))
+            basis.append(Divisor(remainder))
             new = len(basis) - 1
             pairs.extend((i, new) for i in range(new))
-    return basis, dict(counts, basis=len(basis))
+    polys = [packing.polynomial({k + packing.bias: c for k, c in e.terms.items()}) for e in basis]
+    return polys, dict(counts, basis=len(basis))
 
 
 def buchberger_lex(ideal: PolynomialIdeal, pair_budget: int = 10_000) -> List[Polynomial]:
     """A lex Groebner basis by Buchberger's algorithm (first order entry
     largest).
 
-    Terms are kept as {exponent tuple: coefficient} dicts with the tuple in
-    the ideal's order, so Python's tuple order is the lex order and a
-    reduction step is a dict update; each S-polynomial is fully reduced.
-    Pairs are taken first in, first out.  A pair is skipped when its
-    leading monomials are coprime (Buchberger's first criterion), or when
-    some basis element's leading monomial divides their lcm and the pairs
-    it forms with both have already been taken (the chain criterion).
-    ``pair_budget`` bounds the pairs taken from the queue, skipped ones
-    included; past it SPairBudgetError reports the pairs taken, reduced and
-    skipped by each criterion, and the basis size.
+    Terms are kept on packed exponent ints with the ideal's order from the
+    top field down, so key order is the lex order and a reduction step is a
+    dict update; each S-polynomial is fully reduced, dividing in Fractions
+    only by a lead coefficient other than 1 or -1.  Pairs are taken first
+    in, first out.  A pair is skipped when its leading monomials are coprime
+    (Buchberger's first criterion), or when some basis element's leading
+    monomial divides their lcm and the pairs it forms with both have
+    already been taken (the chain criterion).  ``pair_budget`` bounds the
+    pairs taken from the queue, skipped ones included; past it
+    SPairBudgetError reports the pairs taken, reduced and skipped by each
+    criterion, and the basis size.
     """
-    basis, _ = _lex_basis(ideal, pair_budget)
-    return [lex_polynomial(entry.terms, ideal.order) for entry in basis]
+    return _lex_basis(ideal, pair_budget)[0]
 
 
 def initial_ideal(ideal: PolynomialIdeal, pair_budget: int = 10_000) -> MonomialIdeal:
-    pos = {v: i for i, v in enumerate(ideal.order)}
-    gens = []
-    for g in buchberger_lex(ideal, pair_budget):
-        lead = max(lex_terms(g, pos))
-        gens.append({ideal.order[i].index: k for i, k in enumerate(lead) if k})
+    basis = buchberger_lex(ideal, pair_budget)
+    bound = max((e for g in basis for _, e in g.exponent_pairs()), default=0)
+    packing = ExponentPacking(ideal.order, bound, lex=True)
+    leads = [max(packing.terms(g)) for g in basis]
+    # MonomialIdeal drops the zero exponents
+    gens = [{v.index: k >> packing.shift[v] & packing.mask for v in ideal.order} for k in leads]
     return MonomialIdeal(gens, [v.index for v in ideal.order])
 
 

@@ -1,4 +1,4 @@
-"""Polynomials on packed exponent ints: every product and substitution.
+"""Polynomials on packed exponent ints: every product, substitution and division.
 
 A monomial becomes one Python int with a field per variable (Kronecker
 substitution, as in Monagan and Pearce, "Polynomial division using dynamic
@@ -19,9 +19,11 @@ Polynomial once, at the end.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+from .errors import NonDivisibleError
 from .poly import LinearForm, Monomial, PolyLike, Polynomial, Variable, _as_poly
 
 Coefficient = Union[int, Fraction]
@@ -33,10 +35,17 @@ def _exact(q: Fraction) -> Coefficient:
     return q.numerator if q.denominator == 1 else q
 
 
+def exact_quotient(c: Coefficient, lead: Coefficient) -> Coefficient:
+    """c / lead, never a float: a product for a lead of 1 or -1, else a Fraction."""
+    return c * lead if lead == 1 or lead == -1 else Fraction(c) / lead
+
+
 class ExponentPacking:
     """One field of `width` bits per variable, in canonical order from the
-    low bits up; when some variables carry `weights`, one more field on top
-    holds the weighted degree, the sum of exponent * weight over them.
+    low bits up, or with `lex` in the order the variables are given from
+    the top field down; when some variables carry `weights`, one more field
+    on top holds the weighted degree, the sum of exponent * weight over
+    them.
 
     A key is the signed sum of exponent << shift, so multiplying monomials
     adds their keys.  Adding `bias` (half the field range, in every field)
@@ -44,18 +53,23 @@ class ExponentPacking:
     shift and a mask, and a biased key plus unbiased ones stays biased.
     Keys are exact as long as no exponent or weighted degree that is formed
     exceeds `bound` in absolute value, so the caller derives `bound` from
-    its own inputs.
+    its own inputs.  On keys with nonnegative exponents, `bias` holds the
+    guard bits: an exponent that reaches `half` sets one.
     """
 
-    __slots__ = ("width", "mask", "half", "bias", "shift", "degree_shift", "_weights", "_fields")
+    __slots__ = (
+        "width", "mask", "half", "bias", "shift", "degree_shift", "_weights", "_fields", "_lex"
+    )
 
     def __init__(
         self,
         variables: Iterable[Variable],
         bound: int,
         weights: Optional[Mapping[Variable, int]] = None,
+        lex: bool = False,
     ):
-        self._fields = sorted(set(variables), key=lambda v: v.key)
+        self._lex = lex
+        self._fields = list(variables)[::-1] if lex else sorted(set(variables), key=lambda v: v.key)
         self._weights = dict(weights or {})
         width = max(bound, 1).bit_length() + 1
         fields = len(self._fields) + (1 if self._weights else 0)
@@ -79,7 +93,7 @@ class ExponentPacking:
 
     def polynomial(self, terms: Mapping[int, Coefficient]) -> Polynomial:
         """Back from biased keys with nonzero coefficients; the degree field
-        is implied and dropped."""
+        is implied and dropped, and monomials come out in canonical order."""
         width, bias, half = self.width, self.bias, self.half
         fields = self._fields
         masks = [self.mask << (width * i) for i in range(len(fields))]
@@ -99,6 +113,8 @@ class ExponentPacking:
                     pair = pairs[bits] = (fields[field], (bits >> (width * field)) - half)
                 mono.append(pair)
                 rest &= ~masks[field]
+            if self._lex:
+                mono.sort(key=lambda pair: pair[0].key)
             out[tuple(mono)] = Fraction(coeff)
         result = Polynomial.__new__(Polynomial)
         result._terms = out
@@ -221,3 +237,98 @@ def inverse_series(
             power = packed_mul(power, step)
         out.extend((s, key, c) for key, c in power.items())
     return out
+
+
+class Divisor:
+    """Packed terms with nonnegative exponents, split into the largest key,
+    its coefficient and the other terms.  With the lex-first variable in the
+    top field, key order is lex order, and the lead divides a key when
+    their difference sets no guard bit (the top bit of each field)."""
+
+    __slots__ = ("terms", "lead", "coeff", "tail")
+
+    def __init__(self, terms: PackedTerms):
+        self.terms = terms
+        self.lead = max(terms)
+        self.coeff = terms[self.lead]
+        self.tail = [(k, c) for k, c in terms.items() if k != self.lead]
+
+
+class TermHeap:
+    """Packed terms with nonnegative exponents and the largest key on top.
+
+    A heap of negated keys finds the top; a heap entry whose term cancelled
+    or was already popped is skipped when it surfaces.  A new key that sets
+    one of the `guard` bits has outgrown its packing: OverflowError."""
+
+    __slots__ = ("terms", "guard", "_heap")
+
+    def __init__(self, terms: PackedTerms, guard: int):
+        self.terms = terms
+        self.guard = guard
+        self._heap = [-key for key in terms]
+        heapq.heapify(self._heap)
+
+    def drain(self) -> Iterable[Tuple[int, Coefficient]]:
+        """Remove and yield the largest (key, coefficient) until none is
+        left; the caller may subtract smaller terms in between."""
+        while self._heap:
+            key = -heapq.heappop(self._heap)
+            coeff = self.terms.pop(key, None)
+            if coeff is not None:
+                yield key, coeff
+
+    def subtract(self, tail: Iterable[Tuple[int, Coefficient]], shift: int, q: Coefficient) -> None:
+        """Subtract q * x^shift * tail, term by term."""
+        terms = self.terms
+        for tkey, tcoeff in tail:
+            key = tkey + shift
+            old = terms.get(key)
+            if old is None:
+                if key & self.guard:
+                    raise OverflowError("a packed exponent outgrew its field")
+                terms[key] = -q * tcoeff
+                heapq.heappush(self._heap, -key)
+            else:
+                new = old - q * tcoeff
+                if new:
+                    terms[key] = new
+                else:
+                    del terms[key]
+
+
+def poly_divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Divide p by q, requiring a zero remainder.
+
+    Runs single-divisor division under the lex order of the variables
+    present, sorted by canonical key descending, on packed keys from a
+    TermHeap.  An exact quotient never needs an exponent above the largest
+    one of p and q, so the fields hold that much; a remainder term that
+    outgrows them proves a remainder.  Laurent inputs are rejected.
+    Raises NonDivisibleError when the division leaves a remainder.
+    """
+    if q.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.has_negative_exponent() or q.has_negative_exponent():
+        raise ValueError("exact division expects plain polynomials, not Laurent terms")
+    if p.is_zero():
+        return Polynomial.zero()
+    pairs = p.exponent_pairs() | q.exponent_pairs()
+    packing = ExponentPacking({v for v, _ in pairs}, max((e for _, e in pairs), default=0))
+    guard = packing.bias
+    divisor = Divisor(packing.terms(q))
+    quotient: PackedTerms = {}
+    remainder = TermHeap(packing.terms(p), guard)
+    try:
+        for key, coeff in remainder.drain():
+            shift = key - divisor.lead
+            if shift & guard:
+                raise NonDivisibleError(
+                    f"leading term {packing.polynomial({key + guard: 1}).to_text()} is not "
+                    f"divisible by {packing.polynomial({divisor.lead + guard: 1}).to_text()}"
+                )
+            quotient[shift + guard] = c = exact_quotient(coeff, divisor.coeff)
+            remainder.subtract(divisor.tail, shift, c)
+    except OverflowError:
+        raise NonDivisibleError("a remainder term outgrows the exponents of the dividend") from None
+    return packing.polynomial(quotient)

@@ -12,30 +12,24 @@ to nonzero coefficients.  Canonical printing order is graded reverse
 lexicographic, largest term first, which reproduces the usual ordering of
 Chern-class expressions (c1^4 before 6*c1^2*c2 before 2*c2^2 before 9*c1*c3).
 
-No product runs on these tuples.  Polynomial products, powers and
-substitution, the residue kernel, the numerator V_d * Q_d and the 1/form
-series of expand_inverse_factor all run on packed exponent ints
-(packed.py), one Python int per monomial with one biased field per
-variable, and on int coefficients wherever the inputs are integral; they
-convert to a Polynomial once, at the end.  The tuples are the storage,
-printing and JSON format.
+Sums, scalar multiples, evaluation and printing read these tuples.  All
+other arithmetic runs on packed exponent ints (packed.py), one Python int
+per monomial, and on int coefficients wherever the inputs are integral:
+products, powers, substitution, exact division, the Groebner loop of
+multidegree.py, the residue kernel and the 1/form series.  Each converts to
+a Polynomial once, at the end.  The tuples are the storage, printing and
+JSON format.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import re
 from fractions import Fraction
 from functools import cmp_to_key
-from operator import add, neg, sub
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import (
-    ConstantFormError,
-    NonDivisibleError,
-    UnassignedVariableError,
-)
+from .errors import ConstantFormError, UnassignedVariableError
 
 Rational = Fraction
 
@@ -513,13 +507,6 @@ class Polynomial:
                 out[mono] = out.get(mono, Fraction(0)) + coeff
         return Polynomial(out)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @staticmethod
-    def from_json(text: str) -> "Polynomial":
-        return Polynomial.from_json_dict(read_json(text))
-
     def __repr__(self) -> str:
         return f"Polynomial({self.to_text()})"
 
@@ -538,6 +525,13 @@ def json_fraction(value) -> Fraction:
     if isinstance(value, (bool, float)):
         raise ValueError(f"expected an integer or a fraction string, got {value!r}")
     return Fraction(value)
+
+
+def json_object(value) -> dict:
+    """A JSON object as given; a list or a scalar in its place is refused."""
+    if not isinstance(value, dict):
+        raise ValueError(f"expected an object, got {value!r}")
+    return value
 
 
 def _refuse_repeated_keys(pairs: List[Tuple[str, object]]) -> dict:
@@ -678,9 +672,10 @@ class LinearForm:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "LinearForm":
+        obj = json_object(obj)
         coeffs = {
             variable_from_text(name): json_fraction(value)
-            for name, value in obj.get("coeffs", {}).items()
+            for name, value in json_object(obj.get("coeffs", {})).items()
         }
         return LinearForm(json_fraction(obj.get("constant", 0)), coeffs)
 
@@ -725,104 +720,3 @@ def expand_inverse_factor(form: LinearForm, order: int) -> Polynomial:
     pieces = inverse_series(packing, form, order)
     return packing.polynomial({packing.bias + key: coeff for _, key, coeff in pieces})
 
-
-LexExps = Tuple[int, ...]
-LexTerms = Dict[LexExps, Fraction]
-
-
-def lex_terms(p: Polynomial, pos: Mapping[Variable, int]) -> LexTerms:
-    """The terms of p keyed by exponent tuples, slot pos[v] holding the
-    exponent of v; under a lex order listed by slot, Python's tuple order is
-    the monomial order."""
-    out: LexTerms = {}
-    for mono, coeff in p._terms.items():
-        exps = [0] * len(pos)
-        for v, e in mono:
-            exps[pos[v]] = e
-        out[tuple(exps)] = coeff
-    return out
-
-
-def lex_polynomial(terms: LexTerms, order: Sequence[Variable]) -> Polynomial:
-    """Back from exponent tuples, slot i holding the exponent of order[i]."""
-    by_key = sorted(range(len(order)), key=lambda i: order[i].key)
-    return Polynomial(
-        {tuple((order[i], e[i]) for i in by_key if e[i]): c for e, c in terms.items()}
-    )
-
-
-class LexHeap:
-    """Exponent-tuple terms with their lex-largest term on top.
-
-    A heap of negated keys finds the top; a heap entry whose term cancelled
-    or was already popped is skipped when it surfaces."""
-
-    __slots__ = ("terms", "_heap")
-
-    def __init__(self, terms: LexTerms):
-        self.terms = terms
-        self._heap = [(tuple(map(neg, e)), e) for e in terms]
-        heapq.heapify(self._heap)
-
-    def pop(self) -> Optional[Tuple[LexExps, Fraction]]:
-        """Remove and return the largest (exponents, coefficient), or None."""
-        while self._heap:
-            exps = heapq.heappop(self._heap)[1]
-            coeff = self.terms.pop(exps, None)
-            if coeff is not None:
-                return exps, coeff
-        return None
-
-    def subtract(
-        self, tail: Iterable[Tuple[LexExps, Fraction]], shift: LexExps, q: Fraction
-    ) -> None:
-        """Subtract q * x^shift * tail, term by term."""
-        terms = self.terms
-        for texps, tcoeff in tail:
-            key = tuple(map(add, texps, shift))
-            old = terms.get(key)
-            if old is None:
-                terms[key] = -q * tcoeff
-                heapq.heappush(self._heap, (tuple(map(neg, key)), key))
-            else:
-                new = old - q * tcoeff
-                if new:
-                    terms[key] = new
-                else:
-                    del terms[key]
-
-
-def poly_divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Divide p by q, requiring a zero remainder.
-
-    Runs single-divisor division under the lex order of the variables
-    present, sorted by canonical key descending.  Terms are keyed by
-    exponent tuples once, so each step finds the leading term of the
-    remainder from a heap.  Laurent inputs are rejected.  Raises
-    NonDivisibleError when the division leaves a remainder.
-    """
-    if q.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if p.has_negative_exponent() or q.has_negative_exponent():
-        raise ValueError("exact division expects plain polynomials, not Laurent terms")
-    if p.is_zero():
-        return Polynomial.zero()
-    ordered = sorted(p.variables() | q.variables(), key=lambda v: v.key, reverse=True)
-    pos = {v: i for i, v in enumerate(ordered)}
-    divisor = lex_terms(q, pos)
-    lead = max(divisor)
-    lead_coeff = divisor.pop(lead)
-    tail = list(divisor.items())
-    quotient: LexTerms = {}
-    remainder = LexHeap(lex_terms(p, pos))
-    while (top := remainder.pop()) is not None:
-        exps, coeff = top
-        shift = tuple(map(sub, exps, lead))
-        if any(e < 0 for e in shift):
-            raise NonDivisibleError(
-                f"leading term {lex_polynomial({exps: 1}, ordered).to_text()} is not divisible "
-                f"by {lex_polynomial({lead: 1}, ordered).to_text()}"
-            )
-        quotient[shift] = coeff / lead_coeff
-        remainder.subtract(tail, shift, quotient[shift])
-    return lex_polynomial(quotient, ordered)

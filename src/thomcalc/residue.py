@@ -51,13 +51,14 @@ from .packed import (
     cut_mul,
     inverse_series,
     packed_product,
+    poly_divide_exact,
 )
 from .poly import (
     LinearForm,
     Monomial,
     Polynomial,
     Variable,
-    poly_divide_exact,
+    json_object,
     strict_int,
     variable_from_text,
     zvar,
@@ -140,13 +141,14 @@ class ResidueProblem:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "ResidueProblem":
+        obj = json_object(obj)
         factors = []
         for entry in obj.get("denominator_factors", []):
             form = LinearForm.from_json_dict(entry)
             factors.append((form, entry.get("mult", 1)))
         series = {
             variable_from_text(name): Polynomial.from_json_dict(p)
-            for name, p in obj.get("per_variable_series", {}).items()
+            for name, p in json_object(obj.get("per_variable_series", {})).items()
         }
         return ResidueProblem(
             numerator=Polynomial.from_json_dict(obj["numerator"]),

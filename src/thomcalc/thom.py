@@ -48,13 +48,12 @@ from .poly import (
     cvar,
     lamvar,
     linear_form,
-    poly_divide_exact,
     read_json,
     strict_int,
     thvar,
     zvar,
 )
-from .packed import ExponentPacking, cut_mul, inverse_series, packed_product
+from .packed import ExponentPacking, cut_mul, inverse_series, packed_product, poly_divide_exact
 from .residue import (
     FactorList,
     ResidueProblem,

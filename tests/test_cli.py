@@ -151,7 +151,8 @@ def test_tp_refuses_a_repeated_key_in_a_numerator_file(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("mult", 1.8), ("constant", 0.5), ("coeffs", {"z_1": 1.0})]
+    "field, value",
+    [("mult", 1.8), ("constant", 0.5), ("coeffs", {"z_1": 1.0}), ("coeffs", [1])],
 )
 def test_residue_refuses_a_malformed_problem_file(runner, tmp_path, field, value):
     obj = residue_problem_for(2, 0).to_json_dict()
@@ -161,6 +162,16 @@ def test_residue_refuses_a_malformed_problem_file(runner, tmp_path, field, value
     result = runner.invoke(main, ["residue", "--problem", str(path)])
     assert result.exit_code == 1
     assert f"cannot read problem file {path}" in result.output
+
+
+def test_residue_refuses_a_list_of_series(runner, tmp_path):
+    obj = residue_problem_for(2, 0).to_json_dict()
+    obj["per_variable_series"] = []
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, ["residue", "--problem", str(path)])
+    assert result.exit_code == 1
+    assert f"cannot read problem file {path}: expected an object, got []" in result.output
 
 
 def test_residue_refuses_a_repeated_key(runner, tmp_path):
@@ -276,6 +287,31 @@ def test_mdeg_refuses_a_fractional_variable_order(runner, tmp_path):
     result = runner.invoke(main, ["mdeg", "--ideal-file", str(path)])
     assert result.exit_code == 1
     assert f"cannot read ideal file {path}" in result.output
+
+
+@pytest.mark.parametrize(
+    "order, reason",
+    [
+        ([2], "generator uses y_1, not in the order list"),
+        ([1, 1], "repeated variable in the order list"),
+    ],
+)
+def test_mdeg_refuses_an_order_that_does_not_list_the_coordinates(
+    runner, tmp_path, order, reason
+):
+    path = tmp_path / "ideal.json"
+    path.write_text(
+        json.dumps(
+            {
+                "generators": [Polynomial.variable(yvar(1)).to_json_dict()],
+                "weights": [linear_form((1, etavar(1))).to_json_dict()],
+                "order": order,
+            }
+        )
+    )
+    result = runner.invoke(main, ["mdeg", "--ideal-file", str(path)])
+    assert result.exit_code == 1
+    assert f"cannot read ideal file {path}: {reason}" in result.output
 
 
 def test_mdeg_refuses_a_repeated_key(runner, tmp_path):

@@ -1,6 +1,8 @@
 """Multidegree routes: staircase counts and lex degeneration."""
 
+import importlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,38 @@ def test_chain_criterion_skips_a_pair_and_keeps_the_initial_ideal():
     assert sorted(map(sorted_items, initial_ideal(ideal).generators)) == sorted(
         map(sorted_items, expected)
     )
+
+
+def test_basis_outgrowing_the_generators_fields():
+    # by hand: lex y1 > y2 gives y1 - y2^3 and y2^9 - y2; the generators'
+    # fields hold exponents up to 3, so y2^9 is found on wider fields
+    ideal = PolynomialIdeal.of([Y[1] ** 3 - Y[2], Y[2] ** 3 - Y[1]])
+    basis = buchberger_lex(ideal)
+    assert Y[2] ** 9 - Y[2] in basis
+    assert sorted(map(sorted_items, initial_ideal(ideal).generators)) == [((1, 1),), ((2, 9),)]
+
+
+def test_lead_coefficient_three_divides_exactly():
+    # the S-polynomial of y2 - y1*y3 and 3*y1 - y2 is y1*y3 - y2 minus
+    # y3*(y1 - y2/3); a float 1/3 would come back as a binary fraction
+    gens = [Y[2] - Y[1] * Y[3], 3 * Y[1] - Y[2]]
+    basis = buchberger_lex(PolynomialIdeal.of(gens))
+    assert basis == gens + [Polynomial.term(Fraction(1, 3), [(yvar(2), 1), (yvar(3), 1)]) - Y[2]]
+
+
+def test_multidegree_goes_through_the_traced_layers(monkeypatch):
+    # the benchmark times buchberger_lex and multidegree_monomial by name;
+    # a route around either would read as zero calls, not as an error
+    module = importlib.import_module("thomcalc.multidegree")
+    called = []
+
+    def spy(name, real):
+        return lambda *args: called.append(name) or real(*args)
+
+    for name in ("buchberger_lex", "multidegree_monomial"):
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    multidegree(*basic_relations_ideal(4))
+    assert called == ["buchberger_lex", "multidegree_monomial"]
 
 
 def test_ideal_validation():
