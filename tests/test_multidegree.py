@@ -1,6 +1,7 @@
 """Multidegree routes: staircase counts and lex degeneration."""
 
 import importlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import hypothesis.strategies as st
 
 from thomcalc import (
     InfiniteStaircaseError,
+    LinearForm,
     MonomialIdeal,
     PolynomialIdeal,
     Polynomial,
@@ -93,6 +95,123 @@ def test_redundant_generators_are_dropped():
     lean = MonomialIdeal([{1: 1, 2: 1}], [1, 2])
     fat = MonomialIdeal([{1: 1, 2: 1}, {1: 2, 2: 1}], [1, 2])
     assert multidegree_monomial(lean, ring(2)) == multidegree_monomial(fat, ring(2))
+
+
+def _oracle_count(gens, subset):
+    """The standard monomials of gens with the coordinates outside subset set
+    to 1, counted point by point in a box one past the largest exponent;
+    None when one of them reaches the box's far side (infinitely many)."""
+    axes = sorted(subset)
+    restricted = [{t: e for t, e in g.items() if t in subset} for g in gens]
+    side = max((e for g in gens for e in g.values()), default=0)
+    count = 0
+    for point in itertools.product(range(side + 1), repeat=len(axes)):
+        exps = dict(zip(axes, point))
+        if any(all(exps[t] >= e for t, e in g.items()) for g in restricted):
+            continue
+        if side in point:
+            return None
+        count += 1
+    return count
+
+
+def _oracle_multidegree(gens, weights):
+    """Sum of count times weight product over every coordinate subset of the
+    least size that meets the support of each generator."""
+    coords = range(1, len(weights) + 1)
+    for size in range(len(weights) + 1):
+        subsets = [
+            s for s in itertools.combinations(coords, size) if all(set(g) & set(s) for g in gens)
+        ]
+        if subsets:
+            break
+    total = Polynomial.zero()
+    for subset in subsets:
+        product = Polynomial.one()
+        for t in subset:
+            product = product * weights[t - 1].as_polynomial()
+        total = total + _oracle_count(gens, subset) * product
+    return total
+
+
+def _random_staircase(rng):
+    n = rng.randint(1, 4)
+    gens = []
+    for _ in range(rng.randint(0, 5)):
+        support = rng.sample(range(1, n + 1), rng.randint(1, n))
+        gens.append({t: rng.randint(0 if len(support) > 1 else 1, 3) for t in support})
+    if gens and rng.random() < 0.3:
+        gens.append(dict(rng.choice(gens)))  # repeated
+    if gens and rng.random() < 0.3:
+        base = rng.choice(gens)
+        gens.append({t: base.get(t, 0) + rng.randint(0, 2) for t in range(1, n + 1)})
+    if rng.random() < 0.05:
+        gens.append({})  # the unit ideal
+    symbols = [etavar(i) for i in range(1, 4)]
+    coeffs = [0, 1, -1, 2, Fraction(1, 2)]
+    weights = tuple(
+        LinearForm(rng.choice([0, 0, 1, -2]), {s: rng.choice(coeffs) for s in symbols})
+        for _ in range(n)
+    )
+    return n, gens, weights
+
+
+def test_staircase_against_a_brute_force_oracle():
+    seen = set()
+    for seed in range(80):
+        n, gens, weights = _random_staircase(random.Random(seed))
+        positive = [{t: e for t, e in g.items() if e} for g in gens]
+        ideal = MonomialIdeal(gens, range(1, n + 1))
+        for size in range(n + 1):
+            for subset in itertools.combinations(range(1, n + 1), size):
+                expected = _oracle_count(positive, subset)
+                if expected is None:
+                    seen.add("infinite")
+                    with pytest.raises(InfiniteStaircaseError):
+                        subspace_multiplicity(ideal, subset)
+                else:
+                    seen.add("zero" if expected == 0 else "count")
+                    assert subspace_multiplicity(ideal, frozenset(subset)) == expected
+        assert multidegree_monomial(ideal, WeightedRing(weights)) == _oracle_multidegree(
+            positive, weights
+        ), seed
+        if {} in positive:
+            seen.add("unit")
+        if len(positive) != len(ideal.generators):
+            seen.add("dropped")
+    assert seen == {"infinite", "zero", "count", "unit", "dropped"}
+
+
+def test_staircase_edge_cases():
+    # repeated and non-minimal generators leave the count and the class alone
+    lean = MonomialIdeal([{1: 2}, {2: 1, 3: 1}, {3: 2}], [1, 2, 3])
+    fat = MonomialIdeal(
+        [{1: 2}, {2: 1, 3: 1}, {1: 2}, {1: 3, 2: 1}, {3: 2}, {2: 2, 3: 1}], [1, 2, 3]
+    )
+    for subset in ({1, 3}, {2, 3}, {1}, set()):
+        assert subspace_multiplicity(fat, subset) == subspace_multiplicity(lean, subset)
+    assert subspace_multiplicity(fat, {1, 3}) == 2
+    assert multidegree_monomial(fat, ring(3)) == multidegree_monomial(lean, ring(3))
+    # the unit ideal, also written with zero exponents, counts 0 on every subset
+    for unit in (MonomialIdeal([{}], [1, 2]), MonomialIdeal([{1: 0}, {2: 1}], [1, 2])):
+        assert unit.is_unit()
+        assert [subspace_multiplicity(unit, s) for s in (set(), {1}, {1, 2})] == [0, 0, 0]
+        assert multidegree_monomial(unit, ring(2)).is_zero()
+    # a generator that misses the subset makes the restriction the unit ideal
+    assert subspace_multiplicity(lean, {1}) == 0
+    # the zero ideal has one standard monomial on the empty subset, 1
+    assert subspace_multiplicity(MonomialIdeal([], [1, 2]), set()) == 1
+
+
+def test_infinite_staircase_names_the_coordinate():
+    ideal = MonomialIdeal([{1: 2}, {1: 1, 2: 1}, {3: 1}], [1, 2, 3])
+    with pytest.raises(InfiniteStaircaseError) as caught:
+        subspace_multiplicity(ideal, [3, 2, 1])
+    message = "no pure power of y_2 in the restricted ideal, staircase is infinite"
+    assert str(caught.value) == message
+    with pytest.raises(InfiniteStaircaseError) as caught:
+        subspace_multiplicity(MonomialIdeal([], [1, 2]), {2})
+    assert str(caught.value) == message
 
 
 # -- Groebner route ----------------------------------------------------
@@ -195,6 +314,20 @@ def test_multidegree_goes_through_the_traced_layers(monkeypatch):
         monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     multidegree(*basic_relations_ideal(4))
     assert called == ["buchberger_lex", "multidegree_monomial"]
+
+
+def test_staircase_goes_through_subspace_multiplicity(monkeypatch):
+    # the benchmark times subspace_multiplicity by name as well
+    module = importlib.import_module("thomcalc.multidegree")
+    real = module.subspace_multiplicity
+    subsets = []
+    def spy(ideal, subset):
+        subsets.append(subset)
+        return real(ideal, subset)
+
+    monkeypatch.setattr(module, "subspace_multiplicity", spy)
+    multidegree(*basic_relations_ideal(4))
+    assert subsets
 
 
 def test_ideal_validation():
