@@ -28,14 +28,14 @@ from .thom import (
 from .verify import SUITES, run_suite
 
 # Input bounds, checked before any work starts.  The cost of tp grows about
-# 1.5x per codim step: tp --d 5 --codim 14 takes about 10 s on two cores
-# (16,019 terms), 15 takes about 15 s.  partitions lists 21,504 sequences
-# at depth 6 and 817,152 at depth 7.  The ratio expansion grows 1.1-1.2x
-# per degree: positivity --d 5 --order 46 takes about 9.5 s (163,642
-# terms, 118 MiB), 47 takes about 11.6 s.  At d = 6 (from a numerator
-# plugin) it grows 1.2-1.3x per degree: --d 6 --order 30 takes about 9-10 s
-# (128,444 terms, 104 MiB), 31 about 12 s and 32 about 15 s (150 MiB).
-# d = 7 stays out, as in partitions.
+# 1.5x per codim step: tp --d 5 --codim 14 takes 10-13.5 s (16,019 terms)
+# and 15 takes 13-18 s, on a two-core Xeon VM with Python 3.11.7.
+# partitions lists 21,504 sequences at depth 6 and 817,152 at depth 7.  The
+# ratio expansion grows 1.1-1.2x per degree: positivity --d 5 --order 46
+# takes about 9.5 s (163,642 terms, 118 MiB), 47 takes about 11.6 s.  At d = 6
+# (from a numerator plugin) it grows 1.2-1.3x per degree: --d 6 --order 30
+# takes about 9-10 s (128,444 terms, 104 MiB), 31 about 12 s and 32 about
+# 15 s (150 MiB).  d = 7 stays out, as in partitions.
 MAX_CODIM = 14
 MAX_PARTITION_DEPTH = 6
 MAX_POSITIVITY_D = 6
@@ -98,7 +98,8 @@ def main():
     "--codim",
     type=int,
     required=True,
-    help=f"Codimension shift parameter, 0 to {MAX_CODIM}.",
+    help=f"Codimension shift parameter, 0 to {MAX_CODIM}; --d 5 --codim {MAX_CODIM} takes "
+    "10-13.5 s on a two-core Xeon VM (Python 3.11.7).",
 )
 @click.option(
     "--basis",

@@ -26,7 +26,10 @@ the chain criterion (Gebauer and Moeller, J. Symb. Comput. 6, 1988); its
 ``pair_budget`` counts every pair taken from the queue, skipped or reduced.
 The staircase step finds the minimal-codimension coordinate subspaces of
 the initial ideal by a branching search for minimum hitting sets of the
-generators' supports, not by scanning all coordinate subsets.
+generators' supports, not by scanning all coordinate subsets.  On each it
+counts the standard monomials on exponent tuples over the subspace's
+coordinates, and it adds multiplicity times weight product into one packed
+dict, on one packing of the weights' symbols packed once.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from .errors import (
     SPairBudgetError,
     WeightInhomogeneityError,
 )
-from .packed import Divisor, ExponentPacking, PackedTerms, TermHeap, exact_quotient, packed_product
+from .packed import Divisor, ExponentPacking, PackedTerms, TermHeap, add_into, exact_quotient
+from .packed import packed_mul, packed_product
 from .partitions import basic_relations, uhat_index_triples, uhat_weight
 from .poly import LinearForm, Monomial, Polynomial, Variable, etavar, uhatvar, yvar
 from .residue import fraction_sum
@@ -80,11 +84,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return any(not g for g in self.generators)
 
-    def restrict(self, subset: FrozenSet[int]) -> "MonomialIdeal":
-        """Project onto the chosen coordinates (the others are set to 1)."""
-        gens = [{t: e for t, e in g.items() if t in subset} for g in self.generators]
-        return MonomialIdeal(gens, subset)
-
 
 def _minimalize(gens: List[Exponents]) -> Tuple[Exponents, ...]:
     uniq: List[Exponents] = []
@@ -103,28 +102,27 @@ def subspace_multiplicity(ideal: MonomialIdeal, subset: Iterable[int]) -> int:
     """Standard-monomial count of the ideal restricted to the subset
     coordinates.  Zero when the restriction is the unit ideal; raises
     InfiniteStaircaseError when the count is not finite (the subset's
-    codimension hypothesis fails)."""
-    subset = frozenset(subset)
-    restricted = ideal.restrict(subset)
-    if restricted.is_unit():
+    codimension hypothesis fails).
+
+    Each generator is restricted once, to an exponent tuple over the sorted
+    subset.  The pure powers bound the box that holds the staircase, and
+    only the generators inside the box are tested against its points."""
+    axes = sorted(set(subset))
+    gens = [tuple(g.get(t, 0) for t in axes) for g in ideal.generators]
+    if not all(any(exps) for exps in gens):
         return 0
-    bounds: Dict[int, int] = {}
-    for g in restricted.generators:
-        if len(g) == 1:
-            ((t, e),) = g.items()
-            bounds[t] = min(bounds.get(t, e), e)
-    for t in subset:
-        if t not in bounds:
+    # a pure power of axis i is a tuple whose entry i is its whole sum
+    box = [min((e[i] for e in gens if e[i] == sum(e)), default=0) for i in range(len(axes))]
+    for t, side in zip(axes, box):
+        if not side:
             raise InfiniteStaircaseError(
                 f"no pure power of y_{t} in the restricted ideal, staircase is infinite"
             )
-    axes = sorted(subset)
-    count = 0
-    for point in itertools.product(*(range(bounds[t]) for t in axes)):
-        exps = dict(zip(axes, point))
-        if not any(_divides(g, exps) for g in restricted.generators):
-            count += 1
-    return count
+    inside = [exps for exps in gens if all(map(int.__lt__, exps, box))]
+    return sum(
+        not any(all(map(int.__le__, exps, point)) for exps in inside)
+        for point in itertools.product(*map(range, box))
+    )
 
 
 def multidegree_monomial(ideal: MonomialIdeal, ring: WeightedRing) -> Polynomial:
@@ -133,25 +131,29 @@ def multidegree_monomial(ideal: MonomialIdeal, ring: WeightedRing) -> Polynomial
 
     Those subspaces are the smallest coordinate sets meeting the support of
     every generator, found by branching: take a generator the set does not
-    meet yet and try each coordinate of its support in turn."""
+    meet yet and try each coordinate of its support in turn.  The weights
+    are packed once, bounded by the subspace size as each is linear, and the
+    products are summed in one packed dict."""
     if ideal.is_unit():
         return Polynomial.zero()
     supports = [frozenset(g) for g in ideal.generators]
-    for size in range(len(ideal.variable_indices) + 1):
-        found: set = set()
+    found: set = set()
+    # the set of all coordinates meets every support, so the search ends
+    for size in itertools.count():
         _hitting_sets(supports, frozenset(), size, found)
         if found:
             break
-    else:
-        raise InfiniteStaircaseError("no coordinate subspace meets every generator")
-    total = Polynomial.zero()
+    weights = {t: ring.weight_of(t).as_polynomial() for t in set().union(*found)}
+    packing = ExponentPacking(set().union(*(w.variables() for w in weights.values())), size)
+    packed = {t: packing.terms(w) for t, w in weights.items()}
+    total: PackedTerms = {}
     for subset in sorted(found, key=sorted):
-        mult = subspace_multiplicity(ideal, subset)
-        if mult == 0:
-            continue
-        weights = (ring.weight_of(t).as_polynomial() for t in sorted(subset))
-        total = total + packed_product(*weights) * mult
-    return total
+        # at least 1: the subset meets every generator, so 1 is standard
+        product = {packing.bias: subspace_multiplicity(ideal, subset)}
+        for t in sorted(subset):
+            product = packed_mul(product, packed[t])
+        add_into(total, product)
+    return packing.polynomial(total)
 
 
 def _hitting_sets(

@@ -152,6 +152,17 @@ def packed_mul(a: Mapping[int, Coefficient], b: Mapping[int, Coefficient]) -> Pa
     return cut_mul(a, [(0, key, c) for key, c in b.items()], _no_room)
 
 
+def add_into(out: PackedTerms, terms: Mapping[int, Coefficient]) -> None:
+    """Add the terms into out, dropping the keys that cancel."""
+    for key, c in terms.items():
+        q = out.get(key)
+        q = c if q is None else q + c
+        if q:
+            out[key] = q
+        else:
+            del out[key]
+
+
 def packed_product(*factors: Polynomial) -> Polynomial:
     """The product of the factors, multiplied on packed exponent ints."""
     pairs = [f.exponent_pairs() for f in factors]
@@ -204,13 +215,7 @@ def packed_substitute(p: Polynomial, assignment: Mapping[Variable, PolyLike]) ->
         for v, e in mono:
             if v in values:
                 term = packed_mul(term, power(v, e))
-        for key, c in term.items():
-            q = out.get(key)
-            q = c if q is None else q + c
-            if q:
-                out[key] = q
-            else:
-                del out[key]
+        add_into(out, term)
     return packing.polynomial(out)
 
 

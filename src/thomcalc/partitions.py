@@ -57,25 +57,8 @@ class Partition:
     def count(self, part: int) -> int:
         return self.parts.count(part)
 
-    def perm_count(self) -> int:
-        """Number of distinct arrangements of the parts (multinomial)."""
-        total = 1
-        for i in range(2, len(self.parts) + 1):
-            total *= i
-        for part in set(self.parts):
-            c = self.parts.count(part)
-            for i in range(2, c + 1):
-                total //= i
-        return total
-
     def union(self, other: "Partition") -> "Partition":
         return Partition(tuple(sorted(self.parts + other.parts)))
-
-    def replace_part(self, old: int, new: int) -> "Partition":
-        parts = list(self.parts)
-        parts.remove(old)
-        parts.append(new)
-        return Partition(tuple(sorted(parts)))
 
     def sub_partitions(self) -> List["Partition"]:
         """All distinct nonempty sub-multisets, the partition itself included."""
