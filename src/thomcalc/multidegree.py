@@ -28,8 +28,8 @@ The staircase step finds the minimal-codimension coordinate subspaces of
 the initial ideal by a branching search for minimum hitting sets of the
 generators' supports, not by scanning all coordinate subsets.  On each it
 counts the standard monomials on exponent tuples over the subspace's
-coordinates, and it adds multiplicity times weight product into one packed
-dict, on one packing of the weights' symbols packed once.
+coordinates; it packs each weight once and adds multiplicity times weight
+product into one packed dict.
 """
 
 from __future__ import annotations
@@ -68,15 +68,15 @@ Exponents = Dict[int, int]
 class MonomialIdeal:
     """A monomial ideal given by its minimal generators (an antichain)."""
 
-    __slots__ = ("generators", "variable_indices")
+    __slots__ = ("generators",)
 
     def __init__(self, generators: Iterable[Exponents], variable_indices: Iterable[int]):
-        self.variable_indices = tuple(sorted(set(variable_indices)))
+        known = set(variable_indices)
         cleaned = []
         for gen in generators:
             gen = {int(t): int(e) for t, e in gen.items() if e > 0}
             for t in gen:
-                if t not in self.variable_indices:
+                if t not in known:
                     raise ValueError(f"generator mentions unknown coordinate y_{t}")
             cleaned.append(gen)
         self.generators = _minimalize(cleaned)
@@ -108,7 +108,9 @@ def subspace_multiplicity(ideal: MonomialIdeal, subset: Iterable[int]) -> int:
     subset.  The pure powers bound the box that holds the staircase, and
     only the generators inside the box are tested against its points."""
     axes = sorted(set(subset))
-    gens = [tuple(g.get(t, 0) for t in axes) for g in ideal.generators]
+    # tuple() of a list: from a generator it over-allocates, then resizes,
+    # and the resized tuples pile up unused in CPython's tuple free lists
+    gens = [tuple([g.get(t, 0) for t in axes]) for g in ideal.generators]
     if not all(any(exps) for exps in gens):
         return 0
     # a pure power of axis i is a tuple whose entry i is its whole sum
