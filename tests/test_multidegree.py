@@ -321,6 +321,7 @@ def test_staircase_goes_through_subspace_multiplicity(monkeypatch):
     module = importlib.import_module("thomcalc.multidegree")
     real = module.subspace_multiplicity
     subsets = []
+
     def spy(ideal, subset):
         subsets.append(subset)
         return real(ideal, subset)
