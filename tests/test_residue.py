@@ -27,7 +27,7 @@ from thomcalc import (
     vanishing_criterion,
     zvar,
 )
-from thomcalc.residue import _add, _monic, deg_in_subset, lead_count
+from thomcalc.residue import _add, _factors_deg_in_subset, _monic, deg_in_subset, lead_count
 
 Z1, Z2, Z3 = zvar(1), zvar(2), zvar(3)
 
@@ -332,6 +332,25 @@ def test_deg_in_subset():
     cancel = Polynomial.term(1, [(Z1, 1)]) - Polynomial.term(1, [(Z2, 1)])
     assert deg_in_subset(cancel, [1]) == 1
     assert deg_in_subset(cancel, [1, 2]) == float("-inf")
+
+
+def test_factors_deg_in_subset():
+    # z_1, z_2 go to t, z_3 to 1, and lambda_1 stays a symbol
+    subset = {Z1, Z2}
+    lam1 = lamvar(1)
+    cases = [
+        (form((1, Z1)), 1),
+        (form((1, Z1), (-1, Z2)), float("-inf")),
+        (form((1, Z1), (-1, Z2), (1, lam1)), 0),
+        (form((1, Z1), (-1, Z2), (1, Z3)), 0),
+        (form((1, Z3)), 0),
+    ]
+    for f, expected in cases:
+        assert _factors_deg_in_subset([(f, 1)], subset) == expected
+    # multiplicities add; one factor without a term in the subset kills the product
+    z1_squared = (form((1, Z1)), 2)
+    assert _factors_deg_in_subset([z1_squared, (form((1, Z3)), 1)], subset) == 2
+    assert _factors_deg_in_subset([z1_squared, (cases[1][0], 1)], subset) == float("-inf")
 
 
 def test_lead_count():
