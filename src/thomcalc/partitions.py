@@ -42,10 +42,6 @@ class Partition:
         if list(self.parts) != sorted(self.parts):
             raise ValueError(f"parts must be nondecreasing, got {self.parts}")
 
-    @staticmethod
-    def of(*parts: int) -> "Partition":
-        return Partition(tuple(sorted(parts)))
-
     @property
     def weight(self) -> int:
         return sum(self.parts)
@@ -53,9 +49,6 @@ class Partition:
     @property
     def length(self) -> int:
         return len(self.parts)
-
-    def count(self, part: int) -> int:
-        return self.parts.count(part)
 
     def union(self, other: "Partition") -> "Partition":
         return Partition(tuple(sorted(self.parts + other.parts)))
@@ -127,9 +120,6 @@ class AdmissibleSequence:
     @property
     def depth(self) -> int:
         return len(self.entries)
-
-    def defect(self) -> int:
-        return sum(l - entry.weight for l, entry in enumerate(self.entries, start=1))
 
     def is_complete(self) -> bool:
         """Every nonempty sub-multiset of every entry is itself an entry."""

@@ -328,27 +328,6 @@ class Polynomial:
         """Every (variable, exponent) pair that occurs in some term."""
         return set().union(*self._terms)
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get(_ONE, Fraction(0))
-
-    def coefficient(self, mono_pairs: Iterable[Tuple[Variable, int]]) -> Fraction:
-        return self._terms.get(_mono_from_pairs(mono_pairs), Fraction(0))
-
-    def exponent_range(self, v: Variable) -> Tuple[int, int]:
-        """(min, max) exponent of v over the terms; (0, 0) on zero."""
-        lo = hi = None
-        for mono in self._terms:
-            e = 0
-            for w, we in mono:
-                if w is v:
-                    e = we
-                    break
-            lo = e if lo is None else min(lo, e)
-            hi = e if hi is None else max(hi, e)
-        if lo is None:
-            return (0, 0)
-        return (lo, hi)
-
     def has_negative_exponent(self) -> bool:
         return any(e < 0 for mono in self._terms for _, e in mono)
 
@@ -440,23 +419,6 @@ class Polynomial:
                 value *= q
             total += value
         return total
-
-    def coefficient_slice(self, v: Variable, exponent: int) -> "Polynomial":
-        """The coefficient of v**exponent, as a polynomial without v."""
-        out: Dict[Monomial, Fraction] = {}
-        for mono, coeff in self._terms.items():
-            e = 0
-            rest = []
-            for w, we in mono:
-                if w is v:
-                    e = we
-                else:
-                    rest.append((w, we))
-            if e == exponent:
-                out[tuple(rest)] = out.get(tuple(rest), Fraction(0)) + coeff
-        result = Polynomial.__new__(Polynomial)
-        result._terms = {m: c for m, c in out.items() if c}
-        return result
 
     # -- serialization ------------------------------------------------
 
@@ -678,19 +640,6 @@ class LinearForm:
             for name, value in json_object(obj.get("coeffs", {})).items()
         }
         return LinearForm(json_fraction(obj.get("constant", 0)), coeffs)
-
-    @staticmethod
-    def from_polynomial(p: Polynomial) -> "LinearForm":
-        constant = Fraction(0)
-        coeffs: Dict[Variable, Fraction] = {}
-        for mono, coeff in p.term_map().items():
-            if not mono:
-                constant = coeff
-            elif len(mono) == 1 and mono[0][1] == 1:
-                coeffs[mono[0][0]] = coeff
-            else:
-                raise ValueError(f"{p!r} is not linear")
-        return LinearForm(constant, coeffs)
 
     def __repr__(self) -> str:
         return f"LinearForm({self.to_text()})"

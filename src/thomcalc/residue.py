@@ -415,30 +415,12 @@ def deg_in_subset(p: Polynomial, subset: Iterable[VarOrIndex]):
     return max(texp for texp, _ in buckets)
 
 
-def _form_deg_in_subset(form: LinearForm, svars: Set[Variable]):
-    tcoeff = Fraction(0)
-    lower = form.constant
-    symbolic = False
-    for v, q in form.items:
-        if v in svars:
-            tcoeff += q
-        elif v.family == "z":
-            lower += q
-        else:
-            symbolic = True
-    if tcoeff != 0:
-        return 1
-    if symbolic or lower != 0:
-        return 0
-    return NEG_INF
-
-
 def _factors_deg_in_subset(factors: FactorList, subset: Set[Variable]):
     """The degree of prod(factors) in the subset; NEG_INF as soon as one
     factor has no term in it."""
     total = 0
     for form, mult in factors:
-        fd = _form_deg_in_subset(form, subset)
+        fd = deg_in_subset(form.as_polynomial(), subset)
         if fd == NEG_INF:
             return NEG_INF
         total += mult * fd

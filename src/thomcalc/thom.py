@@ -7,13 +7,16 @@ carries a Vandermonde factor and a registered polynomial Qhat_d; the
 denominator is the product of the arithmetic weights z_m + z_r - z_l.
 
 Beyond the main computation this module holds the classical cross-checks
-(the length-two closed form, the series shift), the fixed-point
+(the length-two closed form, the series shift) and the fixed-point
 localization terms for depths 1 to 3, generated from the complete
-admissible sequences (depth 1 is the rank-one Porteous sum), together
-with machinery proving that the non-distinguished contributions vanish, the derivation of a numerator Qhat_d as the multidegree of the
-ideal of basic relations, and a positivity probe: the residue fraction
-itself at z_l = a_l ... a_(d-1), expanded from the same numerator and the
-same 1/form series as the kernel, on packed exponent ints.
+admissible sequences (depth 1 is the rank-one Porteous sum).  One flag sum
+over ordered selections of source roots evaluates both the fixed-point sum
+and the flag residue identity.  The module also proves that the
+non-distinguished contributions vanish, derives a numerator Qhat_d as the
+multidegree of the ideal of basic relations, and runs a positivity probe:
+the residue fraction itself at z_l = a_l ... a_(d-1), expanded from the
+same numerator and the same 1/form series as the kernel, on packed
+exponent ints.
 """
 
 import os
@@ -419,20 +422,6 @@ def shift_check(d: int, codim: int, registry: Optional[QhatRegistry] = None) -> 
 # -- Chern data for bundle maps ---------------------------------------
 
 
-@dataclass(frozen=True)
-class ChernAssignment:
-    """Quotient Chern classes of a map between bundles of ranks n and k,
-    written in the universal root symbols."""
-
-    n: int
-    k: int
-    truncation: int
-    values: Mapping[int, Polynomial]
-
-    def substitution_map(self) -> Dict[Variable, Polynomial]:
-        return {cvar(i): poly for i, poly in self.values.items()}
-
-
 def _product_coeffs(roots: Sequence[Variable], bound: int) -> List[Polynomial]:
     # graded coefficients of prod (1 + root * q), truncated past q^bound
     coeffs = [Polynomial.one()] + [Polynomial.zero()] * bound
@@ -443,7 +432,9 @@ def _product_coeffs(roots: Sequence[Variable], bound: int) -> List[Polynomial]:
     return coeffs
 
 
-def chern_classes(n: int, k: int, truncation: int) -> ChernAssignment:
+def chern_classes(n: int, k: int, truncation: int) -> Dict[int, Polynomial]:
+    """The quotient Chern classes {m: c_m} of a map between bundles of ranks
+    n and k, for m <= truncation, written in the universal root symbols."""
     if n < 0 or k < 0:
         raise ValueError("bundle ranks must be nonnegative")
     if truncation < 0:
@@ -456,7 +447,7 @@ def chern_classes(n: int, k: int, truncation: int) -> ChernAssignment:
         for t in range(1, min(m, n) + 1):
             c = c - bottom[t] * values[m - t]
         values[m] = c
-    return ChernAssignment(n=n, k=k, truncation=truncation, values=values)
+    return values
 
 
 def substitute_chern(tp: ThomPolynomial, n: int, k: int) -> Polynomial:
@@ -466,8 +457,8 @@ def substitute_chern(tp: ThomPolynomial, n: int, k: int) -> Polynomial:
             f"rank excess {k - n} does not match the codimension "
             f"parameter {tp.codim}"
         )
-    assignment = chern_classes(n, k, tp.d * (tp.codim + 1))
-    return tp.body.substitute(assignment.substitution_map())
+    values = chern_classes(n, k, tp.d * (tp.codim + 1))
+    return tp.body.substitute({cvar(m): c for m, c in values.items()})
 
 
 def pole_sum_class(
@@ -509,16 +500,22 @@ def _distinct_fractions(rng: random.Random, count: int, bound: int = 12) -> List
     return out
 
 
-def _nested_exclusion_denominator(lam: List[Fraction], selection) -> Fraction:
-    # prod over stages m of prod_{i not yet chosen} (lam_i - lam_{s_m})
-    den = Fraction(1)
-    chosen = set()
-    for s in selection:
-        chosen.add(s)
-        for i in range(len(lam)):
-            if i not in chosen:
-                den *= lam[i] - lam[s]
-    return den
+def _flag_sum(lam: List[Fraction], d: int, value) -> Fraction:
+    # sum over ordered d-selections s of value(z_m -> lam_{s_m}), each divided
+    # by prod over stages m of prod_{i not yet chosen} (lam_i - lam_{s_m})
+    zs = [zvar(l) for l in range(1, d + 1)]
+    total = Fraction(0)
+    for selection in permutations(range(len(lam)), d):
+        num = value({z: lam[s] for z, s in zip(zs, selection)})
+        den = Fraction(1)
+        chosen = set()
+        for s in selection:
+            chosen.add(s)
+            for i in range(len(lam)):
+                if i not in chosen:
+                    den *= lam[i] - lam[s]
+        total += num / den
+    return total
 
 
 def flag_residue_identity(
@@ -541,12 +538,7 @@ def flag_residue_identity(
     weighted = packed_product(vandermonde(d), numerator)
     for _ in range(samples):
         lam = _distinct_fractions(rng, n)
-        lhs = Fraction(0)
-        for selection in permutations(range(n), d):
-            assignment = {zs[m]: lam[selection[m]] for m in range(d)}
-            lhs += numerator.evaluate(assignment) / _nested_exclusion_denominator(
-                lam, selection
-            )
+        lhs = _flag_sum(lam, d, numerator.evaluate)
         forms = [
             linear_form((-1, z), constant=li) for z in zs for li in lam
         ]
@@ -623,11 +615,9 @@ class LocalizationSum:
             raise ValueError("sample sizes must match the bundle ranks")
         if len(set(lam)) != self.n:
             raise CoincidentPoleError("source roots in the sample coincide")
-        zs = [zvar(l) for l in range(1, self.d + 1)]
-        total = Fraction(0)
-        for selection in permutations(range(self.n), self.d):
-            assignment = {zs[m]: lam[selection[m]] for m in range(self.d)}
-            bracket = Fraction(0)
+
+        def bracket(assignment):
+            total = Fraction(0)
             for term in self.terms:
                 num = Fraction(1)
                 for shift in term.shifts:
@@ -642,9 +632,10 @@ class LocalizationSum:
                             f"chart weight {chart.to_text()} vanishes at the sample"
                         )
                     den *= q
-                bracket += num / den
-            total += bracket / _nested_exclusion_denominator(lam, selection)
-        return total
+                total += num / den
+            return total
+
+        return _flag_sum(lam, self.d, bracket)
 
 
 def fixed_point_sum(d: int, n: int, k: int) -> LocalizationSum:

@@ -181,7 +181,7 @@ def _localization(collector: _Collector, seed: int):
         rng = random.Random(seed)
         for n, k in ((2, 3), (3, 5)):
             sum_form = fixed_point_sum(1, n, k)
-            target = chern_classes(n, k, k - n + 1).values[k - n + 1]
+            target = chern_classes(n, k, k - n + 1)[k - n + 1]
             for _ in range(3):
                 lam = _distinct_fractions(rng, n)
                 theta = [

@@ -132,8 +132,6 @@ def test_criterion_08_dimension_table():
 
 def test_criterion_09_depth_three_census():
     """eight admissible sequences, six of them complete"""
-    p = Partition.of
-
     def seq(*entries):
         return AdmissibleSequence(tuple(Partition(e) for e in entries))
 
@@ -155,7 +153,7 @@ def test_criterion_09_depth_three_census():
     incomplete = {seq((1,), (2,), (1, 1, 1)), seq((1,), (1, 1), (1, 2))}
     assert set(complete) == expected - incomplete
     assert len(complete) == 6
-    assert p(2, 1) in seq((1,), (1, 1), (1, 2)).entries  # sanity on builder
+    assert Partition((1, 2)) in seq((1,), (1, 1), (1, 2)).entries  # sanity on builder
 
 
 def test_criterion_10_order_five_numerator_derivation():

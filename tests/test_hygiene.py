@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package, its tests or its scripts
-imports a name it never uses, and every public name has a use outside the
-tests."""
+imports a name it never uses, and every public name and public method has a
+use outside the tests."""
 
 import ast
 import re
@@ -104,4 +104,52 @@ def test_every_export_has_a_use_outside_the_tests():
         for name in exported
         if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)
     ]
+    assert unused == []
+
+
+def public_methods(source):
+    """(class, method, first line, last line) for every public method of a
+    public top-level class; a decorator line belongs to its def."""
+    out = []
+    for cls in ast.parse(source).body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                    out.append((cls.name, node.name, first, node.end_lineno))
+    return out
+
+
+def test_the_scan_sees_public_methods():
+    source = (
+        "class Kept:\n"
+        "    def __init__(self): pass\n"
+        "    @staticmethod\n"
+        "    def built():\n"
+        "        return Kept()\n"
+        "    def _private(self): pass\n"
+        "class _Hidden:\n"
+        "    def method(self): pass\n"
+    )
+    assert public_methods(source) == [("Kept", "built", 3, 5)]
+
+
+def test_every_public_method_has_a_use_outside_the_tests():
+    """A tripwire, not a call graph: a method passes when its name occurs as
+    a word anywhere in the package, the scripts, perfbench (which names the
+    methods it traces in strings) or README, outside its own def.  So a
+    method whose name also names something else, such as count, of or
+    coefficient, passes unread; those have to be caught by hand."""
+    texts = {path: path.read_text() for path in MODULES + SCRIPTS}
+    texts.update({path: path.read_text() for path in sorted((_ROOT / "perfbench").rglob("*.py"))})
+    texts[_ROOT / "README.md"] = (_ROOT / "README.md").read_text()
+    unused = []
+    for path in MODULES:
+        lines = texts[path].splitlines()
+        for cls, name, first, last in public_methods(texts[path]):
+            outside = [text for other, text in texts.items() if other != path]
+            outside.append("\n".join(lines[: first - 1] + lines[last:]))
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(text) for text in outside):
+                unused.append(f"{cls}.{name}")
     assert unused == []

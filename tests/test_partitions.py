@@ -32,7 +32,7 @@ from thomcalc.partitions import u_monomial, uhat_weight
 
 
 def P(*parts):
-    return Partition.of(*parts)
+    return Partition(tuple(sorted(parts)))
 
 
 def useq(*entries):
@@ -51,7 +51,6 @@ def test_partition_basics():
     assert p.parts == (1, 1, 2)
     assert p.weight == 4
     assert p.length == 3
-    assert p.count(1) == 2
     assert p.union(P(3)).parts == (1, 1, 2, 3)
 
 
@@ -85,9 +84,7 @@ def test_admissibility_validation():
         useq((1,), (1,))  # duplicate entries
 
 
-def test_defect_and_completeness():
-    assert useq((1,), (2,), (3,)).defect() == 0
-    assert useq((1,), (1, 1), (2,)).defect() == 1
+def test_admissible_completeness():
     assert useq((1,), (2,), (1, 2)).is_complete()
     assert not useq((1,), (2,), (1, 1, 1)).is_complete()
 

@@ -158,8 +158,7 @@ def test_power_matches_repeated_product():
 
 def test_laurent_exponents():
     p = Polynomial.term(Fraction(3, 2), [(zvar(1), -2), (zvar(2), 1)])
-    assert p.exponent_range(zvar(1)) == (-2, -2)
-    assert p.exponent_range(zvar(3)) == (0, 0)
+    assert p.term_map() == {((zvar(1), -2), (zvar(2), 1)): Fraction(3, 2)}
     assert p.has_negative_exponent()
 
 
@@ -293,7 +292,7 @@ def test_substitute_polynomial_value():
 @settings(max_examples=60, deadline=None)
 def test_substitute_then_evaluate_is_evaluate_at_the_value(p, x, q, term, pt):
     # a negative power of x can only take a single-term value
-    value = term if p.exponent_range(x)[0] < 0 else q
+    value = term if any(v is x and e < 0 for v, e in p.exponent_pairs()) else q
     assert p.substitute({x: value}).evaluate(pt) == p.evaluate({**pt, x: value.evaluate(pt)})
 
 
@@ -337,18 +336,6 @@ def test_evaluate_agrees_with_substitute(p, x, y, z):
     )
 
 
-def test_coefficient_slice():
-    z1, z2 = zvar(1), zvar(2)
-    p = (
-        Polynomial.term(2, [(z1, 3), (z2, 1)])
-        + Polynomial.term(5, [(z1, 3)])
-        + Polynomial.variable(z2)
-    )
-    got = p.coefficient_slice(z1, 3)
-    assert got == 2 * Polynomial.variable(z2) + Polynomial.constant(5)
-    assert p.coefficient_slice(z1, 7).is_zero()
-
-
 # -- linear forms ------------------------------------------------------
 
 
@@ -372,14 +359,6 @@ def test_linear_form_substitute_linear():
     assert g == linear_form((3, zvar(1)))
 
 
-def test_from_polynomial_rejects_higher_degree():
-    p = Polynomial.term(1, [(zvar(1), 2)])
-    with pytest.raises(ValueError):
-        LinearForm.from_polynomial(p)
-    f = linear_form((2, zvar(1)), constant=3)
-    assert LinearForm.from_polynomial(f.as_polynomial()) == f
-
-
 def test_linear_form_json_round_trip():
     f = linear_form((2, zvar(1)), (-1, lamvar(2)), constant=Fraction(1, 3))
     assert LinearForm.from_json_dict(f.to_json_dict()) == f
@@ -391,9 +370,7 @@ def test_expand_inverse_factor_identity():
         series = expand_inverse_factor(f, order)
         err = f.as_polynomial() * series - Polynomial.one()
         # what remains after truncation sits at exponent exactly -(order+1)
-        if not err.is_zero():
-            lo, hi = err.exponent_range(zvar(2))
-            assert hi <= -(order + 1)
+        assert all(dict(mono).get(zvar(2), 0) <= -(order + 1) for mono in err.term_map())
 
 
 def test_expand_inverse_pure_variable():
