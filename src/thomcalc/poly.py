@@ -583,10 +583,7 @@ class LinearForm:
         return best
 
     def as_polynomial(self) -> Polynomial:
-        p = Polynomial.constant(self.constant)
-        for v, q in self.items:
-            p = p + Polynomial.term(q, [(v, 1)])
-        return p
+        return Polynomial({_ONE: self.constant, **{((v, 1),): q for v, q in self.items}})
 
     def evaluate(self, assignment: Mapping[Variable, ScalarLike]) -> Fraction:
         total = self.constant
