@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Every command honors --format text|json.  Every command accepts --seed, but
-only verify reads it, to draw its randomized samples.  Text mode prints
+Every command honors --format text|json and accepts --seed; only verify
+reads the seed, to draw its randomized samples.  Text mode prints
 closed classes with the background symbol c_0 suppressed; JSON keeps it so
 the structural invariants stay machine-checkable.  Exit codes: 0 success,
 1 computation failure, 2 usage error.

@@ -146,9 +146,9 @@ def test_every_public_method_has_a_use_outside_the_tests():
     unused = []
     for path in MODULES:
         lines = texts[path].splitlines()
+        elsewhere = [text for other, text in texts.items() if other != path]
         for cls, name, first, last in public_methods(texts[path]):
-            outside = [text for other, text in texts.items() if other != path]
-            outside.append("\n".join(lines[: first - 1] + lines[last:]))
+            outside = elsewhere + ["\n".join(lines[: first - 1] + lines[last:])]
             word = re.compile(rf"\b{re.escape(name)}\b")
             if not any(word.search(text) for text in outside):
                 unused.append(f"{cls}.{name}")
