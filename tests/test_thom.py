@@ -46,6 +46,7 @@ from thomcalc.errors import (
 from thomcalc.packed import packed_product
 from thomcalc.partitions import deg_qhat
 from thomcalc.poly import cvar, lamvar, thvar, zvar
+from thomcalc.residue import deg_in_subset
 
 
 def zmono(coeff, *pairs):
@@ -516,6 +517,64 @@ def test_nondistinguished_term_contributes_nothing():
     assert evidence[0].expansion_zero
     assert evidence[0].sampled_zero
     assert evidence[0].vanishes
+
+
+def test_criterion_positions_are_pinned():
+    got = {
+        (d, ev.term.sequence.to_text()): ev.criterion_position
+        for d in (2, 3)
+        for ev in nondistinguished_vanishing(d, 5, 5, samples=1)
+    }
+    assert got == {
+        (2, "([1],[1,1])"): 1,
+        (3, "([1],[2],[1,1])"): 2,
+        (3, "([1],[2],[1,2])"): 2,
+        (3, "([1],[1,1],[2])"): 3,
+        (3, "([1],[1,1],[3])"): 3,
+        (3, "([1],[1,1],[1,1,1])"): 1,
+    }
+
+
+def test_subset_degree_of_a_term_numerator_adds_over_its_factors():
+    # z in the subset -> t, other z -> 1 is a ring map into a domain, so
+    # the expanded numerator's degree is the sum over V_d's linear factors
+    # and the envelopes, and -inf as soon as one factor maps to 0
+    k = 5
+    for d in (2, 3):
+        vandermonde_factors = [
+            linear_form((1, zvar(m)), (-1, zvar(l))).as_polynomial()
+            for m in range(1, d + 1)
+            for l in range(m + 1, d + 1)
+        ]
+        subsets = [
+            [i for i in range(1, d + 1) if mask >> (i - 1) & 1]
+            for mask in range(1, 2 ** d)
+        ]
+        for term in fixed_point_terms(d):
+            if term.distinguished:
+                continue
+            factors = vandermonde_factors + [
+                thom._elementary_envelope(shift, k) for shift in term.shifts
+            ]
+            expanded = thom.compressed_term_numerator(term, k)
+            for subset in subsets:
+                degrees = [deg_in_subset(f, subset) for f in factors]
+                summed = float("-inf") if float("-inf") in degrees else sum(degrees)
+                assert deg_in_subset(expanded, subset) == summed, (term, subset)
+            # z_1 - z_2 maps to t - t = 0 on {z_1, z_2}
+            assert deg_in_subset(vandermonde_factors[0], [1, 2]) == float("-inf")
+            assert deg_in_subset(expanded, [1, 2]) == float("-inf")
+
+
+def test_class_agreement_refuses_a_wrong_class(monkeypatch):
+    right = thom_polynomial(3, 1)
+    mono, _ = next(right.body.terms())
+    wrong = ThomPolynomial(
+        d=3, codim=1, body=right.body + Polynomial({mono: 1})
+    )
+    assert sampled_class_agreement(3, 3, 4, samples=2)
+    monkeypatch.setattr(thom, "thom_polynomial", lambda d, codim: wrong)
+    assert not sampled_class_agreement(3, 3, 4, samples=2)
 
 
 def test_longer_series_window_changes_no_compressed_residue(monkeypatch):
