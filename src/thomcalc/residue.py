@@ -391,7 +391,11 @@ def _as_zvar_set(subset: Iterable[VarOrIndex]) -> Set[Variable]:
 def deg_in_subset(p: Polynomial, subset: Iterable[VarOrIndex]):
     """Degree of p after sending subset variables to t and other z-variables
     to 1, keeping remaining symbols.  Returns -inf on the zero polynomial
-    (and in particular whenever cancellation wipes out every term)."""
+    (and in particular whenever cancellation wipes out every term).
+
+    The map is a ring homomorphism into R[t] with R a polynomial ring over
+    the rationals, an integral domain, so on a product the degrees add and
+    one factor sent to 0 makes the product's degree -inf."""
     svars = _as_zvar_set(subset)
     buckets: Dict[Tuple[int, Monomial], Fraction] = {}
     for mono, coeff in p.term_map().items():
@@ -415,16 +419,22 @@ def deg_in_subset(p: Polynomial, subset: Iterable[VarOrIndex]):
     return max(texp for texp, _ in buckets)
 
 
-def _factors_deg_in_subset(factors: FactorList, subset: Set[Variable]):
-    """The degree of prod(factors) in the subset; NEG_INF as soon as one
-    factor has no term in it."""
+def _product_deg_in_subset(factors: Iterable[Tuple[Polynomial, int]], subset: Set[Variable]):
+    """deg_in_subset of prod(p^mult) over the (p, mult) pairs, factor by
+    factor by the product rule; NEG_INF as soon as one factor has no term
+    in the subset."""
     total = 0
-    for form, mult in factors:
-        fd = deg_in_subset(form.as_polynomial(), subset)
+    for p, mult in factors:
+        fd = deg_in_subset(p, subset)
         if fd == NEG_INF:
             return NEG_INF
         total += mult * fd
     return total
+
+
+def _factors_deg_in_subset(factors: FactorList, subset: Set[Variable]):
+    """The degree of prod(factors) in the subset."""
+    return _product_deg_in_subset(((form.as_polynomial(), mult) for form, mult in factors), subset)
 
 
 def lead_count(factors: FactorList, m: int) -> int:
@@ -441,23 +451,32 @@ def lead_count(factors: FactorList, m: int) -> int:
     return count
 
 
-def vanishing_criterion(p: Polynomial, factors: FactorList, l: int, d: int) -> bool:
+def vanishing_criterion(
+    numerator_factors: Sequence[Polynomial], factors: FactorList, l: int, d: int
+) -> bool:
     """True when degree bookkeeping alone forces the iterated residue of
-    p / prod(factors) over z_1..z_d to vanish at position l.
+    prod(numerator_factors) / prod(factors) over z_1..z_d to vanish at
+    position l.
 
     Either the tail-subset degrees leave no room for the exponent pattern
     (-1, ..., -1), or the single-variable count at z_l does while every
-    z_l-factor tops out there.
+    z_l-factor tops out there.  Sending the subset's z to t and the other z
+    to 1 is a ring homomorphism into R[t], an integral domain, so both
+    sides' degrees are sums over their factors, and one factor sent to 0
+    gives -inf; the numerator is never expanded.  A single polynomial p is
+    passed as [p].
     """
     if not 1 <= l <= d:
         raise ValueError("need 1 <= l <= d")
+    numerator = [(p, 1) for p in numerator_factors]
     tail = _as_zvar_set(range(l, d + 1))
-    if deg_in_subset(p, tail) + (d - l + 1) < _factors_deg_in_subset(factors, tail):
+    dp_tail = _product_deg_in_subset(numerator, tail)
+    if dp_tail + (d - l + 1) < _factors_deg_in_subset(factors, tail):
         return True
 
     single = _as_zvar_set([l])
     dq_single = _factors_deg_in_subset(factors, single)
     if dq_single == NEG_INF:
         return False
-    dp_single = deg_in_subset(p, single)
+    dp_single = _product_deg_in_subset(numerator, single)
     return dp_single + 1 < dq_single and dq_single == lead_count(factors, l)

@@ -46,7 +46,6 @@ from .poly import (
     Monomial,
     Polynomial,
     ScalarLike,
-    Variable,
     avar,
     cvar,
     lamvar,
@@ -236,14 +235,17 @@ def qhat(d: int, registry: Optional[QhatRegistry] = None) -> Polynomial:
 # -- the residue formula ----------------------------------------------
 
 
+def _vandermonde_forms(d: int) -> List[LinearForm]:
+    """The linear factors z_m - z_l, m < l, of the Vandermonde product."""
+    return [
+        linear_form((1, zvar(m)), (-1, zvar(l)))
+        for m in range(1, d + 1)
+        for l in range(m + 1, d + 1)
+    ]
+
+
 def vandermonde(d: int) -> Polynomial:
-    return packed_product(
-        *(
-            linear_form((1, zvar(m)), (-1, zvar(l))).as_polynomial()
-            for m in range(1, d + 1)
-            for l in range(m + 1, d + 1)
-        )
-    )
+    return packed_product(*(form.as_polynomial() for form in _vandermonde_forms(d)))
 
 
 def denominator_forms(d: int) -> List[LinearForm]:
@@ -422,14 +424,29 @@ def shift_check(d: int, codim: int, registry: Optional[QhatRegistry] = None) -> 
 # -- Chern data for bundle maps ---------------------------------------
 
 
-def _product_coeffs(roots: Sequence[Variable], bound: int) -> List[Polynomial]:
+def _product_coeffs(roots: Sequence, bound: int, one) -> list:
     # graded coefficients of prod (1 + root * q), truncated past q^bound
-    coeffs = [Polynomial.one()] + [Polynomial.zero()] * bound
-    for v in roots:
-        root = Polynomial.variable(v)
+    coeffs = [one] + [one * 0] * bound
+    for root in roots:
         for s in range(bound, 0, -1):
             coeffs[s] = coeffs[s] + coeffs[s - 1] * root
     return coeffs
+
+
+def _chern_values(lam: Sequence, theta: Sequence, truncation: int, one) -> list:
+    """[c_0, ..., c_truncation] of c(q) = prod(1 + theta_j q) / prod(1 + lam_i q)
+    at the given roots, in the ring whose unit is one: Polynomial roots give
+    the universal classes, Fraction roots their value at a sample (evaluation
+    is a ring map, so the two agree)."""
+    top = _product_coeffs(theta, truncation, one)
+    bottom = _product_coeffs(lam, truncation, one)
+    values = [one]
+    for m in range(1, truncation + 1):
+        c = top[m]
+        for t in range(1, min(m, len(lam)) + 1):
+            c = c - bottom[t] * values[m - t]
+        values.append(c)
+    return values
 
 
 def chern_classes(n: int, k: int, truncation: int) -> Dict[int, Polynomial]:
@@ -439,15 +456,13 @@ def chern_classes(n: int, k: int, truncation: int) -> Dict[int, Polynomial]:
         raise ValueError("bundle ranks must be nonnegative")
     if truncation < 0:
         raise ValueError("the truncation bound must be nonnegative")
-    top = _product_coeffs([thvar(j) for j in range(1, k + 1)], truncation)
-    bottom = _product_coeffs([lamvar(i) for i in range(1, n + 1)], truncation)
-    values: Dict[int, Polynomial] = {0: Polynomial.one()}
-    for m in range(1, truncation + 1):
-        c = top[m] if m <= k else Polynomial.zero()
-        for t in range(1, min(m, n) + 1):
-            c = c - bottom[t] * values[m - t]
-        values[m] = c
-    return values
+    values = _chern_values(
+        [Polynomial.variable(lamvar(i)) for i in range(1, n + 1)],
+        [Polynomial.variable(thvar(j)) for j in range(1, k + 1)],
+        truncation,
+        Polynomial.one(),
+    )
+    return dict(enumerate(values))
 
 
 def substitute_chern(tp: ThomPolynomial, n: int, k: int) -> Polynomial:
@@ -647,10 +662,13 @@ def fixed_point_sum(d: int, n: int, k: int) -> LocalizationSum:
 def sampled_class_agreement(
     d: int, n: int, k: int, samples: int = 5, seed: int = DEFAULT_SEED
 ) -> bool:
-    """Compare the fixed-point sum against the substituted closed class at
-    seeded rational samples, drawing fresh roots past pole coincidences."""
+    """Compare the fixed-point sum against the closed class at seeded
+    rational samples, drawing fresh roots past pole coincidences.  The class
+    is evaluated at the sample's Chern values, which equals evaluating
+    substitute_chern of it at the roots."""
     rng = random.Random(seed)
-    poly = substitute_chern(thom_polynomial(d, k - n), n, k)
+    tp = thom_polynomial(d, k - n)
+    top = tp.d * (tp.codim + 1)
     localization = fixed_point_sum(d, n, k)
     done = 0
     attempts = 0
@@ -666,9 +684,8 @@ def sampled_class_agreement(
             lhs = localization.evaluate(lam, theta)
         except CoincidentPoleError:
             continue
-        assignment = {lamvar(i + 1): lam[i] for i in range(n)}
-        assignment.update({thvar(j + 1): theta[j] for j in range(k)})
-        if lhs != poly.evaluate(assignment):
+        values = _chern_values(lam, theta, top, Fraction(1))
+        if lhs != tp.body.evaluate({cvar(m): c for m, c in enumerate(values)}):
             return False
         done += 1
     return True
@@ -688,9 +705,15 @@ def _elementary_envelope(shift: LinearForm, k: int) -> Polynomial:
     return out
 
 
+def _term_numerator_factors(term: FixedPointTerm, k: int) -> List[Polynomial]:
+    # V_d's linear factors, then one envelope per shift
+    return [form.as_polynomial() for form in _vandermonde_forms(term.sequence.depth)] + [
+        _elementary_envelope(shift, k) for shift in term.shifts
+    ]
+
+
 def compressed_term_numerator(term: FixedPointTerm, k: int) -> Polynomial:
-    envelopes = (_elementary_envelope(shift, k) for shift in term.shifts)
-    return packed_product(vandermonde(term.sequence.depth), *envelopes)
+    return packed_product(*_term_numerator_factors(term, k))
 
 
 def _term_factor_list(term: FixedPointTerm, n: int) -> FactorList:
@@ -767,11 +790,12 @@ def nondistinguished_vanishing(
     for term in fixed_point_terms(d):
         if term.distinguished:
             continue
-        num = compressed_term_numerator(term, k)
+        num_factors = _term_numerator_factors(term, k)
+        num = packed_product(*num_factors)
         factors = _term_factor_list(term, n)
         position = None
         for l in range(1, d + 1):
-            if vanishing_criterion(num, factors, l, d):
+            if vanishing_criterion(num_factors, factors, l, d):
                 position = l
                 break
         expansion = _compressed_term_residue(term, num, n)

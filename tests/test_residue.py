@@ -65,8 +65,8 @@ def test_asymmetry_of_nesting():
     problem = ResidueProblem(num, factors, variables=(Z1, Z2))
     assert iterated_residue(problem) == Polynomial.one()
     # and the certificate rightly refuses to certify it
-    assert not vanishing_criterion(num, factors, 1, 2)
-    assert not vanishing_criterion(num, factors, 2, 2)
+    assert not vanishing_criterion([num], factors, 1, 2)
+    assert not vanishing_criterion([num], factors, 2, 2)
 
 
 def test_double_factor_vanishes_with_certificate():
@@ -74,7 +74,7 @@ def test_double_factor_vanishes_with_certificate():
     factors = ((form((1, Z1)), 1), (form((1, Z1), (1, Z2)), 2))
     problem = ResidueProblem(num, factors, variables=(Z1, Z2))
     assert iterated_residue(problem).is_zero()
-    assert vanishing_criterion(num, factors, 2, 2)
+    assert vanishing_criterion([num], factors, 2, 2)
 
 
 def test_truncation_instability_is_detected():
@@ -387,7 +387,7 @@ def test_certified_vanishing_is_sound(a, b, factors):
     # whenever the certificate fires at some position, the residue is zero
     num = Polynomial.term(1, [(Z1, a), (Z2, b)])
     factors = tuple(factors)
-    if not any(vanishing_criterion(num, factors, l, 2) for l in (1, 2)):
+    if not any(vanishing_criterion([num], factors, l, 2) for l in (1, 2)):
         return
     problem = ResidueProblem(num, factors, variables=(Z1, Z2))
     assert iterated_residue(problem).is_zero()

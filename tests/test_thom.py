@@ -2,6 +2,7 @@
 and the positivity expansion."""
 
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -333,6 +334,20 @@ def test_chern_generating_identity():
         rhs = rhs * (Polynomial.one() + Polynomial.variable(thvar(j)) * t)
     difference = lhs - rhs
     assert all(dict(mono).get(zvar(1), 0) > 4 for mono in difference.term_map())
+
+
+@pytest.mark.parametrize("n, k, t", [(0, 1, 2), (1, 1, 3), (2, 3, 4), (3, 4, 8)])
+def test_numeric_chern_values_are_the_classes_at_the_roots(n, k, t):
+    rng = random.Random(n * 100 + k * 10 + t)
+    lam = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(n)]
+    theta = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(k)]
+    assignment = {lamvar(i + 1): x for i, x in enumerate(lam)}
+    assignment.update({thvar(j + 1): x for j, x in enumerate(theta)})
+    values = thom._chern_values(lam, theta, t, Fraction(1))
+    classes = chern_classes(n, k, t)
+    assert len(values) == len(classes) == t + 1
+    assert values == [classes[m].evaluate(assignment) for m in range(t + 1)]
+    assert all(type(value) is Fraction for value in values)
 
 
 def test_substituted_rank_one_class():
