@@ -419,22 +419,11 @@ def deg_in_subset(p: Polynomial, subset: Iterable[VarOrIndex]):
     return max(texp for texp, _ in buckets)
 
 
-def _product_deg_in_subset(factors: Iterable[Tuple[Polynomial, int]], subset: Set[Variable]):
-    """deg_in_subset of prod(p^mult) over the (p, mult) pairs, factor by
-    factor by the product rule; NEG_INF as soon as one factor has no term
-    in the subset."""
-    total = 0
-    for p, mult in factors:
-        fd = deg_in_subset(p, subset)
-        if fd == NEG_INF:
-            return NEG_INF
-        total += mult * fd
-    return total
-
-
 def _factors_deg_in_subset(factors: FactorList, subset: Set[Variable]):
-    """The degree of prod(factors) in the subset."""
-    return _product_deg_in_subset(((form.as_polynomial(), mult) for form, mult in factors), subset)
+    """The degree of prod(factors) in the subset, summed over the factors
+    (see deg_in_subset); NEG_INF absorbs the sum when one factor has no
+    term in the subset."""
+    return sum(mult * deg_in_subset(form.as_polynomial(), subset) for form, mult in factors)
 
 
 def lead_count(factors: FactorList, m: int) -> int:
@@ -468,9 +457,8 @@ def vanishing_criterion(
     """
     if not 1 <= l <= d:
         raise ValueError("need 1 <= l <= d")
-    numerator = [(p, 1) for p in numerator_factors]
     tail = _as_zvar_set(range(l, d + 1))
-    dp_tail = _product_deg_in_subset(numerator, tail)
+    dp_tail = sum(deg_in_subset(p, tail) for p in numerator_factors)
     if dp_tail + (d - l + 1) < _factors_deg_in_subset(factors, tail):
         return True
 
@@ -478,5 +466,5 @@ def vanishing_criterion(
     dq_single = _factors_deg_in_subset(factors, single)
     if dq_single == NEG_INF:
         return False
-    dp_single = _product_deg_in_subset(numerator, single)
+    dp_single = sum(deg_in_subset(p, single) for p in numerator_factors)
     return dp_single + 1 < dq_single and dq_single == lead_count(factors, l)
