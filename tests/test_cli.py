@@ -1,6 +1,10 @@
 """End-to-end checks of the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -451,3 +455,29 @@ def test_repeat_runs_are_identical(runner):
     second = runner.invoke(main, ["partitions", "--d", "4", "--format", "json"])
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--suite", "all", "--format", "json", "--seed", "1729"],
+        ["tp", "--d", "5", "--codim", "2", "--format", "json"],
+    ],
+    ids=["verify-all", "tp-5-2"],
+)
+def test_output_does_not_depend_on_hash_order(args):
+    # variables hash by identity, and strings by PYTHONHASHSEED: no output
+    # may follow the iteration order of a set
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+        done = subprocess.run(
+            [sys.executable, "-m", "thomcalc.cli", *args],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]

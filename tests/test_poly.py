@@ -74,6 +74,30 @@ def test_variables_are_interned():
     assert zvar(3) is not zvar(4)
 
 
+def test_every_route_to_a_variable_returns_the_interned_object():
+    # Variable defines no value equality: identity is the only equality,
+    # so every constructor and reader must hand back the one object
+    z1 = Variable("z", 1)
+    assert zvar(1) is z1
+    assert variable_from_text("z_1") is z1
+    assert Variable.from_json(zvar(1).to_json()) is z1
+    assert uvar(3, [1, 2]) is uvar(3, (1, 2))
+    u = uhatvar(1, 2, 4)
+    assert variable_from_text("u_{1,2}^{4}") is u
+    assert Variable.from_json(u.to_json()) is u
+
+
+def test_json_round_trip_keeps_the_interned_variables():
+    z1, u = zvar(1), uhatvar(1, 2, 4)
+    p = Polynomial.term(3, [(z1, 2), (u, -1)]) + Polynomial.variable(uvar(3, (1, 2)))
+    read = Polynomial.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
+    assert read == p
+    variables = [v for mono in read.term_map() for v, _ in mono]
+    assert {v.text for v in variables} == {z1.text, u.text, "u[1,2]^3"}
+    assert all(v is Variable(v.family, v.index) for v in variables)
+    assert any(v is z1 for v in variables) and any(v is u for v in variables)
+
+
 def test_variable_text_round_trip():
     for v in (zvar(7), lamvar(2), thvar(3), etavar(1), yvar(4),
               cvar(0), cvar(12), avar(5), avar(0), avar(-3), uhatvar(1, 2, 3)):
