@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under scripts/, in process, with small arguments."""
 
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -22,3 +23,20 @@ def test_script_runs(name, args, expected, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(path), *args])
     runpy.run_path(str(path), run_name="__main__")
     assert expected in capsys.readouterr().out
+
+
+def test_bench_writes_end_to_end_and_per_layer_figures(tmp_path, monkeypatch):
+    path = SCRIPTS / "bench.py"
+    args = ["--label", "smoke", "--workload", "tp-table-small", "--seconds", "1",
+            "--out-dir", str(tmp_path)]
+    monkeypatch.setattr(sys, "argv", [str(path), *args])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(path), run_name="__main__")
+    assert done.value.code == 0
+    record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert record["seed"] == 1 and record["seconds"] == 1
+    assert {"git_head", "platform", "cpu_count", "python", "pythondontwritebytecode"} <= set(record)
+    workload = record["workloads"]["tp-table-small"]
+    assert set(workload["end_to_end"]) == {"wall_s", "setup_s", "peak_rss_mb"}
+    assert workload["per_layer"]["residue.iterated_residue.calls"] > 0
+    assert workload["failed"] == 0
