@@ -301,8 +301,8 @@ def buchberger_lex(ideal: PolynomialIdeal, pair_budget: int = 10_000) -> List[Po
     return _lex_basis(ideal, pair_budget)[0]
 
 
-def initial_ideal(ideal: PolynomialIdeal, pair_budget: int = 10_000) -> MonomialIdeal:
-    basis = buchberger_lex(ideal, pair_budget)
+def initial_ideal(ideal: PolynomialIdeal) -> MonomialIdeal:
+    basis = buchberger_lex(ideal)
     bound = max((e for g in basis for _, e in g.exponent_pairs()), default=0)
     packing = ExponentPacking(ideal.order, bound, lex=True)
     leads = [max(packing.terms(g)) for g in basis]
@@ -335,13 +335,13 @@ def _monomial_weight(mono: Monomial, ring: WeightedRing) -> LinearForm:
     return LinearForm(constant, coeffs)
 
 
-def multidegree(ideal: PolynomialIdeal, ring: WeightedRing, pair_budget: int = 10_000) -> Polynomial:
+def multidegree(ideal: PolynomialIdeal, ring: WeightedRing) -> Polynomial:
     """Multidegree by Groebner degeneration: the initial monomial ideal
     under the ideal's lex order has the same multidegree."""
     check_weight_homogeneous(ideal, ring)
     if not ideal.generators:
         return Polynomial.one()
-    init = initial_ideal(ideal, pair_budget)
+    init = initial_ideal(ideal)
     return multidegree_monomial(init, ring)
 
 

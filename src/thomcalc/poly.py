@@ -6,8 +6,10 @@ Coefficients are stdlib Fractions, so all arithmetic is exact and reduction
 to lowest terms is automatic.  Sums of fractions over linear forms live in
 residue.fraction_sum.
 
-A monomial is a tuple of (Variable, exponent) pairs sorted by the variable's
-canonical key, with no zero exponents.  A polynomial is a dict from monomials
+A Variable is interned: there is one object per (family, index), so two
+variables are equal exactly when they are the same object, and they hash by
+identity.  A monomial is a tuple of (Variable, exponent) pairs sorted by the
+variable's canonical key, with no zero exponents.  A polynomial is a dict from monomials
 to nonzero coefficients.  Canonical printing order is graded reverse
 lexicographic, largest term first, which reproduces the usual ordering of
 Chern-class expressions (c1^4 before 6*c1^2*c2 before 2*c2^2 before 9*c1*c3).
@@ -44,13 +46,15 @@ _PLAIN_PREFIX = {"c": "c", "a": "a"}
 class Variable:
     """An interned symbolic variable, identified by family and index.
 
-    Scalar families use a positive integer index (c allows 0, a allows any
+    Variable(family, index) returns the one object for that pair, so
+    equality is identity and hashing is by identity; no other route may
+    build a Variable.  Scalar families use a positive integer index (c allows 0, a allows any
     integer).  Family "uhat" is indexed by a triple (m, r, l) with
     1 <= m <= r and m + r <= l.  Family "u" is indexed by (l, tau) where tau
     is a nondecreasing tuple of positive parts with sum(tau) <= l.
     """
 
-    __slots__ = ("family", "index", "key", "text", "_hash")
+    __slots__ = ("family", "index", "key", "text")
 
     _interned: Dict[tuple, "Variable"] = {}
 
@@ -64,19 +68,8 @@ class Variable:
         self.index = index
         self.key = _sort_key(family, index)
         self.text = _render_variable(family, index)
-        self._hash = hash((family, index))
         cls._interned[(family, index)] = self
         return self
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, Variable)
-            and self.family == other.family
-            and self.index == other.index
-        )
 
     def __lt__(self, other: "Variable") -> bool:
         return self.key < other.key
@@ -318,18 +311,14 @@ class Polynomial:
         return self._terms
 
     def variables(self) -> set:
-        out = set()
-        for mono in self._terms:
-            for v, _ in mono:
-                out.add(v)
-        return out
+        return {v for v, _ in self.exponent_pairs()}
 
     def exponent_pairs(self) -> set:
         """Every (variable, exponent) pair that occurs in some term."""
         return set().union(*self._terms)
 
     def has_negative_exponent(self) -> bool:
-        return any(e < 0 for mono in self._terms for _, e in mono)
+        return any(e < 0 for _, e in self.exponent_pairs())
 
     # -- ring operations ----------------------------------------------
 

@@ -712,10 +712,6 @@ def _term_numerator_factors(term: FixedPointTerm, k: int) -> List[Polynomial]:
     ]
 
 
-def compressed_term_numerator(term: FixedPointTerm, k: int) -> Polynomial:
-    return packed_product(*_term_numerator_factors(term, k))
-
-
 def _term_factor_list(term: FixedPointTerm, n: int) -> FactorList:
     factors = [(chart, 1) for chart in term.chart_factors]
     for l in range(1, term.sequence.depth + 1):
@@ -726,7 +722,7 @@ def _term_factor_list(term: FixedPointTerm, n: int) -> FactorList:
 
 def _compressed_term_residue(term: FixedPointTerm, num: Polynomial, n: int) -> Polynomial:
     """The term's full residue with theta compressed to elementary symbols
-    (num is its compressed_term_numerator) and the root poles compressed to
+    (num is the product of its _term_numerator_factors) and the root poles compressed to
     complete homogeneous symbols."""
     d = term.sequence.depth
     top = max(sum(e for v, e in mono if v.family == "z") for mono in num.term_map())

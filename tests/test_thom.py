@@ -571,7 +571,7 @@ def test_subset_degree_of_a_term_numerator_adds_over_its_factors():
             factors = vandermonde_factors + [
                 thom._elementary_envelope(shift, k) for shift in term.shifts
             ]
-            expanded = thom.compressed_term_numerator(term, k)
+            expanded = packed_product(*thom._term_numerator_factors(term, k))
             for subset in subsets:
                 degrees = [deg_in_subset(f, subset) for f in factors]
                 summed = float("-inf") if float("-inf") in degrees else sum(degrees)
@@ -600,14 +600,18 @@ def test_longer_series_window_changes_no_compressed_residue(monkeypatch):
         for n, k in ((5, 5), (3, 3), (4, 2), (6, 4))
     ]
     exact = [
-        thom._compressed_term_residue(term, thom.compressed_term_numerator(term, k), n)
+        thom._compressed_term_residue(
+            term, packed_product(*thom._term_numerator_factors(term, k)), n
+        )
         for term, n, k in cases
     ]
     assert any(not residue.is_zero() for residue in exact)
     cap = thom._series_cap
     monkeypatch.setattr(thom, "_series_cap", lambda *args: cap(*args) + 3)
     assert [
-        thom._compressed_term_residue(term, thom.compressed_term_numerator(term, k), n)
+        thom._compressed_term_residue(
+            term, packed_product(*thom._term_numerator_factors(term, k)), n
+        )
         for term, n, k in cases
     ] == exact
 
