@@ -9,10 +9,11 @@ residue.fraction_sum.
 A Variable is interned: there is one object per (family, index), so two
 variables are equal exactly when they are the same object, and they hash by
 identity.  A monomial is a tuple of (Variable, exponent) pairs sorted by the
-variable's canonical key, with no zero exponents.  A polynomial is a dict from monomials
-to nonzero coefficients.  Canonical printing order is graded reverse
-lexicographic, largest term first, which reproduces the usual ordering of
-Chern-class expressions (c1^4 before 6*c1^2*c2 before 2*c2^2 before 9*c1*c3).
+variable's canonical key, with no zero exponents.  A polynomial is a dict
+from monomials to nonzero coefficients.  Canonical printing order is graded
+reverse lexicographic, largest term first, which reproduces the usual
+ordering of Chern-class expressions (c1^4 before 6*c1^2*c2 before 2*c2^2
+before 9*c1*c3).
 
 Sums, scalar multiples, evaluation and printing read these tuples.  All
 other arithmetic runs on packed exponent ints (packed.py), one Python int
@@ -48,10 +49,11 @@ class Variable:
 
     Variable(family, index) returns the one object for that pair, so
     equality is identity and hashing is by identity; no other route may
-    build a Variable.  Scalar families use a positive integer index (c allows 0, a allows any
-    integer).  Family "uhat" is indexed by a triple (m, r, l) with
-    1 <= m <= r and m + r <= l.  Family "u" is indexed by (l, tau) where tau
-    is a nondecreasing tuple of positive parts with sum(tau) <= l.
+    build a Variable.  Scalar families use a positive integer index (c
+    allows 0, a allows any integer).  Family "uhat" is indexed by a triple
+    (m, r, l) with 1 <= m <= r and m + r <= l.  Family "u" is indexed by
+    (l, tau) where tau is a nondecreasing tuple of positive parts with
+    sum(tau) <= l.
     """
 
     __slots__ = ("family", "index", "key", "text")

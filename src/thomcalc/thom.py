@@ -722,8 +722,8 @@ def _term_factor_list(term: FixedPointTerm, n: int) -> FactorList:
 
 def _compressed_term_residue(term: FixedPointTerm, num: Polynomial, n: int) -> Polynomial:
     """The term's full residue with theta compressed to elementary symbols
-    (num is the product of its _term_numerator_factors) and the root poles compressed to
-    complete homogeneous symbols."""
+    (num is the product of its _term_numerator_factors) and the root poles
+    compressed to complete homogeneous symbols."""
     d = term.sequence.depth
     top = max(sum(e for v, e in mono if v.family == "z") for mono in num.term_map())
     sign = -1 if n % 2 else 1
