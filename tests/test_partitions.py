@@ -1,5 +1,7 @@
 """Partition combinatorics, the uhat relations, and the u-space actions."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -87,6 +89,27 @@ def test_admissibility_validation():
 def test_admissible_completeness():
     assert useq((1,), (2,), (1, 2)).is_complete()
     assert not useq((1,), (2,), (1, 1, 1)).is_complete()
+
+
+def _closed_under_sub_multisets(seq):
+    entries = set(seq.entries)
+    return all(
+        Partition(sub) in entries
+        for entry in seq.entries
+        for size in range(1, entry.length + 1)
+        for sub in itertools.combinations(entry.parts, size)
+    )
+
+
+@pytest.mark.parametrize(
+    "d, count, complete", [(1, 1, 1), (2, 2, 2), (3, 8, 6), (4, 64, 29), (5, 896, 195)]
+)
+def test_completeness_is_closure_under_sub_multisets(d, count, complete):
+    sequences = enumerate_admissible(d)
+    assert len(sequences) == count
+    for seq in sequences:
+        assert seq.is_complete() == _closed_under_sub_multisets(seq), seq
+    assert len(enumerate_admissible(d, complete_only=True)) == complete
 
 
 def test_enumerate_small_depths():

@@ -1,7 +1,9 @@
 """Polynomial core: arithmetic laws, canonical text, JSON, exact division."""
 
 import json
+import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +202,52 @@ def test_text_order_is_degree_then_reverse_lex():
         + Polynomial.term(6, [(cvar(1), 2), (cvar(2), 1)])
     )
     assert p.to_text() == "c1^4 + 6*c1^2*c2 + 2*c2^2 + 9*c1*c3 + 6*c4"
+
+
+def _grevlex_cmp(a, b):
+    """Graded reverse lex on monomial tuples, written as a comparator:
+    positive when a is the larger monomial."""
+    da, db = sum(e for _, e in a), sum(e for _, e in b)
+    if da != db:
+        return 1 if da > db else -1
+    # scan from the largest variable down; the first differing exponent
+    # decides, and the smaller exponent wins
+    i, j = len(a) - 1, len(b) - 1
+    while i >= 0 or j >= 0:
+        if i >= 0 and (j < 0 or a[i][0].key > b[j][0].key):
+            diff = a[i][1]
+            i -= 1
+        elif j >= 0 and (i < 0 or b[j][0].key > a[i][0].key):
+            diff = -b[j][1]
+            j -= 1
+        else:
+            diff = a[i][1] - b[j][1]
+            i -= 1
+            j -= 1
+        if diff:
+            return 1 if diff < 0 else -1
+    return 0
+
+
+# two or three variables of every family, a-indices below zero included
+EVERY_FAMILY = [
+    zvar(1), zvar(3), lamvar(1), lamvar(2), thvar(2), etavar(1), etavar(4),
+    yvar(1), yvar(6), cvar(0), cvar(2), avar(-2), avar(0), avar(3),
+    uvar(2, (1,)), uvar(3, (1, 2)), uvar(4, (1, 1, 2)),
+    uhatvar(1, 1, 2), uhatvar(1, 2, 4), uhatvar(2, 2, 4),
+]
+
+
+def test_term_order_is_the_graded_reverse_lex_comparator():
+    rng = random.Random(17)
+    for _ in range(400):
+        p = Polynomial.zero()
+        for _ in range(rng.randint(0, 12)):
+            pool = rng.sample(EVERY_FAMILY, rng.randint(2, 6))
+            pairs = [(v, rng.randint(-3, 3)) for v in rng.sample(pool, rng.randint(0, len(pool)))]
+            p = p + Polynomial.term(rng.randint(1, 5), pairs)
+        expected = sorted(p.term_map(), key=cmp_to_key(_grevlex_cmp), reverse=True)
+        assert [mono for mono, _ in p.terms()] == expected
 
 
 def test_text_signs_and_fractions():
