@@ -314,7 +314,7 @@ def initial_ideal(ideal: PolynomialIdeal) -> MonomialIdeal:
 def check_weight_homogeneous(ideal: PolynomialIdeal, ring: WeightedRing) -> None:
     for gi, g in enumerate(ideal.generators):
         expected = None
-        for mono, _ in g.terms():
+        for mono in g.term_map():
             w = _monomial_weight(mono, ring)
             if expected is None:
                 expected = w

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import WeightInhomogeneityError
 from .poly import (
@@ -52,20 +52,6 @@ class Partition:
 
     def union(self, other: "Partition") -> "Partition":
         return Partition(tuple(sorted(self.parts + other.parts)))
-
-    def sub_partitions(self) -> List["Partition"]:
-        """All distinct nonempty sub-multisets, the partition itself included."""
-        distinct = sorted(set(self.parts))
-        out = []
-        choices = [range(self.parts.count(p) + 1) for p in distinct]
-        for combo in itertools.product(*choices):
-            parts = []
-            for p, c in zip(distinct, combo):
-                parts.extend([p] * c)
-            if parts:
-                out.append(Partition(tuple(parts)))
-        out.sort(key=_partition_order_key)
-        return out
 
     def to_text(self) -> str:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
@@ -122,13 +108,17 @@ class AdmissibleSequence:
         return len(self.entries)
 
     def is_complete(self) -> bool:
-        """Every nonempty sub-multiset of every entry is itself an entry."""
+        """Every nonempty sub-multiset of every entry is itself an entry.
+
+        Tested one part at a time: removing one part from any entry leaves
+        an entry or nothing.  Every sub-multiset is reached from its entry
+        by such removals, so this is the same condition."""
         entry_set = set(self.entries)
-        for entry in self.entries:
-            for sub in entry.sub_partitions():
-                if sub not in entry_set:
-                    return False
-        return True
+        return all(
+            not rest or Partition(rest) in entry_set
+            for entry in self.entries
+            for rest in {entry.parts[:i] + entry.parts[i + 1:] for i in range(entry.length)}
+        )
 
     def to_text(self) -> str:
         return "(" + ",".join(e.to_text() for e in self.entries) + ")"
@@ -294,14 +284,15 @@ def basic_relations(d: int) -> List[BasicRelation]:
     return out
 
 
+def _reference_value(p: Polynomial, is_one: Callable[[tuple], bool]) -> Fraction:
+    # each variable is 1 or 0 by its index
+    return p.evaluate({v: Fraction(1) if is_one(v.index) else Fraction(0) for v in p.variables()})
+
+
 def uhat_reference_value(p: Polynomial) -> Fraction:
     """Evaluate a uhat-polynomial at the reference point where
     uhat^l_{m,r} is 1 exactly when m + r = l."""
-    assignment = {}
-    for v in p.variables():
-        m, r, l = v.index
-        assignment[v] = Fraction(1) if m + r == l else Fraction(0)
-    return p.evaluate(assignment)
+    return _reference_value(p, lambda mrl: mrl[0] + mrl[1] == mrl[2])
 
 
 # -- the u-space calculus ---------------------------------------------
@@ -310,11 +301,7 @@ def uhat_reference_value(p: Polynomial) -> Fraction:
 def u_reference_value(p: Polynomial) -> Fraction:
     """Evaluate at the reference point where u^l_tau is 1 exactly when
     weight(tau) = l."""
-    assignment = {}
-    for v in p.variables():
-        l, tau = v.index
-        assignment[v] = Fraction(1) if sum(tau) == l else Fraction(0)
-    return p.evaluate(assignment)
+    return _reference_value(p, lambda l_tau: sum(l_tau[1]) == l_tau[0])
 
 
 def u_monomial(entries: Sequence[Partition]) -> Polynomial:

@@ -11,9 +11,11 @@ variables are equal exactly when they are the same object, and they hash by
 identity.  A monomial is a tuple of (Variable, exponent) pairs sorted by the
 variable's canonical key, with no zero exponents.  A polynomial is a dict
 from monomials to nonzero coefficients.  Canonical printing order is graded
-reverse lexicographic, largest term first, which reproduces the usual
-ordering of Chern-class expressions (c1^4 before 6*c1^2*c2 before 2*c2^2
-before 9*c1*c3).
+reverse lexicographic, largest term first: terms sort by the key (total
+degree, the exponents negated over the polynomial's variables from the
+largest Variable.key down).  This reproduces the usual ordering of
+Chern-class expressions (c1^4 before 6*c1^2*c2 before 2*c2^2 before
+9*c1*c3).
 
 Sums, scalar multiples, evaluation and printing read these tuples.  All
 other arithmetic runs on packed exponent ints (packed.py), one Python int
@@ -29,7 +31,6 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ConstantFormError, UnassignedVariableError
@@ -72,9 +73,6 @@ class Variable:
         self.text = _render_variable(family, index)
         cls._interned[(family, index)] = self
         return self
-
-    def __lt__(self, other: "Variable") -> bool:
-        return self.key < other.key
 
     def __repr__(self) -> str:
         return f"Variable({self.text})"
@@ -211,37 +209,6 @@ def _mono_from_pairs(pairs: Iterable[Tuple[Variable, int]]) -> Monomial:
     return tuple(sorted(((v, e) for v, e in merged.items() if e != 0), key=lambda p: p[0].key))
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
-def _mono_cmp(a: Monomial, b: Monomial) -> int:
-    """Graded reverse lex: positive when a is the larger monomial."""
-    da, db = _mono_degree(a), _mono_degree(b)
-    if da != db:
-        return 1 if da > db else -1
-    # scan from the largest variable down; first differing exponent decides,
-    # with the smaller exponent winning (reverse lex)
-    i, j = len(a) - 1, len(b) - 1
-    while i >= 0 or j >= 0:
-        if i >= 0 and (j < 0 or a[i][0].key > b[j][0].key):
-            diff = a[i][1]
-            i -= 1
-        elif j >= 0 and (i < 0 or b[j][0].key > a[i][0].key):
-            diff = -b[j][1]
-            j -= 1
-        else:
-            diff = a[i][1] - b[j][1]
-            i -= 1
-            j -= 1
-        if diff:
-            return 1 if diff < 0 else -1
-    return 0
-
-
-_MONO_SORT_KEY = cmp_to_key(_mono_cmp)
-
-
 def _mono_text(m: Monomial) -> str:
     if not m:
         return "1"
@@ -305,8 +272,16 @@ class Polynomial:
         return len(self._terms)
 
     def terms(self) -> Iterator[Tuple[Monomial, Fraction]]:
-        """Iterate (monomial, coefficient), canonically largest term first."""
-        for mono in sorted(self._terms, key=_MONO_SORT_KEY, reverse=True):
+        """Iterate (monomial, coefficient), largest first in graded reverse
+        lex: descending by (total degree, the exponents negated over the
+        polynomial's variables from the largest Variable.key down)."""
+        order = sorted(self.variables(), key=lambda v: v.key, reverse=True)
+
+        def key(mono: Monomial) -> tuple:
+            exps = dict(mono)
+            return sum(exps.values()), [-exps.get(v, 0) for v in order]
+
+        for mono in sorted(self._terms, key=key, reverse=True):
             yield mono, self._terms[mono]
 
     def term_map(self) -> Mapping[Monomial, Fraction]:

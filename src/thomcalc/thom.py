@@ -923,7 +923,7 @@ def positivity_expansion(
         return PositivityReport(
             d=d, order=total_order, minimum=Fraction(0), witness="", term_count=0
         )
-    worst = min(kept, key=lambda mono: (kept[mono], mono))
+    worst = min(kept, key=lambda mono: (kept[mono], [(v.key, e) for v, e in mono]))
     witness = Polynomial.term(1, worst).to_text()
     return PositivityReport(
         d=d,
@@ -937,4 +937,4 @@ def positivity_expansion(
 def tp_positivity(d: int, codim: int, registry: Optional[QhatRegistry] = None) -> bool:
     """Every coefficient of the closed class is nonnegative."""
     body = thom_polynomial(d, codim, registry).body
-    return all(coeff >= 0 for _, coeff in body.terms())
+    return all(coeff >= 0 for coeff in body.term_map().values())

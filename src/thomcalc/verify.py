@@ -6,9 +6,7 @@ the report carries one entry per check and the caller decides the exit
 code from all_passed.
 """
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
 from .errors import CalcError
@@ -30,10 +28,7 @@ from .poly import Polynomial, cvar, linear_form, zvar
 from .multidegree import toric_localization_example
 from .thom import (
     DEFAULT_SEED,
-    _chern_values,
-    _distinct_fractions,
     derive_qhat,
-    fixed_point_sum,
     flag_residue_identity,
     nondistinguished_vanishing,
     pole_sum_class,
@@ -178,18 +173,10 @@ def _classical(collector: _Collector, seed: int):
 
 def _localization(collector: _Collector, seed: int):
     def porteous():
-        rng = random.Random(seed)
+        # tp(1, k - n) is c_(k - n + 1), so this is class agreement at depth 1
         for n, k in ((2, 3), (3, 5)):
-            sum_form = fixed_point_sum(1, n, k)
-            for _ in range(3):
-                lam = _distinct_fractions(rng, n)
-                theta = [
-                    Fraction(rng.randint(-30, 30), rng.randint(1, 9))
-                    for _ in range(k)
-                ]
-                target = _chern_values(lam, theta, k - n + 1, Fraction(1))[k - n + 1]
-                if sum_form.evaluate(lam, theta) != target:
-                    return False, f"ranks ({n},{k})"
+            if not sampled_class_agreement(1, n, k, samples=3, seed=seed):
+                return False, f"ranks ({n},{k})"
         return True, "rank pairs (2,3) and (3,5)"
 
     def flag():

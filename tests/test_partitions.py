@@ -65,11 +65,6 @@ def test_partition_validation():
         Partition((2, 1))
 
 
-def test_sub_partitions():
-    subs = P(1, 1, 2).sub_partitions()
-    assert subs == [P(1), P(2), P(1, 1), P(1, 2), P(1, 1, 2)]
-
-
 def test_enumeration_order():
     got = partitions_up_to(3)
     assert got == [P(1), P(2), P(1, 1), P(3), P(1, 2), P(1, 1, 1)]

@@ -1,6 +1,9 @@
-from thomcalc.verify import SUITES, run_suite
+import json
 
 import pytest
+
+from thomcalc import Polynomial
+from thomcalc.verify import SUITES, run_suite
 
 
 def test_suite_names():
@@ -70,3 +73,15 @@ def test_all_suites_pass():
     ]
     details = {check.check_id: check.detail for check in report.results}
     assert details["positivity.series-probe-order5"] == "minimum -1 at a1*a2*a3^2*a4"
+
+
+def test_porteous_reads_the_depth_one_class(monkeypatch, tmp_path):
+    # Q_1 = 2 doubles every depth-1 class; class agreement runs at depths 2
+    # and 3 only, so the Porteous check alone sees it
+    plugin = {"d": 1, "polynomial": Polynomial.constant(2).to_json_dict()}
+    (tmp_path / "q1.json").write_text(json.dumps(plugin))
+    monkeypatch.setenv("THOMCALC_QHAT_DIR", str(tmp_path))
+    results = {r.check_id: r for r in run_suite("localization", 1729).results}
+    assert not results["localization.porteous"].passed
+    assert results["localization.porteous"].detail == "ranks (2,3)"
+    assert results["localization.class-agreement"].passed
