@@ -230,9 +230,11 @@ def mdeg_command(ideal_file, example, fmt, seed):
         if obj.get("order"):
             order = tuple(yvar(i) for i in obj["order"])
         ideal = PolynomialIdeal.of(generators, order=order)
+        ring = WeightedRing(weights=weights)
+        for v in ideal.order:
+            ring.weight_of(v.index)  # a coordinate without a weight is a malformed file
     except (OSError, ValueError, KeyError, TypeError) as err:
         raise click.ClickException(f"cannot read ideal file {ideal_file}: {err}")
-    ring = WeightedRing(weights=weights)
     result = multidegree(ideal, ring)
     if fmt == "text":
         click.echo(result.to_text())

@@ -59,6 +59,9 @@ class WeightedRing:
     weights: Tuple[LinearForm, ...]
 
     def weight_of(self, index: int) -> LinearForm:
+        if not 1 <= index <= len(self.weights):
+            n = len(self.weights)
+            raise ValueError(f"no weight for y_{index} in a ring of {n} coordinates")
         return self.weights[index - 1]
 
 
@@ -188,7 +191,7 @@ class PolynomialIdeal:
                 raise ValueError("ideal coordinates must be y-variables")
         for g in self.generators:
             for v in g.variables():
-                if v.family == "y" and v not in known:
+                if v not in known:
                     raise ValueError(f"generator uses {v.text}, not in the order list")
 
     @staticmethod

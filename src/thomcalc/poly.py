@@ -148,6 +148,8 @@ _SUBSCRIPT_FAMILY = {"z": "z", "l": "lambda", "t": "theta", "e": "eta", "y": "y"
 
 def variable_from_text(text: str) -> Variable:
     """Parse the short text spelling (z_1, l_2, t_3, e_4, y_5, c0, a2, u_{1,2}^{3})."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected a variable name, got {text!r}")
     m = _VAR_TEXT_RE.match(text.strip())
     if not m:
         raise ValueError(f"cannot parse variable {text!r}")
@@ -452,7 +454,10 @@ def json_fraction(value) -> Fraction:
     would read as a binary fraction, not 1/10."""
     if isinstance(value, (bool, float)):
         raise ValueError(f"expected an integer or a fraction string, got {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def json_object(value) -> dict:

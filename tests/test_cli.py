@@ -339,6 +339,88 @@ def test_mdeg_requires_one_source(runner, tmp_path):
     assert "exactly one" in result.output
 
 
+def _refused(result, path):
+    # a refusal that names the file, not a crash
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert str(path) in result.output
+    assert "Traceback" not in result.output
+
+
+def test_residue_refuses_a_zero_denominator(runner, tmp_path):
+    obj = residue_problem_for(2, 0).to_json_dict()
+    obj["denominator_factors"][0]["constant"] = "1/0"
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, ["residue", "--problem", str(path)])
+    _refused(result, path)
+    assert "zero denominator in '1/0'" in result.output
+
+
+def test_residue_refuses_a_variable_name_that_is_not_a_string(runner, tmp_path):
+    obj = residue_problem_for(2, 0).to_json_dict()
+    obj["variables"] = [5]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, ["residue", "--problem", str(path)])
+    _refused(result, path)
+    assert "expected a variable name, got 5" in result.output
+
+
+def _ideal_file(tmp_path, generator, weights):
+    path = tmp_path / "ideal.json"
+    path.write_text(
+        json.dumps({"generators": [generator.to_json_dict()], "weights": weights})
+    )
+    return path
+
+
+def test_mdeg_refuses_a_zero_denominator(runner, tmp_path):
+    path = _ideal_file(tmp_path, Polynomial.variable(yvar(1)), [{"constant": "1/0"}])
+    result = runner.invoke(main, ["mdeg", "--ideal-file", str(path)])
+    _refused(result, path)
+    assert "zero denominator in '1/0'" in result.output
+
+
+def test_mdeg_refuses_a_generator_symbol_outside_the_order(runner, tmp_path):
+    generator = Polynomial.term(1, [(yvar(1), 1), (zvar(3), 1)])
+    path = _ideal_file(tmp_path, generator, [linear_form((1, etavar(1))).to_json_dict()])
+    result = runner.invoke(main, ["mdeg", "--ideal-file", str(path)])
+    _refused(result, path)
+    assert "generator uses z_3, not in the order list" in result.output
+
+
+def test_mdeg_refuses_a_coordinate_without_a_weight(runner, tmp_path):
+    generator = Polynomial.term(1, [(yvar(1), 1), (yvar(2), 1), (yvar(3), 1)])
+    path = _ideal_file(tmp_path, generator, [linear_form((1, etavar(1))).to_json_dict()])
+    result = runner.invoke(main, ["mdeg", "--ideal-file", str(path)])
+    _refused(result, path)
+    assert "no weight for y_2" in result.output
+
+
+def _zero_denominator_numerator(path):
+    poly = qhat(4).to_json_dict()
+    poly["terms"][0]["coeff"] = "1/0"
+    path.write_text(json.dumps({"d": 4, "polynomial": poly}))
+
+
+def test_tp_refuses_a_zero_denominator_in_a_numerator_file(runner, tmp_path):
+    path = tmp_path / "bad.json"
+    _zero_denominator_numerator(path)
+    result = runner.invoke(main, ["tp", "--d", "4", "--codim", "0", "--qhat-file", str(path)])
+    _refused(result, path)
+    assert "zero denominator in '1/0'" in result.output
+
+
+def test_tp_refuses_a_zero_denominator_in_a_plugin(runner, monkeypatch, tmp_path):
+    path = tmp_path / "qhat4.json"
+    _zero_denominator_numerator(path)
+    monkeypatch.setenv("THOMCALC_QHAT_DIR", str(tmp_path))
+    result = runner.invoke(main, ["tp", "--d", "2", "--codim", "0"])
+    _refused(result, path)
+    assert "zero denominator in '1/0'" in result.output
+
+
 def test_partitions_text(runner):
     result = runner.invoke(main, ["partitions", "--d", "3"])
     assert result.exit_code == 0

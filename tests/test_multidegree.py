@@ -31,6 +31,7 @@ from thomcalc import (
     subspace_multiplicity,
     toric_localization_example,
     yvar,
+    zvar,
 )
 from thomcalc.multidegree import _lex_basis
 
@@ -336,6 +337,20 @@ def test_ideal_validation():
         PolynomialIdeal.of([Y[1]], order=[etavar(1)])
     with pytest.raises(ValueError):
         PolynomialIdeal((Y[2],), (yvar(1),))
+
+
+def test_ideal_refuses_any_symbol_outside_the_order():
+    with pytest.raises(ValueError, match="generator uses z_3, not in the order list"):
+        PolynomialIdeal.of([Y[1] * Polynomial.variable(zvar(3))])
+
+
+def test_a_coordinate_without_a_weight_is_named():
+    with pytest.raises(ValueError, match="no weight for y_2 in a ring of 1 coordinates"):
+        ring(1).weight_of(2)
+    with pytest.raises(ValueError, match="no weight for y_0"):
+        ring(1).weight_of(0)
+    with pytest.raises(ValueError, match="no weight for y_2"):
+        multidegree(PolynomialIdeal.of([Y[1] * Y[2] * Y[3]]), ring(1))
 
 
 # -- the toric cross-check ---------------------------------------------

@@ -29,7 +29,7 @@ from thomcalc import (
     yvar,
     zvar,
 )
-from thomcalc.poly import expand_inverse_factor, read_json
+from thomcalc.poly import expand_inverse_factor, json_fraction, read_json
 
 
 POOL = [cvar(0), cvar(1), cvar(2), zvar(1), zvar(2), avar(-1)]
@@ -340,6 +340,18 @@ def test_json_repeated_key_is_refused():
     )
     with pytest.raises(ValueError, match="repeated key 'terms'"):
         read_json(text)
+
+
+def test_json_zero_denominator_is_refused():
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        json_fraction("1/0")
+    with pytest.raises(ValueError, match="zero denominator in '2/0'"):
+        LinearForm.from_json_dict({"constant": "2/0"})
+
+
+def test_a_variable_name_that_is_not_a_string_is_refused():
+    with pytest.raises(ValueError, match="expected a variable name, got 5"):
+        variable_from_text(5)
 
 
 def test_json_coefficients_carry_denominators():
