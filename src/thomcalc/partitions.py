@@ -285,7 +285,6 @@ def basic_relations(d: int) -> List[BasicRelation]:
 
 
 def _reference_value(p: Polynomial, is_one: Callable[[tuple], bool]) -> Fraction:
-    # each variable is 1 or 0 by its index
     return p.evaluate({v: Fraction(1) if is_one(v.index) else Fraction(0) for v in p.variables()})
 
 
