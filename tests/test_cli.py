@@ -398,6 +398,22 @@ def test_mdeg_refuses_a_coordinate_without_a_weight(runner, tmp_path):
     assert "no weight for y_2" in result.output
 
 
+def test_mdeg_names_an_inhomogeneous_generator(runner, tmp_path):
+    y = [None] + [Polynomial.variable(yvar(i)) for i in (1, 2)]
+    path = tmp_path / "ideal.json"
+    path.write_text(
+        json.dumps(
+            {
+                "generators": [(y[1] * y[2]).to_json_dict(), (y[1] + y[2] ** 2).to_json_dict()],
+                "weights": [linear_form((1, etavar(i))).to_json_dict() for i in (1, 2)],
+            }
+        )
+    )
+    result = runner.invoke(main, ["mdeg", "--ideal-file", str(path)])
+    assert result.exit_code == 1
+    assert result.output == "Error: generator 2 (y_2^2 + y_1) is not weight-homogeneous\n"
+
+
 def _zero_denominator_numerator(path):
     poly = qhat(4).to_json_dict()
     poly["terms"][0]["coeff"] = "1/0"

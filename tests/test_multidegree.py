@@ -249,6 +249,13 @@ def test_weight_homogeneity_enforced():
         multidegree(mixed, ring(2))
 
 
+def test_weight_inhomogeneity_names_the_generator():
+    mixed = PolynomialIdeal.of([Y[1] * Y[2], Y[1] + Y[2] ** 2])
+    with pytest.raises(WeightInhomogeneityError) as caught:
+        multidegree(mixed, ring(2))
+    assert str(caught.value) == "generator 2 (y_2^2 + y_1) is not weight-homogeneous"
+
+
 def test_pair_budget():
     gens = [Y[1] * Y[3] - Y[2] ** 2, Y[2] * Y[4] - Y[3] ** 2, Y[1] * Y[4] - Y[2] * Y[3]]
     with pytest.raises(SPairBudgetError):
@@ -283,6 +290,30 @@ def test_chain_criterion_skips_a_pair_and_keeps_the_initial_ideal():
     assert sorted(map(sorted_items, initial_ideal(ideal).generators)) == sorted(
         map(sorted_items, expected)
     )
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_initial_ideal_is_the_minimal_lex_leads_of_the_basis(d):
+    ideal, _ = basic_relations_ideal(d)
+    position = {v: i for i, v in enumerate(ideal.order)}
+
+    def lead(g):
+        # the lex maximum: exponent vectors over the order, first entry largest
+        vectors = []
+        for mono in g.term_map():
+            exps = [0] * len(ideal.order)
+            for v, e in mono:
+                exps[position[v]] = e
+            vectors.append(exps)
+        return {ideal.order[i].index: e for i, e in enumerate(max(vectors)) if e}
+
+    leads = [lead(g) for g in buchberger_lex(ideal)]
+    minimal = {
+        sorted_items(a)
+        for a in leads
+        if not any(b != a and all(a.get(t, 0) >= e for t, e in b.items()) for b in leads)
+    }
+    assert sorted(map(sorted_items, initial_ideal(ideal).generators)) == sorted(minimal)
 
 
 def test_basis_outgrowing_the_generators_fields():

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 from thomcalc import (
     AdmissibleSequence,
+    LinearForm,
     Partition,
     Polynomial,
     WeightInhomogeneityError,
@@ -154,6 +155,22 @@ def test_relation_weight_errors():
         relation_weight(v(zvar(1)))
     with pytest.raises(ValueError):
         relation_weight(Polynomial.zero())
+
+
+def test_relation_weight_is_every_monomials_weight_sum_through_level_6():
+    def weight(mono):
+        # sum of e * (z_m + z_r - z_l) over the factors uhat^l_{m,r}^e
+        coeffs = {}
+        for v, e in mono:
+            m, r, l = v.index
+            for i, q in ((m, e), (r, e), (l, -e)):
+                coeffs[zvar(i)] = coeffs.get(zvar(i), 0) + q
+        return LinearForm(0, coeffs)
+
+    for d in range(3, 7):
+        for rel in basic_relations(d):
+            weights = {weight(mono) for mono in rel.polynomial.term_map()}
+            assert [relation_weight(rel.polynomial)] == list(weights), rel.label()
 
 
 def test_basic_relations_census():

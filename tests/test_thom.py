@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from thomcalc import (
+    LinearForm,
     Polynomial,
     QhatRegistry,
     ThomPolynomial,
@@ -45,7 +46,7 @@ from thomcalc.errors import (
     QhatFormatError,
 )
 from thomcalc.packed import packed_product
-from thomcalc.partitions import deg_qhat
+from thomcalc.partitions import deg_qhat, uhat_index_triples
 from thomcalc.poly import cvar, lamvar, thvar, zvar
 from thomcalc.residue import deg_in_subset
 
@@ -220,6 +221,18 @@ def test_denominator_forms_low_orders():
         linear_form((2, zvar(1)), (-1, zvar(3))),
         linear_form((1, zvar(1)), (1, zvar(2)), (-1, zvar(3))),
     ]
+
+
+def test_denominator_forms_are_the_triple_weights_through_order_7():
+    # z_m + z_r - z_l built here, one per index triple; m = r counts twice
+    for d in range(1, 8):
+        expected = []
+        for m, r, l in uhat_index_triples(d):
+            coeffs = {}
+            for i, sign in ((m, 1), (r, 1), (l, -1)):
+                coeffs[zvar(i)] = coeffs.get(zvar(i), 0) + sign
+            expected.append(LinearForm(0, coeffs))
+        assert denominator_forms(d) == expected, f"order {d}"
 
 
 def test_vandermonde_expansion():
