@@ -17,7 +17,7 @@ import click
 from .errors import CalcError
 from .multidegree import PolynomialIdeal, WeightedRing, multidegree, toric_localization_example
 from .partitions import deg_qhat, dim_normal_model, dim_orbit, enumerate_admissible
-from .poly import LinearForm, Polynomial, cvar, read_json, yvar
+from .poly import LinearForm, Polynomial, cvar, fraction_json, read_json, yvar
 from .residue import ResidueProblem, iterated_residue
 from .thom import (
     DEFAULT_SEED,
@@ -30,7 +30,9 @@ from .verify import SUITES, run_suite
 
 # Input bounds, checked before any work starts.  The cost of tp grows about
 # 1.5x per codim step: tp --d 5 --codim 14 takes 10-13.5 s (16,019 terms)
-# and 15 takes 13-18 s, on a two-core Xeon VM with Python 3.11.7.
+# and 15 takes 13-18 s, on a two-core Xeon VM with Python 3.11.7.  At d = 6
+# (from a numerator plugin) it grows about 2x per step: --codim 7 takes
+# 10.3-12.2 s (7,760 terms) and 8 takes about 20 s.
 # partitions lists 21,504 sequences at depth 6 and 817,152 at depth 7.  The
 # ratio expansion grows 1.1-1.2x per degree: positivity --d 5 --order 46
 # takes about 9.5 s (163,642 terms, 118 MiB), 47 takes about 11.6 s.  At d = 6
@@ -38,6 +40,7 @@ from .verify import SUITES, run_suite
 # takes about 9-10 s (128,444 terms, 104 MiB), 31 about 12 s and 32 about
 # 15 s (150 MiB).  d = 7 stays out, as in partitions.
 MAX_CODIM = 14
+MAX_CODIM_D6 = 7
 MAX_PARTITION_DEPTH = 6
 MAX_POSITIVITY_D = 6
 MAX_POSITIVITY_ORDER = 46
@@ -84,10 +87,6 @@ def _echo_json(obj):
     click.echo(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _fraction_text(q) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
 @click.group()
 def main():
     """Exact calculator for closed classes of higher-order contact loci."""
@@ -99,8 +98,9 @@ def main():
     "--codim",
     type=int,
     required=True,
-    help=f"Codimension shift parameter, 0 to {MAX_CODIM}; --d 5 --codim {MAX_CODIM} takes "
-    "10-13.5 s on a two-core Xeon VM (Python 3.11.7).",
+    help=f"Codimension shift parameter, 0 to {MAX_CODIM}, or 0 to {MAX_CODIM_D6} at --d 6 and "
+    f"above; --d 5 --codim {MAX_CODIM} and --d 6 --codim {MAX_CODIM_D6} each take 10-13.5 s "
+    "on a two-core Xeon VM (Python 3.11.7).",
 )
 @click.option(
     "--basis",
@@ -121,8 +121,9 @@ def tp_command(order, codim, basis, qhat_file, fmt, seed):
     """Compute one closed class."""
     if order < 1:
         raise click.BadParameter("--d must be at least 1")
-    if not 0 <= codim <= MAX_CODIM:
-        raise click.BadParameter(f"--codim must be between 0 and {MAX_CODIM}")
+    limit = MAX_CODIM_D6 if order >= 6 else MAX_CODIM
+    if not 0 <= codim <= limit:
+        raise click.BadParameter(f"--codim must be between 0 and {limit}")
     registry = None
     if qhat_file:
         registry = QhatRegistry()
@@ -130,22 +131,13 @@ def tp_command(order, codim, basis, qhat_file, fmt, seed):
     result = thom_polynomial(order, codim, registry)
     if basis == "thom-series":
         body = thom_series_view(result)
-        if fmt == "text":
-            click.echo(body.to_text())
-        else:
-            _echo_json(
-                {
-                    "d": order,
-                    "codim": codim,
-                    "basis": "thom-series",
-                    "polynomial": body.to_json_dict(),
-                }
-            )
+        text, obj = body.to_text(), {"d": order, "codim": codim, "polynomial": body.to_json_dict()}
     else:
-        if fmt == "text":
-            click.echo(result.to_text())
-        else:
-            _echo_json(dict(result.to_json_dict(), basis="chern"))
+        text, obj = result.to_text(), result.to_json_dict()
+    if fmt == "text":
+        click.echo(text)
+    else:
+        _echo_json(dict(obj, basis=basis))
 
 
 @main.command("residue")
@@ -344,7 +336,7 @@ def positivity_command(order, total_order, fmt, seed):
             {
                 "d": report.d,
                 "order": report.order,
-                "minimum": _fraction_text(report.minimum),
+                "minimum": fraction_json(report.minimum),
                 "witness": report.witness,
                 "term_count": report.term_count,
                 "nonnegative": report.nonnegative,

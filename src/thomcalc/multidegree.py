@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -47,8 +46,9 @@ from .errors import (
 )
 from .packed import Divisor, ExponentPacking, PackedTerms, TermHeap, add_into, exact_quotient
 from .packed import packed_mul, packed_product
-from .partitions import basic_relations, uhat_index_triples, uhat_weight
-from .poly import LinearForm, Monomial, Polynomial, Variable, etavar, uhatvar, yvar
+from .partitions import basic_relations, triple_weight, uhat_index_triples
+from .poly import LinearForm, Polynomial, Variable, etavar, monomial_weight, strict_int
+from .poly import uhatvar, yvar
 from .residue import fraction_sum
 
 
@@ -77,7 +77,10 @@ class MonomialIdeal:
         known = set(variable_indices)
         cleaned = []
         for gen in generators:
-            gen = {int(t): int(e) for t, e in gen.items() if e > 0}
+            gen = {strict_int(t): strict_int(e) for t, e in gen.items()}
+            if any(e < 0 for e in gen.values()):
+                raise ValueError(f"negative exponent in the monomial generator {gen}")
+            gen = {t: e for t, e in gen.items() if e}
             for t in gen:
                 if t not in known:
                     raise ValueError(f"generator mentions unknown coordinate y_{t}")
@@ -190,9 +193,11 @@ class PolynomialIdeal:
             if v.family != "y":
                 raise ValueError("ideal coordinates must be y-variables")
         for g in self.generators:
-            for v in g.variables():
+            for v, e in g.exponent_pairs():
                 if v not in known:
                     raise ValueError(f"generator uses {v.text}, not in the order list")
+                if e < 0:
+                    raise ValueError(f"generator {g.to_text()} has a negative exponent")
 
     @staticmethod
     def of(generators: Sequence[Polynomial], order: Optional[Sequence[Variable]] = None) -> "PolynomialIdeal":
@@ -305,37 +310,32 @@ def buchberger_lex(ideal: PolynomialIdeal, pair_budget: int = 10_000) -> List[Po
 
 
 def initial_ideal(ideal: PolynomialIdeal) -> MonomialIdeal:
-    basis = buchberger_lex(ideal)
-    bound = max((e for g in basis for _, e in g.exponent_pairs()), default=0)
-    packing = ExponentPacking(ideal.order, bound, lex=True)
-    leads = [max(packing.terms(g)) for g in basis]
+    position = {v: i for i, v in enumerate(ideal.order)}
+
+    def exponents(mono):
+        # listed in the ideal's order, exponents compare as lists in lex order
+        exps = [0] * len(position)
+        for v, e in mono:
+            exps[position[v]] = e
+        return exps
+
+    leads = [max(map(exponents, g.term_map())) for g in buchberger_lex(ideal)]
     # MonomialIdeal drops the zero exponents
-    gens = [{v.index: k >> packing.shift[v] & packing.mask for v in ideal.order} for k in leads]
-    return MonomialIdeal(gens, [v.index for v in ideal.order])
+    indices = [v.index for v in ideal.order]
+    return MonomialIdeal([dict(zip(indices, exps)) for exps in leads], indices)
 
 
 def check_weight_homogeneous(ideal: PolynomialIdeal, ring: WeightedRing) -> None:
     for gi, g in enumerate(ideal.generators):
         expected = None
         for mono in g.term_map():
-            w = _monomial_weight(mono, ring)
+            w = monomial_weight(mono, lambda v: ring.weight_of(v.index))
             if expected is None:
                 expected = w
             elif w != expected:
                 raise WeightInhomogeneityError(
                     f"generator {gi + 1} ({g.to_text()}) is not weight-homogeneous"
                 )
-
-
-def _monomial_weight(mono: Monomial, ring: WeightedRing) -> LinearForm:
-    coeffs: Dict[Variable, Fraction] = {}
-    constant = Fraction(0)
-    for v, e in mono:
-        w = ring.weight_of(v.index)
-        constant += e * w.constant
-        for s, q in w.items:
-            coeffs[s] = coeffs.get(s, Fraction(0)) + e * q
-    return LinearForm(constant, coeffs)
 
 
 def multidegree(ideal: PolynomialIdeal, ring: WeightedRing) -> Polynomial:
@@ -408,12 +408,12 @@ def basic_relations_ideal(d: int) -> Tuple[PolynomialIdeal, WeightedRing]:
 
     The uhat coordinates become y_1..y_n in the order of uhat_index_triples,
     which is also the lex order of the Groebner degeneration (first entry
-    largest), and each carries its uhat_weight."""
+    largest), and each carries its weight z_m + z_r - z_l."""
     if d < 1:
         raise ValueError("the singularity order must be at least 1")
     triples = uhat_index_triples(d)
     order = [yvar(i) for i in range(1, len(triples) + 1)]
     rename = {uhatvar(*t): Polynomial.variable(y) for t, y in zip(triples, order)}
     generators = [rel.polynomial.substitute(rename) for rel in basic_relations(d)]
-    ring = WeightedRing(tuple(uhat_weight(uhatvar(*t)) for t in triples))
+    ring = WeightedRing(tuple(triple_weight(*t) for t in triples))
     return PolynomialIdeal.of(generators, order), ring

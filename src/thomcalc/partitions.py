@@ -22,6 +22,8 @@ from .poly import (
     Polynomial,
     Variable,
     _mono_text,
+    linear_form,
+    monomial_weight,
     uhatvar,
     uvar,
     zvar,
@@ -175,13 +177,15 @@ def deg_qhat(d: int) -> int:
     return dim_normal_model(d) - dim_orbit(d)
 
 
+def triple_weight(m: int, r: int, l: int) -> LinearForm:
+    """z_m + z_r - z_l: the weight of uhat^l_{m,r}, a denominator factor of F_d."""
+    return linear_form((1, zvar(m)), (1, zvar(r)), (-1, zvar(l)))
+
+
 def uhat_weight(v: Variable) -> LinearForm:
-    m, r, l = v.index
-    coeffs: Dict[Variable, Fraction] = {}
-    for i, s in ((m, 1), (r, 1), (l, -1)):
-        w = zvar(i)
-        coeffs[w] = coeffs.get(w, Fraction(0)) + s
-    return LinearForm(0, coeffs)
+    if v.family != "uhat":
+        raise ValueError(f"expected uhat variables only, found {v.text}")
+    return triple_weight(*v.index)
 
 
 def relation_weight(p: Polynomial) -> LinearForm:
@@ -195,13 +199,7 @@ def relation_weight(p: Polynomial) -> LinearForm:
     weight: Optional[LinearForm] = None
     first_mono = None
     for mono, _ in p.terms():
-        coeffs: Dict[Variable, Fraction] = {}
-        for v, e in mono:
-            if v.family != "uhat":
-                raise ValueError(f"expected uhat variables only, found {v.text}")
-            for w, q in uhat_weight(v).items:
-                coeffs[w] = coeffs.get(w, Fraction(0)) + e * q
-        this = LinearForm(0, coeffs)
+        this = monomial_weight(mono, uhat_weight)
         if weight is None:
             weight = this
             first_mono = mono

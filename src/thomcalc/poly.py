@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ConstantFormError, UnassignedVariableError
 
@@ -143,7 +143,7 @@ def _render_variable(family: str, index) -> str:
 _VAR_TEXT_RE = re.compile(
     r"^(?:([zltey])_(\d+)|([ca])\(?(-?\d+)\)?|u_\{(\d+),(\d+)\}\^\{(\d+)\})$"
 )
-_SUBSCRIPT_FAMILY = {"z": "z", "l": "lambda", "t": "theta", "e": "eta", "y": "y"}
+_SUBSCRIPT_FAMILY = {prefix: family for family, prefix in _SUBSCRIPT_PREFIX.items()}
 
 
 def variable_from_text(text: str) -> Variable:
@@ -417,7 +417,7 @@ class Polynomial:
             exps = [0] * len(vars_sorted)
             for v, e in mono:
                 exps[var_pos[v]] = e
-            terms.append({"coeff": _coeff_json(coeff), "exps": exps})
+            terms.append({"coeff": fraction_json(coeff), "exps": exps})
         return {"vars": [v.to_json() for v in vars_sorted], "terms": terms}
 
     @staticmethod
@@ -486,7 +486,8 @@ def _coeff_text(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _coeff_json(q: Fraction) -> str:
+def fraction_json(q: Fraction) -> str:
+    """The "p/q" spelling of a Fraction in JSON output; json_fraction reads it."""
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -596,8 +597,8 @@ class LinearForm:
 
     def to_json_dict(self) -> dict:
         return {
-            "constant": _coeff_json(self.constant),
-            "coeffs": {v.text: _coeff_json(q) for v, q in self.items},
+            "constant": fraction_json(self.constant),
+            "coeffs": {v.text: fraction_json(q) for v, q in self.items},
         }
 
     @staticmethod
@@ -619,6 +620,14 @@ def linear_form(*terms: Tuple[ScalarLike, Variable], constant: ScalarLike = 0) -
     for coeff, v in terms:
         coeffs[v] = coeffs.get(v, Fraction(0)) + Fraction(coeff)
     return LinearForm(constant, coeffs)
+
+
+def monomial_weight(mono: Monomial, weight_of: Callable[[Variable], LinearForm]) -> LinearForm:
+    """The torus weight of a monomial: the sum of e * weight_of(v) over its
+    (v, e) pairs."""
+    forms = [(e, weight_of(v)) for v, e in mono]
+    terms = [(e * q, s) for e, w in forms for s, q in w.items]
+    return linear_form(*terms, constant=sum(e * w.constant for e, w in forms))
 
 
 def expand_inverse_factor(form: LinearForm, order: int) -> Polynomial:

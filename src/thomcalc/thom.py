@@ -38,6 +38,7 @@ from .partitions import (
     basic_relations,
     deg_qhat,
     enumerate_admissible,
+    triple_weight,
     uhat_index_triples,
 )
 from .multidegree import basic_relations_ideal, multidegree
@@ -175,8 +176,6 @@ class QhatRegistry:
                         f'use the {{"d": ..., "polynomial": ...}} form'
                     )
                 d = max(indices)
-        except QhatFormatError:
-            raise
         except (KeyError, TypeError, ValueError) as err:
             raise QhatFormatError(f"{path}: malformed numerator file: {err}")
         self.register(d, poly)
@@ -250,10 +249,7 @@ def vandermonde(d: int) -> Polynomial:
 
 def denominator_forms(d: int) -> List[LinearForm]:
     """The arithmetic weights z_m + z_r - z_l, one per index triple."""
-    return [
-        linear_form((1, zvar(m)), (1, zvar(r)), (-1, zvar(l)))
-        for m, r, l in uhat_index_triples(d)
-    ]
+    return [triple_weight(*t) for t in uhat_index_triples(d)]
 
 
 def _series_cap(top: int, factor_count: int, d: int, lead: int) -> int:
@@ -306,14 +302,18 @@ def _numerator(d: int, registry: QhatRegistry) -> Tuple[Polynomial, int]:
     return entry
 
 
-def residue_problem_for(
-    d: int, codim: int, registry: Optional[QhatRegistry] = None
-) -> ResidueProblem:
-    """The integrand whose iterated residue is the closed-class polynomial."""
+def _check_class_args(d: int, codim: int):
     if d < 1:
         raise ValueError("the singularity order must be at least 1")
     if codim < 0:
         raise ValueError("the codimension parameter must be nonnegative")
+
+
+def residue_problem_for(
+    d: int, codim: int, registry: Optional[QhatRegistry] = None
+) -> ResidueProblem:
+    """The integrand whose iterated residue is the closed-class polynomial."""
+    _check_class_args(d, codim)
     numerator, degree = _numerator(d, registry or default_registry())
     return _chern_window_problem(numerator, degree, denominator_forms(d), d, codim)
 
@@ -398,9 +398,7 @@ def ronga_reference(codim: int) -> ThomPolynomial:
 def thom_series_view(tp: ThomPolynomial) -> Polynomial:
     """Recenter Chern indices at codim + 1, exposing the stable series shape."""
     offset = tp.codim + 1
-    mapping = {}
-    for v in tp.body.variables():
-        mapping[v] = Polynomial.variable(avar(v.index - offset))
+    mapping = {v: Polynomial.variable(avar(v.index - offset)) for v in tp.body.variables()}
     return tp.body.substitute(mapping)
 
 
@@ -409,16 +407,10 @@ def shift_check(d: int, codim: int, registry: Optional[QhatRegistry] = None) -> 
     reproduce the class one codimension down."""
     if codim < 1:
         raise ValueError("need codim at least 1 to shift down")
-    hi = thom_polynomial(d, codim, registry)
-    lo = thom_polynomial(d, codim - 1, registry)
-    shifted = Polynomial.zero()
-    for mono, coeff in hi.body.term_map().items():
-        if any(v.index == 0 for v, _ in mono):
-            continue
-        shifted = shifted + Polynomial.term(
-            coeff, [(cvar(v.index - 1), e) for v, e in mono]
-        )
-    return shifted == lo.body
+    hi = thom_polynomial(d, codim, registry).body
+    lo = thom_polynomial(d, codim - 1, registry).body
+    lowered = {v: Polynomial.variable(cvar(v.index - 1)) if v.index else 0 for v in hi.variables()}
+    return hi.substitute(lowered) == lo
 
 
 # -- Chern data for bundle maps ---------------------------------------
@@ -491,12 +483,13 @@ def pole_sum_class(
     equality of the classes.  From d = 3 on some poles coincide
     structurally and the pole sum raises CoincidentPoleError.
     """
+    _check_class_args(d, codim)
     k = d + codim
     zs = [zvar(l) for l in range(1, d + 1)]
     theta_factors = (
         linear_form((1, z), (1, thvar(t))).as_polynomial() for z in zs for t in range(1, k + 1)
     )
-    numerator = packed_product(residue_problem_for(d, codim, registry).numerator, *theta_factors)
+    numerator = packed_product(_numerator(d, registry or default_registry())[0], *theta_factors)
     forms = denominator_forms(d)
     for z in zs:
         forms += [linear_form((1, z), (1, lamvar(i))) for i in range(1, d + 1)]
@@ -506,10 +499,10 @@ def pole_sum_class(
 # -- localization over flags ------------------------------------------
 
 
-def _distinct_fractions(rng: random.Random, count: int, bound: int = 12) -> List[Fraction]:
+def _distinct_fractions(rng: random.Random, count: int) -> List[Fraction]:
     out: List[Fraction] = []
     while len(out) < count:
-        q = Fraction(rng.randint(-8 * bound, 8 * bound), rng.randint(1, bound))
+        q = Fraction(rng.randint(-96, 96), rng.randint(1, 12))
         if q not in out:
             out.append(q)
     return out

@@ -43,9 +43,6 @@ from .thom import (
     tp_positivity,
 )
 
-SUITES = ("classical", "localization", "relations", "positivity")
-
-
 @dataclass(frozen=True)
 class CheckResult:
     check_id: str
@@ -325,6 +322,7 @@ _SUITE_RUNNERS: Dict[str, Callable[[_Collector, int], None]] = {
     "relations": _relations,
     "positivity": _positivity,
 }
+SUITES = tuple(_SUITE_RUNNERS)
 
 
 def run_suite(suite: str, seed: int = DEFAULT_SEED) -> VerifyReport:

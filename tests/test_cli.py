@@ -20,6 +20,7 @@ from thomcalc import (
 )
 from thomcalc.cli import (
     MAX_CODIM,
+    MAX_CODIM_D6,
     MAX_PARTITION_DEPTH,
     MAX_POSITIVITY_D,
     MAX_POSITIVITY_ORDER,
@@ -80,6 +81,21 @@ def test_tp_refuses_codim_past_the_limit(runner):
     assert f"between 0 and {MAX_CODIM}" in result.output
     help_text = runner.invoke(main, ["tp", "--help"]).output
     assert f"0 to {MAX_CODIM}" in help_text
+
+
+def test_tp_refuses_codim_past_the_d6_limit(runner, tmp_path):
+    # the missing plugin file would fail with exit 1 once read, so exit 2
+    # shows the codim was refused first
+    missing = str(tmp_path / "missing.json")
+    for d in (6, 7):
+        args = ["tp", "--d", str(d), "--codim", str(MAX_CODIM_D6 + 1), "--qhat-file", missing]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert f"between 0 and {MAX_CODIM_D6}" in result.output
+    args = ["tp", "--d", "6", "--codim", str(MAX_CODIM_D6), "--qhat-file", missing]
+    assert runner.invoke(main, args).exit_code == 1
+    help_text = runner.invoke(main, ["tp", "--help"]).output
+    assert f"0 to {MAX_CODIM_D6}" in help_text
 
 
 def test_tp_numerator_plugin(runner, tmp_path):
@@ -412,6 +428,41 @@ def test_mdeg_names_an_inhomogeneous_generator(runner, tmp_path):
     result = runner.invoke(main, ["mdeg", "--ideal-file", str(path)])
     assert result.exit_code == 1
     assert result.output == "Error: generator 2 (y_2^2 + y_1) is not weight-homogeneous\n"
+
+
+def _laurent(*terms):
+    # the sum of c * y_1^e_1 * y_2^e_2 * y_3^e_3 over the (c, (e_1, e_2, e_3))
+    return sum(
+        (Polynomial.term(c, [(yvar(i), e) for i, e in enumerate(exps, 1)]) for c, exps in terms),
+        Polynomial.zero(),
+    )
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [
+        [
+            _laurent((-1, (2, 1, 2)), (1, (2, 2, -1))),
+            _laurent((1, (2, -2, 1)), (-1, (2, -1, -1))),
+        ],
+        [_laurent((1, (1, -1, 0)), (-1, (0, 0, 1))), _laurent((1, (1, 0, 0)), (-1, (0, 1, 0)))],
+    ],
+    ids=["fields-grow-forever", "silently-wrong"],
+)
+def test_mdeg_refuses_a_negative_exponent(runner, tmp_path, generators):
+    path = tmp_path / "ideal.json"
+    path.write_text(
+        json.dumps(
+            {
+                "generators": [g.to_json_dict() for g in generators],
+                "weights": [linear_form((1, etavar(i))).to_json_dict() for i in (1, 2, 3)],
+            }
+        )
+    )
+    result = runner.invoke(main, ["mdeg", "--ideal-file", str(path)])
+    _refused(result, path)
+    assert f"cannot read ideal file {path}: generator" in result.output
+    assert "has a negative exponent" in result.output
 
 
 def _zero_denominator_numerator(path):

@@ -249,6 +249,38 @@ def test_weight_homogeneity_enforced():
         multidegree(mixed, ring(2))
 
 
+def _laurent(*terms):
+    # the sum of c * y_1^e_1 * y_2^e_2 * y_3^e_3 over the (c, (e_1, e_2, e_3))
+    return sum(
+        (Polynomial.term(c, [(yvar(i), e) for i, e in enumerate(exps, 1)]) for c, exps in terms),
+        Polynomial.zero(),
+    )
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [
+            _laurent((-1, (2, 1, 2)), (1, (2, 2, -1))),
+            _laurent((1, (2, -2, 1)), (-1, (2, -1, -1))),
+        ],
+        [_laurent((1, (1, -1, 0)), (-1, (0, 0, 1))), _laurent((1, (1, 0, 0)), (-1, (0, 1, 0)))],
+    ],
+    ids=["fields-grow-forever", "silently-wrong"],
+)
+def test_polynomial_ideal_refuses_a_negative_exponent(gens):
+    with pytest.raises(ValueError, match="negative exponent"):
+        PolynomialIdeal.of(gens)
+
+
+@pytest.mark.parametrize(
+    "gen", [{1: 1.7}, {1.9: 2}, {1: True}, {1: -1, 2: 1}], ids=["float", "index", "bool", "negative"]
+)
+def test_monomial_ideal_refuses_what_it_used_to_round_or_drop(gen):
+    with pytest.raises(ValueError):
+        MonomialIdeal([gen], [1, 2])
+
+
 def test_weight_inhomogeneity_names_the_generator():
     mixed = PolynomialIdeal.of([Y[1] * Y[2], Y[1] + Y[2] ** 2])
     with pytest.raises(WeightInhomogeneityError) as caught:
