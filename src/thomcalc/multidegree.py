@@ -320,9 +320,9 @@ def initial_ideal(ideal: PolynomialIdeal) -> MonomialIdeal:
         return exps
 
     leads = [max(map(exponents, g.term_map())) for g in buchberger_lex(ideal)]
-    # MonomialIdeal drops the zero exponents
     indices = [v.index for v in ideal.order]
-    return MonomialIdeal([dict(zip(indices, exps)) for exps in leads], indices)
+    gens = [{i: e for i, e in zip(indices, exps) if e} for exps in leads]
+    return MonomialIdeal(gens, indices)
 
 
 def check_weight_homogeneous(ideal: PolynomialIdeal, ring: WeightedRing) -> None:
