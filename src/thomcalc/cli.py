@@ -131,13 +131,15 @@ def tp_command(order, codim, basis, qhat_file, fmt, seed):
     result = thom_polynomial(order, codim, registry)
     if basis == "thom-series":
         body = thom_series_view(result)
-        text, obj = body.to_text(), {"d": order, "codim": codim, "polynomial": body.to_json_dict()}
+        to_text = body.to_text
+        to_json = lambda: {"d": order, "codim": codim, "polynomial": body.to_json_dict()}
     else:
-        text, obj = result.to_text(), result.to_json_dict()
+        to_text, to_json = result.to_text, result.to_json_dict
+    # only the chosen format is rendered: each is a pass over every term
     if fmt == "text":
-        click.echo(text)
+        click.echo(to_text())
     else:
-        _echo_json(dict(obj, basis=basis))
+        _echo_json(dict(to_json(), basis=basis))
 
 
 @main.command("residue")

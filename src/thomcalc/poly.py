@@ -397,11 +397,11 @@ class Polynomial:
         for mono, coeff in self.terms():
             mag = abs(coeff)
             if not mono:
-                body = _coeff_text(mag)
+                body = str(mag)
             elif mag == 1:
                 body = _mono_text(mono)
             else:
-                body = f"{_coeff_text(mag)}*{_mono_text(mono)}"
+                body = f"{mag!s}*{_mono_text(mono)}"
             pieces.append(("-" if coeff < 0 else "+", body))
         sign, body = pieces[0]
         text = body if sign == "+" else f"-{body}"
@@ -480,10 +480,6 @@ def read_json(text: str):
     """Parse JSON text, refusing an object that repeats a key instead of
     keeping its last value."""
     return json.loads(text, object_pairs_hook=_refuse_repeated_keys)
-
-
-def _coeff_text(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def fraction_json(q: Fraction) -> str:
