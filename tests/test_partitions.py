@@ -249,6 +249,32 @@ def test_expansion_relation_can_collapse():
     assert rel.is_zero()
 
 
+def _expansion_by_hand(rho, tau):
+    # every ordering and slot, kept when the merged entries stay admissible
+    out = Polynomial.zero()
+    for perm in itertools.permutations(range(rho.depth)):
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(rho.depth), 2))
+        for slot in range(rho.depth):
+            entries = [rho.entries[q] for q in perm]
+            entries[slot] = entries[slot].union(tau)
+            try:
+                AdmissibleSequence(tuple(entries))
+            except ValueError:
+                continue
+            out = out + uterm((-1) ** inversions, *((l, e.parts) for l, e in enumerate(entries, 1)))
+    return out
+
+
+def test_expansion_relation_over_the_annihilation_range():
+    count = 0
+    for d in (2, 3, 4):
+        for rho in enumerate_admissible(d):
+            for tau in partitions_up_to(4):
+                assert expansion_relation(rho, tau) == _expansion_by_hand(rho, tau), (rho, tau)
+                count += 1
+    assert count == 814
+
+
 def test_right_action_steps():
     x = Polynomial.variable(uvar(3, (1, 1)))
     assert apply_right_action(x, 2) == Polynomial.variable(uvar(2, (1, 1)))

@@ -11,6 +11,7 @@ import pytest
 from thomcalc import (
     LinearForm,
     Polynomial,
+    PositivityReport,
     QhatRegistry,
     ThomPolynomial,
     chern_classes,
@@ -212,6 +213,19 @@ def test_registry_changed_by_register_gives_the_new_class():
 
 
 # -- residue problem assembly ------------------------------------------
+
+
+def test_chern_windows_are_the_series_through_the_weighted_degree():
+    for d in range(1, 6):
+        for j in range(3):
+            series = residue_problem_for(d, j).per_variable_series
+            assert list(series) == [zvar(l) for l in range(1, d + 1)]
+            for z, window in series.items():
+                expected = Polynomial.zero()
+                for i in range(d * (j + 1) + 1):
+                    expected = expected + Polynomial.term(1, [(cvar(i), 1), (z, j - i)])
+                # the same terms in the same order
+                assert list(window.term_map().items()) == list(expected.term_map().items())
 
 
 def test_denominator_forms_low_orders():
@@ -689,6 +703,14 @@ def test_positivity_report_shapes():
 def test_positivity_reports_pinned(d, order, minimum, witness, term_count):
     report = positivity_expansion(d, order)
     assert (report.minimum, report.witness, report.term_count) == (minimum, witness, term_count)
+
+
+def test_positivity_report_of_an_empty_expansion():
+    # with Q_4 = z_1 every term of F_4 has ratio degree above 2
+    registry = QhatRegistry({4: zmono(1, (1, 1))})
+    for order in range(3):
+        empty = PositivityReport(d=4, order=order, minimum=Fraction(0), witness="", term_count=0)
+        assert positivity_expansion(4, order, registry) == empty
 
 
 def test_positivity_honours_an_explicit_registry():
