@@ -27,9 +27,9 @@ the chain criterion (Gebauer and Moeller, J. Symb. Comput. 6, 1988); its
 The staircase step finds the minimal-codimension coordinate subspaces of
 the initial ideal by a branching search for minimum hitting sets of the
 generators' supports, not by scanning all coordinate subsets.  On each it
-counts the standard monomials on exponent tuples over the subspace's
-coordinates; it packs each weight once and adds multiplicity times weight
-product into one packed dict.
+counts the standard monomials by slices, one axis at a time, on exponent
+tuples over the subspace's coordinates; it packs each weight once and adds
+multiplicity times weight product into one packed dict.
 """
 
 from __future__ import annotations
@@ -92,11 +92,12 @@ class MonomialIdeal:
 
 
 def _minimalize(gens: List[Exponents]) -> Tuple[Exponents, ...]:
-    uniq: List[Exponents] = []
-    for g in gens:
-        if g not in uniq:
-            uniq.append(g)
-    kept = [g for g in uniq if not any(h != g and _divides(h, g) for h in uniq)]
+    # by degree, a divisor comes first, so keep g unless a kept one divides
+    # it; a repeat is divided by its first copy
+    kept: List[Exponents] = []
+    for g in sorted(gens, key=lambda g: sum(g.values())):
+        if not any(_divides(h, g) for h in kept):
+            kept.append(g)
     return tuple(kept)
 
 
@@ -111,25 +112,33 @@ def subspace_multiplicity(ideal: MonomialIdeal, subset: Iterable[int]) -> int:
     codimension hypothesis fails).
 
     Each generator is restricted once, to an exponent tuple over the sorted
-    subset.  The pure powers bound the box that holds the staircase, and
-    only the generators inside the box are tested against its points."""
+    subset, and the tuples are counted by slices, one axis at a time."""
     axes = sorted(set(subset))
     # tuple() of a list: from a generator it over-allocates, then resizes,
     # and the resized tuples pile up unused in CPython's tuple free lists
     gens = [tuple([g.get(t, 0) for t in axes]) for g in ideal.generators]
     if not all(any(exps) for exps in gens):
         return 0
-    # a pure power of axis i is a tuple whose entry i is its whole sum
-    box = [min((e[i] for e in gens if e[i] == sum(e)), default=0) for i in range(len(axes))]
-    for t, side in zip(axes, box):
-        if not side:
+    for i, t in enumerate(axes):
+        if not any(e[i] == sum(e) for e in gens):
             raise InfiniteStaircaseError(
                 f"no pure power of y_{t} in the restricted ideal, staircase is infinite"
             )
-    inside = [exps for exps in gens if all(map(int.__lt__, exps, box))]
+    return _staircase_count(gens) if axes else 1
+
+
+def _staircase_count(gens: List[Tuple[int, ...]]) -> int:
+    """Standard monomials of nonzero exponent tuples with a pure power (a
+    tuple whose entry is its whole sum) on every axis.  x^a m is standard
+    exactly when m is for the generators with first exponent at most a; that
+    set changes only at those exponents, below the first pure power."""
+    side = min(e[0] for e in gens if e[0] == sum(e))
+    if len(gens[0]) == 1:
+        return side
+    cuts = sorted({0, side}.union(e[0] for e in gens if e[0] < side))
     return sum(
-        not any(all(map(int.__le__, exps, point)) for exps in inside)
-        for point in itertools.product(*map(range, box))
+        (hi - lo) * _staircase_count([e[1:] for e in gens if e[0] <= lo])
+        for lo, hi in zip(cuts, cuts[1:])
     )
 
 

@@ -301,13 +301,6 @@ def u_reference_value(p: Polynomial) -> Fraction:
     return _reference_value(p, lambda l_tau: sum(l_tau[1]) == l_tau[0])
 
 
-def u_monomial(entries: Sequence[Partition]) -> Polynomial:
-    pairs = []
-    for l, entry in enumerate(entries, start=1):
-        pairs.append((uvar(l, entry.parts), 1))
-    return Polynomial.term(1, pairs)
-
-
 def _permutation_sign(perm: Sequence[int]) -> int:
     sign = 1
     for a in range(len(perm)):
@@ -335,7 +328,8 @@ def expansion_relation(rho: AdmissibleSequence, tau: Partition) -> Polynomial:
             entries[slot] = entries[slot].union(tau)
             if len(set(entries)) != len(entries):
                 continue
-            (mono,) = u_monomial(entries).term_map()
+            # slot l holds u^l, and u keys sort by level first: canonical order
+            mono = tuple((uvar(l, e.parts), 1) for l, e in enumerate(entries, start=1))
             signed[mono] = signed.get(mono, 0) + sign
     return Polynomial(signed)
 

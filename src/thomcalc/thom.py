@@ -23,6 +23,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, permutations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -47,6 +48,7 @@ from .poly import (
     Monomial,
     Polynomial,
     ScalarLike,
+    _mono_from_pairs,
     avar,
     cvar,
     lamvar,
@@ -131,7 +133,7 @@ class QhatRegistry:
     def __init__(self, entries: Optional[Mapping[int, Polynomial]] = None):
         self._entries = _builtin_entries()
         # what thom_polynomial derives from the entries; register clears it
-        self._numerators: Dict[int, Tuple[Polynomial, int]] = {}
+        self._integrands: Dict[int, Tuple[Polynomial, int, Tuple[LinearForm, ...]]] = {}
         self._classes: Dict[Tuple[int, int], "ThomPolynomial"] = {}
         if entries:
             for d, poly in entries.items():
@@ -140,7 +142,7 @@ class QhatRegistry:
     def register(self, d: int, poly: Polynomial):
         _validate_qhat(d, poly)
         self._entries[d] = poly
-        self._numerators.clear()
+        self._integrands.clear()
         self._classes.clear()
 
     def get(self, d: int) -> Polynomial:
@@ -279,26 +281,28 @@ def _chern_window_problem(
     degree d * (codim + 1)."""
     cap = _series_cap(top, len(forms), d, lead)
     zs = tuple(zvar(l) for l in range(1, d + 1))
-    series = {}
-    for z in zs:
-        window = Polynomial.zero()
-        for i in range(cap + 1):
-            window = window + Polynomial.term(sign, [(cvar(i), 1), (z, lead - i)])
-        series[z] = window
+    series = {
+        z: Polynomial(
+            {_mono_from_pairs([(cvar(i), 1), (z, lead - i)]): sign for i in range(cap + 1)}
+        )
+        for z in zs
+    }
     return ResidueProblem(numerator, tuple((form, 1) for form in forms), series, zs)
 
 
-def _numerator(d: int, registry: QhatRegistry) -> Tuple[Polynomial, int]:
-    """(-1)^d V_d Q_d, shared by every codim and memoized in the registry,
-    with its z-degree: Q_d is homogeneous, so every term has degree
-    deg_qhat(d) + d (d - 1) / 2."""
+def _integrand(d: int, registry: QhatRegistry) -> Tuple[Polynomial, int, Tuple[LinearForm, ...]]:
+    """F_d as (numerator (-1)^d V_d Q_d, its z-degree, denominator forms),
+    shared by every codim, the pole sum and the positivity probe, and
+    memoized in the registry.  Q_d is homogeneous, so every numerator term
+    has degree deg_qhat(d) + d (d - 1) / 2."""
     # registry lookup first, so an unregistered order fails before the
     # Vandermonde product does any work
     top = registry.get(d)
-    entry = registry._numerators.get(d)
+    entry = registry._integrands.get(d)
     if entry is None:
         numerator = packed_product(Polynomial.constant((-1) ** d), vandermonde(d), top)
-        entry = registry._numerators[d] = (numerator, deg_qhat(d) + d * (d - 1) // 2)
+        degree = deg_qhat(d) + d * (d - 1) // 2
+        entry = registry._integrands[d] = (numerator, degree, tuple(denominator_forms(d)))
     return entry
 
 
@@ -314,8 +318,7 @@ def residue_problem_for(
 ) -> ResidueProblem:
     """The integrand whose iterated residue is the closed-class polynomial."""
     _check_class_args(d, codim)
-    numerator, degree = _numerator(d, registry or default_registry())
-    return _chern_window_problem(numerator, degree, denominator_forms(d), d, codim)
+    return _chern_window_problem(*_integrand(d, registry or default_registry()), d, codim)
 
 
 @dataclass(frozen=True)
@@ -489,11 +492,10 @@ def pole_sum_class(
     theta_factors = (
         linear_form((1, z), (1, thvar(t))).as_polynomial() for z in zs for t in range(1, k + 1)
     )
-    numerator = packed_product(_numerator(d, registry or default_registry())[0], *theta_factors)
-    forms = denominator_forms(d)
-    for z in zs:
-        forms += [linear_form((1, z), (1, lamvar(i))) for i in range(1, d + 1)]
-    return residue_by_pole_sum(numerator, forms, zs)
+    numerator, _, forms = _integrand(d, registry or default_registry())
+    # a new list: the memoized forms are shared
+    forms = [*forms, *(linear_form((1, z), (1, lamvar(i))) for z in zs for i in range(1, d + 1))]
+    return residue_by_pole_sum(packed_product(numerator, *theta_factors), forms, zs)
 
 
 # -- localization over flags ------------------------------------------
@@ -574,6 +576,7 @@ class FixedPointTerm:
     distinguished: bool
 
 
+@cache
 def fixed_point_terms(d: int) -> Tuple[FixedPointTerm, ...]:
     """The localization terms at depth d, one per complete admissible
     sequence pi = (pi_1, ..., pi_d); generated for depths 1 to 3.
@@ -607,49 +610,37 @@ def fixed_point_terms(d: int) -> Tuple[FixedPointTerm, ...]:
     return tuple(terms)
 
 
-@dataclass(frozen=True)
-class LocalizationSum:
-    """Evaluator for the full fixed-point sum at numeric root samples."""
-
-    d: int
-    n: int
-    k: int
-    terms: Tuple[FixedPointTerm, ...]
-
-    def evaluate(self, lam: Sequence[ScalarLike], theta: Sequence[ScalarLike]) -> Fraction:
-        lam = [Fraction(x) for x in lam]
-        theta = [Fraction(x) for x in theta]
-        if len(lam) != self.n or len(theta) != self.k:
-            raise ValueError("sample sizes must match the bundle ranks")
-        if len(set(lam)) != self.n:
-            raise CoincidentPoleError("source roots in the sample coincide")
-
-        def bracket(assignment):
-            total = Fraction(0)
-            for term in self.terms:
-                num = Fraction(1)
-                for shift in term.shifts:
-                    w = shift.evaluate(assignment)
-                    for t in theta:
-                        num *= t - w
-                den = Fraction(1)
-                for chart in term.chart_factors:
-                    q = chart.evaluate(assignment)
-                    if q == 0:
-                        raise CoincidentPoleError(
-                            f"chart weight {chart.to_text()} vanishes at the sample"
-                        )
-                    den *= q
-                total += num / den
-            return total
-
-        return _flag_sum(lam, self.d, bracket)
-
-
-def fixed_point_sum(d: int, n: int, k: int) -> LocalizationSum:
-    if not d <= n <= k:
+def fixed_point_sum(d: int, lam: Sequence[ScalarLike], theta: Sequence[ScalarLike]) -> Fraction:
+    """The full depth-d fixed-point sum at numeric roots: lam are the n
+    source roots and theta the k target roots, with d <= n <= k."""
+    lam = [Fraction(x) for x in lam]
+    theta = [Fraction(x) for x in theta]
+    if not d <= len(lam) <= len(theta):
         raise ValueError("need d <= n <= k")
-    return LocalizationSum(d=d, n=n, k=k, terms=fixed_point_terms(d))
+    terms = fixed_point_terms(d)
+    if len(set(lam)) != len(lam):
+        raise CoincidentPoleError("source roots in the sample coincide")
+
+    def bracket(assignment):
+        total = Fraction(0)
+        for term in terms:
+            num = Fraction(1)
+            for shift in term.shifts:
+                w = shift.evaluate(assignment)
+                for t in theta:
+                    num *= t - w
+            den = Fraction(1)
+            for chart in term.chart_factors:
+                q = chart.evaluate(assignment)
+                if q == 0:
+                    raise CoincidentPoleError(
+                        f"chart weight {chart.to_text()} vanishes at the sample"
+                    )
+                den *= q
+            total += num / den
+        return total
+
+    return _flag_sum(lam, d, bracket)
 
 
 def sampled_class_agreement(
@@ -662,7 +653,6 @@ def sampled_class_agreement(
     rng = random.Random(seed)
     tp = thom_polynomial(d, k - n)
     top = tp.d * (tp.codim + 1)
-    localization = fixed_point_sum(d, n, k)
     done = 0
     attempts = 0
     while done < samples:
@@ -674,7 +664,7 @@ def sampled_class_agreement(
             Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(k)
         ]
         try:
-            lhs = localization.evaluate(lam, theta)
+            lhs = fixed_point_sum(d, lam, theta)
         except CoincidentPoleError:
             continue
         values = _chern_values(lam, theta, top, Fraction(1))
@@ -879,8 +869,7 @@ def positivity_expansion(
         raise ValueError("the singularity order must be at least 1")
     if total_order < 0:
         raise ValueError("the expansion order must be nonnegative")
-    numerator, reach = _numerator(d, registry or default_registry())
-    forms = denominator_forms(d)
+    numerator, reach, forms = _integrand(d, registry or default_registry())
     zs = [zvar(l) for l in range(1, d + 1)]
     weights = {z: d - z.index for z in zs}
     # the power-s term of 1/form, topped by z_l, has degree at least s - (d - l)
@@ -891,7 +880,7 @@ def positivity_expansion(
     packing = ExponentPacking(zs, d * (reach + len(forms) * (2 * slack + 1)), weights)
     mask, half, dshift = packing.mask, packing.half, packing.degree_shift
 
-    sign = (-1) ** d  # carried by _numerator for the residue, not by F_d
+    sign = (-1) ** d  # carried by _integrand's numerator for the residue, not by F_d
     rest = sum(leads)
     current = {
         key: sign * coeff
@@ -912,18 +901,12 @@ def positivity_expansion(
     for key, coeff in current.items():
         exps = accumulate((key >> packing.shift[z] & mask) - half for z in zs[:-1])
         kept[tuple((avar(t), e) for t, e in enumerate(exps, 1) if e)] = Fraction(coeff)
-    if not kept:
-        return PositivityReport(
-            d=d, order=total_order, minimum=Fraction(0), witness="", term_count=0
-        )
-    worst = min(kept, key=lambda mono: (kept[mono], [(v.key, e) for v, e in mono]))
-    witness = Polynomial.term(1, worst).to_text()
+    minimum, witness = Fraction(0), ""
+    if kept:
+        worst = min(kept, key=lambda mono: (kept[mono], [(v.key, e) for v, e in mono]))
+        minimum, witness = kept[worst], Polynomial.term(1, worst).to_text()
     return PositivityReport(
-        d=d,
-        order=total_order,
-        minimum=kept[worst],
-        witness=witness,
-        term_count=len(kept),
+        d=d, order=total_order, minimum=minimum, witness=witness, term_count=len(kept)
     )
 
 

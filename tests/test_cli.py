@@ -293,6 +293,23 @@ def test_mdeg_ideal_file(runner, tmp_path):
     assert result.output == "2*e_1*e_2\n"
 
 
+def test_mdeg_ideal_file_with_large_pure_powers(runner, tmp_path):
+    path = tmp_path / "ideal.json"
+    path.write_text(
+        json.dumps(
+            {
+                "generators": [
+                    Polynomial.variable(yvar(i), 10**6).to_json_dict() for i in (1, 2, 3)
+                ],
+                "weights": [linear_form((1, etavar(i))).to_json_dict() for i in (1, 2, 3)],
+            }
+        )
+    )
+    result = runner.invoke(main, ["mdeg", "--ideal-file", str(path)])
+    assert result.exit_code == 0
+    assert result.output == "1000000000000000000*e_1*e_2*e_3\n"
+
+
 def test_mdeg_refuses_a_fractional_variable_order(runner, tmp_path):
     path = tmp_path / "ideal.json"
     path.write_text(

@@ -204,6 +204,14 @@ def test_staircase_edge_cases():
     assert subspace_multiplicity(MonomialIdeal([], [1, 2]), set()) == 1
 
 
+def test_large_pure_powers_are_counted_by_slices():
+    # a box of 10^18 points; counted by slices it is one product
+    a = 10**6
+    ideal = MonomialIdeal([{1: a}, {2: a}, {3: a}], [1, 2, 3])
+    assert subspace_multiplicity(ideal, {1, 2, 3}) == a**3
+    assert multidegree_monomial(ideal, ring(3)).to_text() == "1000000000000000000*e_1*e_2*e_3"
+
+
 def test_infinite_staircase_names_the_coordinate():
     ideal = MonomialIdeal([{1: 2}, {1: 1, 2: 1}, {3: 1}], [1, 2, 3])
     with pytest.raises(InfiniteStaircaseError) as caught:

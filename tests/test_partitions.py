@@ -31,7 +31,7 @@ from thomcalc import (
     uvar,
     zvar,
 )
-from thomcalc.partitions import u_monomial, uhat_weight
+from thomcalc.partitions import uhat_weight
 
 
 def P(*parts):
@@ -322,5 +322,5 @@ def test_pair_relation_by_hand():
 
 
 def test_u_monomial_text():
-    mono = u_monomial([P(1), P(1, 1)])
+    mono = Polynomial.term(1, [(uvar(1, (1,)), 1), (uvar(2, (1, 1)), 1)])
     assert mono.to_text() == "u[1]^1*u[1,1]^2"

@@ -386,16 +386,16 @@ def test_substituted_rank_one_class():
 
 
 def test_porteous_sample_value():
-    total = fixed_point_sum(1, 2, 2).evaluate((1, 2), (3, 5))
+    total = fixed_point_sum(1, (1, 2), (3, 5))
     substituted = substitute_chern(thom_polynomial(1, 0), 2, 2)
     direct = substituted.evaluate(
         {lamvar(1): 1, lamvar(2): 2, thvar(1): 3, thvar(2): 5}
     )
     assert total == direct == Fraction(5)
     with pytest.raises(CoincidentPoleError):
-        fixed_point_sum(1, 2, 2).evaluate((1, 1), (3, 5))
+        fixed_point_sum(1, (1, 1), (3, 5))
     with pytest.raises(ValueError):
-        fixed_point_sum(1, 0, 2)
+        fixed_point_sum(1, (), (3, 5))
 
 
 def test_pole_sum_tells_a_wrong_class_apart():
@@ -507,15 +507,16 @@ def test_fixed_point_terms_match_the_pinned_tables(d):
 
 
 def test_localization_sum_guards():
-    with pytest.raises(ValueError):
-        fixed_point_sum(3, 2, 2)
-    total = fixed_point_sum(2, 2, 2)
-    with pytest.raises(ValueError):
-        total.evaluate((1,), (3, 5))
+    with pytest.raises(ValueError, match="need d <= n <= k"):
+        fixed_point_sum(3, (1, 2), (3, 5))
+    with pytest.raises(ValueError, match="need d <= n <= k"):
+        fixed_point_sum(2, (1,), (3, 5))
+    with pytest.raises(ValueError, match="need d <= n <= k"):
+        fixed_point_sum(2, (1, 2, 4), (3, 5))
     with pytest.raises(CoincidentPoleError):
-        total.evaluate((1, 1), (3, 5))
+        fixed_point_sum(2, (1, 1), (3, 5))
     with pytest.raises(CoincidentPoleError, match="chart weight"):
-        total.evaluate((1, 2), (3, 5))  # 2*z_1 - z_2 dies on this sample
+        fixed_point_sum(2, (1, 2), (3, 5))  # 2*z_1 - z_2 dies on this sample
 
 
 def test_depth_one_sum_is_the_rank_one_class():
@@ -536,7 +537,7 @@ def test_distinguished_term_carries_the_class():
         {lamvar(1): 1, lamvar(2): 5, thvar(1): 3, thvar(2): 7}
     )
     assert value == direct == Fraction(8)
-    assert fixed_point_sum(2, 2, 2).evaluate(lam, theta) == value
+    assert fixed_point_sum(2, lam, theta) == value
 
 
 def test_depth_three_distinguished_value():
