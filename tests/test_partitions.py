@@ -136,6 +136,14 @@ def test_dimension_identities():
         assert deg_qhat(d) == dim_normal_model(d) - dim_orbit(d)
 
 
+def test_model_dimension_is_the_triple_count():
+    # pinned against the listed triples, below 0 too (where the list is empty)
+    for d in range(-3, 61):
+        triples = len(uhat_index_triples(d))
+        assert dim_normal_model(d) == triples, d
+        assert deg_qhat(d) == triples - dim_orbit(d), d
+
+
 # -- uhat weights and relations ----------------------------------------
 
 

@@ -427,6 +427,20 @@ def residue_term_value(term, lam, theta):
     return thom._term_residue_at_roots(num, term.chart_factors, lam, d).evaluate({})
 
 
+def test_term_factor_list_is_charts_then_root_poles():
+    # the charts, then lambda_i - z_l with l outermost, each simple
+    n = 5
+    for d in (1, 2, 3):
+        for term in fixed_point_terms(d):
+            poles = [
+                linear_form((1, lamvar(i)), (-1, zvar(l)))
+                for l in range(1, d + 1)
+                for i in range(1, n + 1)
+            ]
+            expected = tuple((form, 1) for form in (*term.chart_factors, *poles))
+            assert thom._term_factor_list(term, n) == expected, term
+
+
 def test_depth_two_term_table():
     terms = fixed_point_terms(2)
     assert [t.distinguished for t in terms] == [True, False]
