@@ -33,16 +33,17 @@ from .verify import SUITES, run_suite
 # and 15 takes 13-18 s, on a two-core Xeon VM with Python 3.11.7.  At d = 6
 # (from a numerator plugin) it grows about 2x per step: --codim 7 takes
 # 10.3-12.2 s (7,760 terms) and 8 takes about 20 s.
-# partitions lists 21,504 sequences at depth 6 and 817,152 at depth 7.  The
-# ratio expansion grows 1.1-1.2x per degree: positivity --d 5 --order 46
+# The ratio expansion grows 1.1-1.2x per degree: positivity --d 5 --order 46
 # takes about 9.5 s (163,642 terms, 118 MiB), 47 takes about 11.6 s.  At d = 6
 # (from a numerator plugin) it grows 1.2-1.3x per degree: --d 6 --order 30
 # takes about 9-10 s (128,444 terms, 104 MiB), 31 about 12 s and 32 about
-# 15 s (150 MiB).  d = 7 stays out, as in partitions.
+# 15 s (150 MiB).
+# The order d stops at 6 in tp, positivity and partitions: partitions lists
+# 21,504 sequences at depth 6 and 817,152 at depth 7, and tp --d 8 --codim 0
+# takes 1.4 s and --d 9 16 s with a one-term numerator plugin.
+MAX_ORDER = 6
 MAX_CODIM = 14
 MAX_CODIM_D6 = 7
-MAX_PARTITION_DEPTH = 6
-MAX_POSITIVITY_D = 6
 MAX_POSITIVITY_ORDER = 46
 MAX_POSITIVITY_ORDER_D6 = 30
 
@@ -93,13 +94,13 @@ def main():
 
 
 @main.command("tp")
-@click.option("--d", "order", type=int, required=True, help="Singularity order.")
+@click.option("--d", "order", type=int, required=True, help=f"Singularity order, 1 to {MAX_ORDER}.")
 @click.option(
     "--codim",
     type=int,
     required=True,
-    help=f"Codimension shift parameter, 0 to {MAX_CODIM}, or 0 to {MAX_CODIM_D6} at --d 6 and "
-    f"above; --d 5 --codim {MAX_CODIM} and --d 6 --codim {MAX_CODIM_D6} each take 10-13.5 s "
+    help=f"Codimension shift parameter, 0 to {MAX_CODIM}, or 0 to {MAX_CODIM_D6} at --d 6; "
+    f"--d 5 --codim {MAX_CODIM} and --d 6 --codim {MAX_CODIM_D6} each take 10-13.5 s "
     "on a two-core Xeon VM (Python 3.11.7).",
 )
 @click.option(
@@ -119,9 +120,9 @@ def main():
 @_guard
 def tp_command(order, codim, basis, qhat_file, fmt, seed):
     """Compute one closed class."""
-    if order < 1:
-        raise click.BadParameter("--d must be at least 1")
-    limit = MAX_CODIM_D6 if order >= 6 else MAX_CODIM
+    if not 1 <= order <= MAX_ORDER:
+        raise click.BadParameter(f"--d must be between 1 and {MAX_ORDER}")
+    limit = MAX_CODIM_D6 if order == 6 else MAX_CODIM
     if not 0 <= codim <= limit:
         raise click.BadParameter(f"--codim must be between 0 and {limit}")
     registry = None
@@ -242,7 +243,7 @@ def mdeg_command(ideal_file, example, fmt, seed):
     "depth",
     type=int,
     required=True,
-    help=f"Sequence depth, 1 to {MAX_PARTITION_DEPTH}.",
+    help=f"Sequence depth, 1 to {MAX_ORDER}.",
 )
 @click.option(
     "--complete-only",
@@ -253,8 +254,8 @@ def mdeg_command(ideal_file, example, fmt, seed):
 @_guard
 def partitions_command(depth, complete_only, fmt, seed):
     """Admissible partition sequences and dimension bookkeeping."""
-    if not 1 <= depth <= MAX_PARTITION_DEPTH:
-        raise click.BadParameter(f"--d must be between 1 and {MAX_PARTITION_DEPTH}")
+    if not 1 <= depth <= MAX_ORDER:
+        raise click.BadParameter(f"--d must be between 1 and {MAX_ORDER}")
     sequences = enumerate_admissible(depth, complete_only=complete_only)
     if fmt == "text":
         label = "complete" if complete_only else "admissible"
@@ -306,7 +307,7 @@ def verify_command(suite, fmt, seed):
     "order",
     type=int,
     required=True,
-    help=f"Singularity order, 1 to {MAX_POSITIVITY_D} (orders past 5 need a numerator plugin).",
+    help=f"Singularity order, 1 to {MAX_ORDER} (orders past 5 need a numerator plugin).",
 )
 @click.option(
     "--order",
@@ -321,8 +322,8 @@ def verify_command(suite, fmt, seed):
 @_guard
 def positivity_command(order, total_order, fmt, seed):
     """Laurent expansion of the residue fraction in ratio coordinates."""
-    if not 1 <= order <= MAX_POSITIVITY_D:
-        raise click.BadParameter(f"--d must be between 1 and {MAX_POSITIVITY_D}")
+    if not 1 <= order <= MAX_ORDER:
+        raise click.BadParameter(f"--d must be between 1 and {MAX_ORDER}")
     limit = MAX_POSITIVITY_ORDER_D6 if order == 6 else MAX_POSITIVITY_ORDER
     if not 0 <= total_order <= limit:
         raise click.BadParameter(f"--order must be between 0 and {limit} at --d {order}")

@@ -166,7 +166,9 @@ def uhat_index_triples(d: int) -> List[Tuple[int, int, int]]:
 
 
 def dim_normal_model(d: int) -> int:
-    return len(uhat_index_triples(d))
+    """len(uhat_index_triples(d)), counted: level l holds floor(l^2 / 4) triples."""
+    d = max(d, 0)
+    return d * (d + 2) * (2 * d - 1) // 24
 
 
 def dim_orbit(d: int) -> int:

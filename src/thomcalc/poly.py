@@ -35,8 +35,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 
 from .errors import ConstantFormError, UnassignedVariableError
 
-Rational = Fraction
-
 _FAMILIES = ("z", "lambda", "theta", "eta", "y", "c", "a", "u", "uhat")
 _FAMILY_RANK = {name: rank for rank, name in enumerate(_FAMILIES)}
 
@@ -220,8 +218,8 @@ def _mono_text(m: Monomial) -> str:
     return "*".join(parts)
 
 
-ScalarLike = Union[Rational, int]
-PolyLike = Union["Polynomial", Rational, int]
+ScalarLike = Union[Fraction, int]
+PolyLike = Union["Polynomial", Fraction, int]
 
 
 class Polynomial:

@@ -37,7 +37,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import prod
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     CoincidentPoleError,
@@ -83,14 +83,13 @@ class ResidueProblem:
         variables: Sequence[Variable] = (),
     ):
         variables = tuple(variables)
-        seen = set()
+        var_set = set()
         for v in variables:
             if v.family != "z":
                 raise ValueError(f"residue variables must be z-variables, got {v.text}")
-            if v in seen:
+            if v in var_set:
                 raise ValueError(f"duplicate residue variable {v.text}")
-            seen.add(v)
-        var_set = set(variables)
+            var_set.add(v)
 
         factors = []
         for form, mult in denominator_factors:
@@ -375,28 +374,16 @@ def _pole_sum(
 
 # -- vanishing bookkeeping --------------------------------------------
 
-VarOrIndex = Union[Variable, int]
-
-
-def _as_zvar_set(subset: Iterable[VarOrIndex]) -> Set[Variable]:
-    out = set()
-    for item in subset:
-        v = zvar(item) if isinstance(item, int) else item
-        if v.family != "z":
-            raise ValueError(f"subset entries must be z-variables, got {v.text}")
-        out.add(v)
-    return out
-
-
-def deg_in_subset(p: Polynomial, subset: Iterable[VarOrIndex]):
-    """Degree of p after sending subset variables to t and other z-variables
-    to 1, keeping remaining symbols.  Returns -inf on the zero polynomial
-    (and in particular whenever cancellation wipes out every term).
+def deg_in_subset(p: Polynomial, subset: Iterable[int]):
+    """Degree of p after sending z_i for i in subset (z-indices) to t and
+    the other z-variables to 1, keeping remaining symbols.  Returns -inf on
+    the zero polynomial (and in particular whenever cancellation wipes out
+    every term).
 
     The map is a ring homomorphism into R[t] with R a polynomial ring over
     the rationals, an integral domain, so on a product the degrees add and
     one factor sent to 0 makes the product's degree -inf."""
-    svars = _as_zvar_set(subset)
+    svars = {zvar(i) for i in subset}
     buckets: Dict[Tuple[int, Monomial], Fraction] = {}
     for mono, coeff in p.term_map().items():
         texp = 0
@@ -419,7 +406,7 @@ def deg_in_subset(p: Polynomial, subset: Iterable[VarOrIndex]):
     return max(texp for texp, _ in buckets)
 
 
-def _factors_deg_in_subset(factors: FactorList, subset: Set[Variable]):
+def _factors_deg_in_subset(factors: FactorList, subset: Collection[int]):
     """The degree of prod(factors) in the subset, summed over the factors
     (see deg_in_subset); NEG_INF absorbs the sum when one factor has no
     term in the subset."""
@@ -457,12 +444,12 @@ def vanishing_criterion(
     """
     if not 1 <= l <= d:
         raise ValueError("need 1 <= l <= d")
-    tail = _as_zvar_set(range(l, d + 1))
+    tail = range(l, d + 1)
     dp_tail = sum(deg_in_subset(p, tail) for p in numerator_factors)
     if dp_tail + (d - l + 1) < _factors_deg_in_subset(factors, tail):
         return True
 
-    single = _as_zvar_set([l])
+    single = [l]
     dq_single = _factors_deg_in_subset(factors, single)
     if dq_single == NEG_INF:
         return False

@@ -549,9 +549,7 @@ def flag_residue_identity(
     for _ in range(samples):
         lam = _distinct_fractions(rng, n)
         lhs = _flag_sum(lam, d, numerator.evaluate)
-        forms = [
-            linear_form((-1, z), constant=li) for z in zs for li in lam
-        ]
+        forms = _root_poles(d, [LinearForm(li) for li in lam])
         rhs = residue_by_pole_sum(weighted, forms, zs).evaluate({})
         if lhs != rhs:
             return False
@@ -695,12 +693,15 @@ def _term_numerator_factors(term: FixedPointTerm, k: int) -> List[Polynomial]:
     ]
 
 
+def _root_poles(d: int, roots: Sequence[LinearForm]) -> List[LinearForm]:
+    # root - z_l for l = 1..d and each source root, l outermost
+    return [root.minus(linear_form((1, zvar(l)))) for l in range(1, d + 1) for root in roots]
+
+
 def _term_factor_list(term: FixedPointTerm, n: int) -> FactorList:
-    factors = [(chart, 1) for chart in term.chart_factors]
-    for l in range(1, term.sequence.depth + 1):
-        for i in range(1, n + 1):
-            factors.append((linear_form((1, lamvar(i)), (-1, zvar(l))), 1))
-    return tuple(factors)
+    roots = [linear_form((1, lamvar(i))) for i in range(1, n + 1)]
+    poles = _root_poles(term.sequence.depth, roots)
+    return tuple((form, 1) for form in (*term.chart_factors, *poles))
 
 
 def _compressed_term_residue(term: FixedPointTerm, num: Polynomial, n: int) -> Polynomial:
@@ -718,12 +719,7 @@ def _term_residue_at_roots(
 ) -> Polynomial:
     # chart weights substituted with numeric roots can produce repeated
     # poles, so this goes through the series engine rather than pole sums
-    forms = list(charts)
-    forms.extend(
-        linear_form((-1, zvar(l)), constant=li)
-        for l in range(1, d + 1)
-        for li in lam
-    )
+    forms = (*charts, *_root_poles(d, [LinearForm(li) for li in lam]))
     problem = ResidueProblem(
         numerator=num,
         denominator_factors=tuple((form, 1) for form in forms),

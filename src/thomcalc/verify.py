@@ -221,16 +221,14 @@ def _relations(collector: _Collector, seed: int):
         return True, f"{count} relations annihilated"
 
     def reference():
-        for d in (3, 4, 5):
-            for rel in basic_relations(d):
-                if uhat_reference_value(rel.polynomial) != 0:
-                    return False, rel.label()
+        for rel in basic_relations(5):
+            if uhat_reference_value(rel.polynomial) != 0:
+                return False, rel.label()
         return True, "levels 3..5"
 
     def homogeneity():
-        for d in (3, 4, 5):
-            for rel in basic_relations(d):
-                rel.weight()
+        for rel in basic_relations(5):
+            rel.weight()
         return True, "every relation is weight-homogeneous"
 
     def quartic():

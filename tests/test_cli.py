@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,7 @@ from thomcalc import (
 from thomcalc.cli import (
     MAX_CODIM,
     MAX_CODIM_D6,
-    MAX_PARTITION_DEPTH,
-    MAX_POSITIVITY_D,
+    MAX_ORDER,
     MAX_POSITIVITY_ORDER,
     MAX_POSITIVITY_ORDER_D6,
     main,
@@ -62,8 +62,9 @@ def test_tp_series_basis(runner):
     assert result.output == "a0^2 + a(-1)*a1 + 2*a(-2)*a2\n"
 
 
-def test_tp_missing_numerator(runner):
-    result = runner.invoke(main, ["tp", "--d", "9", "--codim", "0"])
+def test_tp_missing_numerator(runner, monkeypatch, tmp_path):
+    monkeypatch.setenv("THOMCALC_QHAT_DIR", str(tmp_path / "missing"))
+    result = runner.invoke(main, ["tp", "--d", "6", "--codim", "0"])
     assert result.exit_code == 1
     assert "Error" in result.output
 
@@ -87,15 +88,44 @@ def test_tp_refuses_codim_past_the_d6_limit(runner, tmp_path):
     # the missing plugin file would fail with exit 1 once read, so exit 2
     # shows the codim was refused first
     missing = str(tmp_path / "missing.json")
-    for d in (6, 7):
-        args = ["tp", "--d", str(d), "--codim", str(MAX_CODIM_D6 + 1), "--qhat-file", missing]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 2
-        assert f"between 0 and {MAX_CODIM_D6}" in result.output
+    args = ["tp", "--d", "6", "--codim", str(MAX_CODIM_D6 + 1), "--qhat-file", missing]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"between 0 and {MAX_CODIM_D6}" in result.output
+    # past d = 6 the order bound refuses first
+    args = ["tp", "--d", "7", "--codim", str(MAX_CODIM_D6 + 1), "--qhat-file", missing]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"--d must be between 1 and {MAX_ORDER}" in result.output
     args = ["tp", "--d", "6", "--codim", str(MAX_CODIM_D6), "--qhat-file", missing]
     assert runner.invoke(main, args).exit_code == 1
     help_text = runner.invoke(main, ["tp", "--help"]).output
     assert f"0 to {MAX_CODIM_D6}" in help_text
+
+
+def test_tp_refuses_d_past_the_order_bound(runner, tmp_path):
+    # the missing plugin file would fail with exit 1 once read, so exit 2
+    # shows the order was refused first
+    missing = str(tmp_path / "missing.json")
+    args = ["tp", "--d", str(MAX_ORDER + 1), "--codim", "0", "--qhat-file", missing]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"--d must be between 1 and {MAX_ORDER}" in result.output
+    help_text = runner.invoke(main, ["tp", "--help"]).output
+    assert f"1 to {MAX_ORDER}" in help_text
+
+
+def test_tp_refuses_a_huge_plugin_order_at_once(runner, tmp_path):
+    # the plugin's degree is checked against a count of the normal model,
+    # not a list of its ~d^3/12 weights
+    plugin = tmp_path / "huge.json"
+    z1_twice = Polynomial.term(2, [(zvar(1), 1)])
+    plugin.write_text(json.dumps({"d": 10**30, "polynomial": z1_twice.to_json_dict()}))
+    start = time.perf_counter()
+    result = runner.invoke(main, ["tp", "--d", "4", "--codim", "0", "--qhat-file", str(plugin)])
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 1
+    assert "homogeneous of degree" in result.output
 
 
 def test_tp_numerator_plugin(runner, tmp_path):
@@ -514,11 +544,11 @@ def test_partitions_text(runner):
 
 
 def test_partitions_refuses_depth_past_the_limit(runner):
-    result = runner.invoke(main, ["partitions", "--d", str(MAX_PARTITION_DEPTH + 1)])
+    result = runner.invoke(main, ["partitions", "--d", str(MAX_ORDER + 1)])
     assert result.exit_code == 2
-    assert f"between 1 and {MAX_PARTITION_DEPTH}" in result.output
+    assert f"between 1 and {MAX_ORDER}" in result.output
     help_text = runner.invoke(main, ["partitions", "--help"]).output
-    assert f"1 to {MAX_PARTITION_DEPTH}" in help_text
+    assert f"1 to {MAX_ORDER}" in help_text
 
 
 def test_partitions_json(runner):
@@ -607,13 +637,13 @@ def test_positivity_refuses_order_past_the_d6_limit(runner, monkeypatch, tmp_pat
 def test_positivity_refuses_d_past_the_limit(runner, monkeypatch, tmp_path):
     monkeypatch.setenv("THOMCALC_QHAT_DIR", str(tmp_path / "missing"))
     result = runner.invoke(
-        main, ["positivity", "--d", str(MAX_POSITIVITY_D + 1), "--order", "0"]
+        main, ["positivity", "--d", str(MAX_ORDER + 1), "--order", "0"]
     )
     assert result.exit_code == 2
-    assert f"between 1 and {MAX_POSITIVITY_D}" in result.output
+    assert f"between 1 and {MAX_ORDER}" in result.output
     assert runner.invoke(main, ["positivity", "--d", "0"]).exit_code == 2
     help_text = runner.invoke(main, ["positivity", "--help"]).output
-    assert f"1 to {MAX_POSITIVITY_D}" in help_text
+    assert f"1 to {MAX_ORDER}" in help_text
 
 
 def test_repeat_runs_are_identical(runner):
