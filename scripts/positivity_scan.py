@@ -1,9 +1,10 @@
 """Scan the ratio-coordinate expansion for negative coefficients.
 
 Orders up to four stay nonnegative as far as anyone has looked; the
-order-five expansion picks up a -1 already at total degree eight.  The
-scan prints the running minimum so the first negative witness is easy to
-spot when pushing the degree bound higher.
+order-five expansion picks up a -1 already at total degree five, at
+a1*a2*a3^2*a4 (the default --step of 4 first reports it at degree eight).
+The scan prints the running minimum so the first negative witness is easy
+to spot when pushing the degree bound higher.
 """
 
 import argparse

@@ -29,18 +29,19 @@ from .thom import (
 from .verify import SUITES, run_suite
 
 # Input bounds, checked before any work starts.  The cost of tp grows about
-# 1.5x per codim step: tp --d 5 --codim 14 takes 10-13.5 s (16,019 terms)
-# and 15 takes 13-18 s, on a two-core Xeon VM with Python 3.11.7.  At d = 6
-# (from a numerator plugin) it grows about 2x per step: --codim 7 takes
-# 10.3-12.2 s (7,760 terms) and 8 takes about 20 s.
+# 1.5x per codim step: tp --d 5 --codim 14 takes 9.6-10.3 s (16,019 terms)
+# and 15 takes about 14 s, on a two-core Xeon VM with Python 3.11.7.  At d = 6
+# (from a numerator plugin) it grows 2-2.5x per step: --codim 7 takes about
+# 5.9 s (7,760 terms) and 8 takes about 12 s.
 # The ratio expansion grows 1.1-1.2x per degree: positivity --d 5 --order 46
 # takes about 9.5 s (163,642 terms, 118 MiB), 47 takes about 11.6 s.  At d = 6
 # (from a numerator plugin) it grows 1.2-1.3x per degree: --d 6 --order 30
 # takes about 9-10 s (128,444 terms, 104 MiB), 31 about 12 s and 32 about
 # 15 s (150 MiB).
 # The order d stops at 6 in tp, positivity and partitions: partitions lists
-# 21,504 sequences at depth 6 and 817,152 at depth 7, and tp --d 8 --codim 0
-# takes 1.4 s and --d 9 16 s with a one-term numerator plugin.
+# 21,504 sequences at depth 6 and 817,152 at depth 7, and with the one-term
+# numerator plugin z_d^deg_qhat(d), tp(8, 0) takes 4 s and tp(9, 0) more
+# than two minutes.
 MAX_ORDER = 6
 MAX_CODIM = 14
 MAX_CODIM_D6 = 7
@@ -100,7 +101,7 @@ def main():
     type=int,
     required=True,
     help=f"Codimension shift parameter, 0 to {MAX_CODIM}, or 0 to {MAX_CODIM_D6} at --d 6; "
-    f"--d 5 --codim {MAX_CODIM} and --d 6 --codim {MAX_CODIM_D6} each take 10-13.5 s "
+    f"--d 5 --codim {MAX_CODIM} takes about 10 s and --d 6 --codim {MAX_CODIM_D6} about 6 s "
     "on a two-core Xeon VM (Python 3.11.7).",
 )
 @click.option(

@@ -12,9 +12,10 @@ coefficient) pieces listed by increasing rank, where a term meets only the
 pieces its room allows.  packed_mul is the uncut case; the residue kernel
 cuts each 1/form series at the depth a term can still carry to the residue
 slice, and the positivity expansion at the degree still left under its
-order.  Polynomial products, powers and substitution, the numerator
-V_d * Q_d and the 1/form series all multiply here and convert to a
-Polynomial once, at the end.
+order.  Polynomial products, powers and substitution, the kernel's
+linear numerator forms (each Vandermonde factor z_m - z_l, multiplied in
+at its own variable's step) and the 1/form series all multiply here and
+convert to a Polynomial once, at the end.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ The main entry point expands every denominator factor as a geometric series
 in its top z-variable, multiplies the series together one variable at a time
 (innermost variable first, matching the regime |z_1| << ... << |z_d|), and
 reads off the coefficient of 1/(z_1 ... z_d).  The residue carries the sign
-(-1)^d relative to that coefficient.
+(-1)^d relative to that coefficient.  A factor of negative multiplicity -m
+is a linear numerator factor: it is multiplied in m times at its top
+variable's step, before that variable's denominator factors, so the
+numerator V_d * Q_d of a class never has to be expanded.
 
 The expansion is exact in one pass.  Going from the last variable down,
 each factor's series is cut at the deepest power the current terms can
@@ -50,6 +53,7 @@ from .packed import (
     PackedTerms,
     cut_mul,
     inverse_series,
+    packed_mul,
     packed_product,
     poly_divide_exact,
 )
@@ -70,8 +74,10 @@ FactorList = Sequence[Tuple[LinearForm, int]]
 
 
 class ResidueProblem:
-    """A residue integrand: numerator, linear denominator factors, and
-    an optional finite Laurent series factor per variable."""
+    """A residue integrand: numerator, linear factors with signed
+    multiplicities, and an optional finite Laurent series factor per
+    variable.  A factor with multiplicity m > 0 divides m times; one with
+    multiplicity -m multiplies the numerator m times."""
 
     __slots__ = ("numerator", "denominator_factors", "per_variable_series", "variables")
 
@@ -94,8 +100,8 @@ class ResidueProblem:
         factors = []
         for form, mult in denominator_factors:
             mult = strict_int(mult)
-            if mult < 1:
-                raise ValueError("factor multiplicities must be positive")
+            if not mult:
+                raise ValueError("factor multiplicities must be nonzero")
             zs = [v for v in form.variables() if v.family == "z"]
             if not zs:
                 raise ConstantFormError(f"denominator factor {form.to_text()} has no z-variable")
@@ -169,16 +175,19 @@ def _packing(
     problem: ResidueProblem,
     variables: Sequence[Variable],
     topped: Mapping[Variable, FactorList],
+    raised: Mapping[Variable, FactorList],
     series: Mapping[Variable, Polynomial],
 ) -> ExponentPacking:
     """Fields for z_1..z_d, then every other symbol, wide enough for any
     exponent the expansion can form.
 
-    A term is one numerator term times one piece of each factor's series
-    and at most one term of each variable's series, so no exponent exceeds
-    the sum of what each of those can carry.  Going down from the last
-    variable, that sum for v also bounds the power at which v's factors
-    are cut, and a power-s piece carries each lower symbol to at most s.
+    A term is one numerator term times one term of each raised numerator
+    form, one piece of each denominator factor's series and at most one
+    term of each variable's series, so no exponent exceeds the sum of what
+    each of those can carry; a form raised to the power m carries each of
+    its symbols to at most m.  Going down from the last variable, that sum
+    for v also bounds the power at which v's denominator factors are cut,
+    and a power-s piece carries each lower symbol to at most s.
     """
     carry = _reach(problem.numerator)
     for v in variables:
@@ -186,6 +195,9 @@ def _packing(
             carry[w] = carry.get(w, 0) + e
         # the slice lifts v from -1 back to 0
         carry[v] = carry.get(v, 0) + 1
+        for form, mult in raised[v]:
+            for w, _ in form.items:
+                carry[w] = carry.get(w, 0) + mult
     for v in reversed(variables):
         power = carry[v]
         for form, mult in topped[v]:
@@ -199,11 +211,12 @@ def iterated_residue(problem: ResidueProblem, order: Optional[int] = None) -> Po
 
     Each denominator factor is expanded once, only as deep as the terms in
     play can still reach the 1/(z_1 ... z_d) slice, so the answer needs no
-    truncation order.  An order is a budget on that depth, the deepest
-    power of any factor's series the residue may use: when the exact
-    answer needs a deeper power of some factor, the call raises
-    TruncationUnstableError instead of expanding further.  A negative
-    order raises ValueError.
+    truncation order.  A numerator form (negative multiplicity) is
+    multiplied in at its top variable's step, ahead of the cuts.  An order
+    is a budget on that depth, the deepest power of any factor's series the
+    residue may use: when the exact answer needs a deeper power of some
+    factor, the call raises TruncationUnstableError instead of expanding
+    further.  A negative order raises ValueError.
 
     The expansion runs on packed exponent ints (see ExponentPacking) with
     int coefficients wherever the inputs are integral.  Each factor's step
@@ -220,11 +233,13 @@ def iterated_residue(problem: ResidueProblem, order: Optional[int] = None) -> Po
     # the regime is |z_1| << |z_2| << ... whatever the listed order: each
     # factor is a series in its z-variable of largest index
     variables = sorted(problem.variables, key=lambda v: v.index)
+    # per top variable: the denominator factors, and the raised numerator forms
     topped: Dict[Variable, List[Tuple[LinearForm, int]]] = {v: [] for v in variables}
+    raised: Dict[Variable, List[Tuple[LinearForm, int]]] = {v: [] for v in variables}
     for form, mult in problem.denominator_factors:
-        topped[form.top_z_variable()[0]].append((form, mult))
+        (topped if mult > 0 else raised)[form.top_z_variable()[0]].append((form, abs(mult)))
     own_series = {v: problem.per_variable_series.get(v, Polynomial.one()) for v in variables}
-    packing = _packing(problem, variables, topped, own_series)
+    packing = _packing(problem, variables, topped, raised, own_series)
     mask, half = packing.mask, packing.half
 
     current = packing.terms(problem.numerator, biased=True)
@@ -237,6 +252,11 @@ def iterated_residue(problem: ResidueProblem, order: Optional[int] = None) -> Po
             e = ((key + packing.bias) >> shift & mask) - half
             by_exp.setdefault(e, []).append((key + (1 << shift), coeff))
         hi_v = max(by_exp, default=0)
+        # numerator forms first, so that every cut sees v's final exponent
+        for form, mult in raised[v]:
+            terms = packing.terms(form.as_polynomial())
+            for _ in range(mult):
+                current = packed_mul(current, terms)
         # factors topped by v only lower e_v, by at least one each
         v_left = sum(mult for _, mult in topped[v])
         for form, mult in topped[v]:

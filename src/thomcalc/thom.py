@@ -3,8 +3,11 @@
 The generating object is a rational function in auxiliary variables z_1..z_d
 whose residue at infinity, taken one variable at a time from the last to the
 first, lands on a polynomial in Chern symbols c_0, c_1, ...  The numerator
-carries a Vandermonde factor and a registered polynomial Qhat_d; the
-denominator is the product of the arithmetic weights z_m + z_r - z_l.
+is a registered polynomial Qhat_d times the Vandermonde product of the
+z_m - z_l, m < l; the denominator is the product of the arithmetic weights
+z_m + z_r - z_l.  Both products stay factored: the residue kernel takes the
+Vandermonde forms as factors of multiplicity -1 and the weights as factors
+of multiplicity 1.
 
 Beyond the main computation this module holds the classical cross-checks
 (the length-two closed form, the series shift) and the fixed-point
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, permutations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     CodimensionMismatchError,
@@ -132,8 +135,7 @@ class QhatRegistry:
 
     def __init__(self, entries: Optional[Mapping[int, Polynomial]] = None):
         self._entries = _builtin_entries()
-        # what thom_polynomial derives from the entries; register clears it
-        self._integrands: Dict[int, Tuple[Polynomial, int, Tuple[LinearForm, ...]]] = {}
+        # the classes thom_polynomial derives from the entries; register clears it
         self._classes: Dict[Tuple[int, int], "ThomPolynomial"] = {}
         if entries:
             for d, poly in entries.items():
@@ -142,7 +144,6 @@ class QhatRegistry:
     def register(self, d: int, poly: Polynomial):
         _validate_qhat(d, poly)
         self._entries[d] = poly
-        self._integrands.clear()
         self._classes.clear()
 
     def get(self, d: int) -> Polynomial:
@@ -213,20 +214,35 @@ def _plugin_key() -> Optional[Tuple[str, str]]:
     return env, digest.hexdigest()
 
 
-_default_state: Optional[Tuple[Optional[Tuple[str, str]], QhatRegistry]] = None
+# the plugin key with the registry it loads, or with an unraised copy of
+# the error its loading raised
+_default_state: Optional[
+    Tuple[Optional[Tuple[str, str]], Union[QhatRegistry, QhatFormatError]]
+] = None
 
 
 def default_registry() -> QhatRegistry:
-    """The shared registry, including plugins from $THOMCALC_QHAT_DIR."""
+    """The shared registry, including plugins from $THOMCALC_QHAT_DIR.
+
+    A plugin that fails to load is not read again while the directory's
+    files stay the same: each later call raises a new error of the same
+    type and message."""
     global _default_state
     key = _plugin_key()
     if _default_state is None or _default_state[0] != key:
         registry = QhatRegistry()
-        if key is not None:
-            for path in _plugin_files(key[0]):
-                registry.load_file(path)
+        try:
+            if key is not None:
+                for path in _plugin_files(key[0]):
+                    registry.load_file(path)
+        except QhatFormatError as err:
+            _default_state = (key, type(err)(*err.args))
+            raise
         _default_state = (key, registry)
-    return _default_state[1]
+    state = _default_state[1]
+    if isinstance(state, QhatFormatError):
+        raise type(state)(*state.args)
+    return state
 
 
 def qhat(d: int, registry: Optional[QhatRegistry] = None) -> Polynomial:
@@ -258,28 +274,25 @@ def _series_cap(top: int, factor_count: int, d: int, lead: int) -> int:
     """The last index t of a per-variable series sum_t c_t z_l^(lead - t)
     that can reach the residue, for a numerator of z-degree at most top.
 
-    Every denominator factor is homogeneous of degree 1 in z, and a term
-    on the 1/(z_1 ... z_d) slice has total z-degree -d, so the indices
-    t_1, ..., t_d taken from the d series sum to top - factor_count +
+    Every factor is homogeneous of degree 1 in z, and factor_count is the
+    signed count, the sum of the multiplicities, so the integrand without
+    its series has z-degree at most top - factor_count.  A term on the
+    1/(z_1 ... z_d) slice has total z-degree -d, so the indices t_1, ...,
+    t_d taken from the d series sum to at most top - factor_count +
     d * (lead + 1); none of them can exceed that count.
     """
     return max(0, top - factor_count + d * (lead + 1))
 
 
 def _chern_window_problem(
-    numerator: Polynomial,
-    top: int,
-    forms: Sequence[LinearForm],
-    d: int,
-    lead: int,
-    sign: int = 1,
+    numerator: Polynomial, factors: FactorList, d: int, lead: int, sign: int = 1
 ) -> ResidueProblem:
-    """numerator / prod(forms) over z_1..z_d, with sign times the window
+    """numerator times the factors over z_1..z_d, with sign times the window
     c_0 z_l^lead + ... + c_cap z_l^(lead - cap) of the Chern series on each
-    z_l.  top bounds the numerator's z-degree; the cap is the degree count
-    of _series_cap, which for the residue of tp(d, codim) is the weighted
-    degree d * (codim + 1)."""
-    cap = _series_cap(top, len(forms), d, lead)
+    z_l.  The cap is the degree count of _series_cap, which for the residue
+    of tp(d, codim) is the weighted degree d * (codim + 1)."""
+    top = max(sum(e for v, e in mono if v.family == "z") for mono in numerator.term_map())
+    cap = _series_cap(top, sum(mult for _, mult in factors), d, lead)
     zs = tuple(zvar(l) for l in range(1, d + 1))
     series = {
         z: Polynomial(
@@ -287,23 +300,17 @@ def _chern_window_problem(
         )
         for z in zs
     }
-    return ResidueProblem(numerator, tuple((form, 1) for form in forms), series, zs)
+    return ResidueProblem(numerator, factors, series, zs)
 
 
-def _integrand(d: int, registry: QhatRegistry) -> Tuple[Polynomial, int, Tuple[LinearForm, ...]]:
-    """F_d as (numerator (-1)^d V_d Q_d, its z-degree, denominator forms),
-    shared by every codim, the pole sum and the positivity probe, and
-    memoized in the registry.  Q_d is homogeneous, so every numerator term
-    has degree deg_qhat(d) + d (d - 1) / 2."""
-    # registry lookup first, so an unregistered order fails before the
-    # Vandermonde product does any work
-    top = registry.get(d)
-    entry = registry._integrands.get(d)
-    if entry is None:
-        numerator = packed_product(Polynomial.constant((-1) ** d), vandermonde(d), top)
-        degree = deg_qhat(d) + d * (d - 1) // 2
-        entry = registry._integrands[d] = (numerator, degree, tuple(denominator_forms(d)))
-    return entry
+def _integrand(d: int, registry: QhatRegistry) -> Tuple[Polynomial, FactorList]:
+    """F_d as the numerator (-1)^d Q_d and one factor list: the Vandermonde
+    forms z_m - z_l at multiplicity -1, then the denominator forms at 1.
+    Every codim, the pole sum and the positivity probe read it."""
+    qhat_d = registry.get(d)
+    factors = [(form, -1) for form in _vandermonde_forms(d)]
+    factors += [(form, 1) for form in denominator_forms(d)]
+    return (-qhat_d if d % 2 else qhat_d), tuple(factors)
 
 
 def _check_class_args(d: int, codim: int):
@@ -492,10 +499,10 @@ def pole_sum_class(
     theta_factors = (
         linear_form((1, z), (1, thvar(t))).as_polynomial() for z in zs for t in range(1, k + 1)
     )
-    numerator, _, forms = _integrand(d, registry or default_registry())
-    # a new list: the memoized forms are shared
-    forms = [*forms, *(linear_form((1, z), (1, lamvar(i))) for z in zs for i in range(1, d + 1))]
-    return residue_by_pole_sum(packed_product(numerator, *theta_factors), forms, zs)
+    numerator, factors = _integrand(d, registry or default_registry())
+    forms = [form for form, mult in factors if mult > 0]
+    forms += [linear_form((1, z), (1, lamvar(i))) for z in zs for i in range(1, d + 1)]
+    return residue_by_pole_sum(packed_product(numerator, vandermonde(d), *theta_factors), forms, zs)
 
 
 # -- localization over flags ------------------------------------------
@@ -708,10 +715,9 @@ def _compressed_term_residue(term: FixedPointTerm, num: Polynomial, n: int) -> P
     """The term's full residue with theta compressed to elementary symbols
     (num is the product of its _term_numerator_factors) and the root poles
     compressed to complete homogeneous symbols."""
-    d = term.sequence.depth
-    top = max(sum(e for v, e in mono if v.family == "z") for mono in num.term_map())
+    charts = tuple((form, 1) for form in term.chart_factors)
     sign = -1 if n % 2 else 1
-    return iterated_residue(_chern_window_problem(num, top, term.chart_factors, d, -n, sign))
+    return iterated_residue(_chern_window_problem(num, charts, term.sequence.depth, -n, sign))
 
 
 def _term_residue_at_roots(
@@ -865,7 +871,11 @@ def positivity_expansion(
         raise ValueError("the singularity order must be at least 1")
     if total_order < 0:
         raise ValueError("the expansion order must be nonnegative")
-    numerator, reach, forms = _integrand(d, registry or default_registry())
+    numerator, factors = _integrand(d, registry or default_registry())
+    numerator = packed_product(numerator, vandermonde(d))
+    # every numerator term has z-degree deg_qhat(d) + d (d - 1) / 2
+    reach = deg_qhat(d) + d * (d - 1) // 2
+    forms = [form for form, mult in factors if mult > 0]
     zs = [zvar(l) for l in range(1, d + 1)]
     weights = {z: d - z.index for z in zs}
     # the power-s term of 1/form, topped by z_l, has degree at least s - (d - l)

@@ -253,6 +253,31 @@ def test_residue_from_file(runner, tmp_path):
     assert result.output == "c1^2 + c2\n"
 
 
+def test_residue_of_a_negative_multiplicity_is_the_expanded_product(runner, tmp_path):
+    # tp(2, 1)'s problem carries V_2 = z_1 - z_2 as a factor at -1
+    signed = residue_problem_for(2, 1)
+    (vandermonde, mult), *dividing = signed.denominator_factors
+    assert mult == -1
+    expanded = ResidueProblem(
+        signed.numerator * vandermonde.as_polynomial(),
+        dividing,
+        signed.per_variable_series,
+        signed.variables,
+    )
+    outputs = []
+    for name, problem in (("signed", signed), ("expanded", expanded)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(problem.to_json_dict()))
+        outputs.append([
+            runner.invoke(main, ["residue", "--problem", str(path), *fmt]).output
+            for fmt in ([], ["--format", "json"])
+        ])
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == thom_polynomial(2, 1).to_text() + "\n"
+    back = ResidueProblem.from_json_dict(json.loads((tmp_path / "signed.json").read_text()))
+    assert back.denominator_factors == signed.denominator_factors
+
+
 def _deep_slice_problem(tmp_path):
     # z1^-11 z2^10 / (z1 + z2): the z2-slice needs power 10 of the factor
     z1, z2 = zvar(1), zvar(2)

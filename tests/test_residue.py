@@ -187,6 +187,50 @@ def test_problem_json_refuses_a_fractional_multiplicity():
         ResidueProblem.from_json_dict(obj)
 
 
+def test_problem_refuses_a_zero_multiplicity():
+    with pytest.raises(ValueError, match="nonzero"):
+        ResidueProblem(Polynomial.one(), ((form((1, Z1)), 0),), variables=(Z1,))
+
+
+SIGNED_POOL = [
+    form((1, Z1), constant=-1),
+    form((1, Z1), (1, Z2)),
+    form((1, Z2), (-1, Z1), constant=2),
+    form((1, Z2), constant=3),
+    form((2, Z1), (1, Z2), (-1, Z3)),
+    form((1, Z3), (1, lamvar(1))),
+    form((1, Z3), (-1, Z1), constant=-1),
+]
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-2, 1), st.integers(-2, 1), st.integers(-2, 1), st.integers(-3, 3)),
+        min_size=1, max_size=4,
+    ),
+    st.lists(st.tuples(st.sampled_from(SIGNED_POOL), st.integers(1, 2)), min_size=1, max_size=4),
+    st.sampled_from(SIGNED_POOL),
+    st.integers(1, 3),
+    st.integers(0, 4),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_negative_multiplicity_multiplies_the_numerator(terms, factors, f, m, order):
+    num = Polynomial.zero()
+    for a, b, c, coeff in terms:
+        num = num + Polynomial.term(coeff, [(Z1, a), (Z2, b), (Z3, c)])
+    signed = ResidueProblem(num, (*factors, (f, -m)), variables=(Z1, Z2, Z3))
+    expanded = ResidueProblem(num * f.as_polynomial() ** m, factors, variables=(Z1, Z2, Z3))
+
+    def outcome(problem, budget):
+        try:
+            return iterated_residue(problem, budget)
+        except TruncationUnstableError as err:
+            return str(err)
+
+    for budget in (None, order):
+        assert outcome(signed, budget) == outcome(expanded, budget)
+
+
 @pytest.mark.parametrize("mult", [Fraction(3, 2), 1.0, True])
 def test_problem_refuses_a_multiplicity_that_is_not_an_int(mult):
     with pytest.raises(ValueError, match="integer"):

@@ -261,10 +261,12 @@ def test_vandermonde_expansion():
 def test_problem_assembly_shape():
     problem = residue_problem_for(2, 1)
     assert problem.variables == (zvar(1), zvar(2))
+    # V_2 stays a factor, at multiplicity -1, ahead of the denominator form
     assert problem.denominator_factors == (
+        (linear_form((1, zvar(1)), (-1, zvar(2))), -1),
         (linear_form((2, zvar(1)), (-1, zvar(2))), 1),
     )
-    assert problem.numerator == vandermonde(2)
+    assert problem.numerator == Polynomial.one()
     # truncated Chern tail: c_i rides at exponent codim - i down to the cap
     for l in (1, 2):
         window = sum(
@@ -305,6 +307,18 @@ def test_order_six_class_from_the_derived_numerator():
         "c1^6 + 15*c1^4*c2 + 30*c1^2*c2^2 + 55*c1^3*c3 + 5*c2^3"
         " + 79*c1*c2*c3 + 141*c1^2*c4 + 17*c3^2 + 55*c2*c4 + 202*c1*c5 + 120*c6"
     )
+
+
+def test_class_path_never_expands_the_vandermonde(monkeypatch):
+    registry = QhatRegistry({6: derive_qhat(6)})
+    calls = []
+    expand = thom.vandermonde
+    monkeypatch.setattr(thom, "vandermonde", lambda d: calls.append(d) or expand(d))
+    for codim in (0, 1):
+        # Q_6 alone: its 395 terms, not the 25,691 of V_6 * Q_6
+        assert len(residue_problem_for(6, codim, registry).numerator) == 395
+        thom_polynomial(6, codim, registry)
+    assert calls == []
 
 
 def test_body_weight_validation():
@@ -729,7 +743,7 @@ def test_positivity_report_of_an_empty_expansion():
 
 
 def test_positivity_honours_an_explicit_registry():
-    positivity_expansion(5, 8)  # fills the memo of the default numerator
+    positivity_expansion(5, 8)  # runs on the default registry first
     doubled = positivity_expansion(5, 8, QhatRegistry({5: 2 * qhat(5)}))
     assert (doubled.minimum, doubled.witness, doubled.term_count) == (-2, "a1*a2*a3^2*a4", 155)
 

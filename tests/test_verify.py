@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from thomcalc import Polynomial
+from thomcalc import Polynomial, QhatRegistry, qhat, zvar
 from thomcalc.verify import SUITES, run_suite
 
 
@@ -85,3 +85,23 @@ def test_porteous_reads_the_depth_one_class(monkeypatch, tmp_path):
     assert not results["localization.porteous"].passed
     assert results["localization.porteous"].detail == "ranks (2,3)"
     assert results["localization.class-agreement"].passed
+
+
+def test_a_bad_plugin_is_read_once_per_directory_state(monkeypatch, tmp_path):
+    # Q_4 has degree 1, so a quadratic plugin for order 4 is refused
+    path = tmp_path / "q4.json"
+    wrong = Polynomial.variable(zvar(1)) ** 2
+    path.write_text(json.dumps({"d": 4, "polynomial": wrong.to_json_dict()}))
+    monkeypatch.setenv("THOMCALC_QHAT_DIR", str(tmp_path))
+    loads = []
+    load = QhatRegistry.load_file
+    monkeypatch.setattr(QhatRegistry, "load_file", lambda self, p: loads.append(p) or load(self, p))
+    report = run_suite("classical")
+    assert len(loads) == 1
+    # every check still reports the same error
+    detail = "QhatFormatError: monomial of degree 2 in a numerator that must be homogeneous of degree 1"
+    assert [(r.passed, r.detail) for r in report.results] == [(False, detail)] * 7
+    # an edited file changes the directory's key, so it is read again
+    path.write_text(json.dumps({"d": 4, "polynomial": qhat(4, QhatRegistry()).to_json_dict()}))
+    assert run_suite("classical").all_passed
+    assert len(loads) == 2
