@@ -24,14 +24,16 @@ coefficients are Python ints unless an input carries a Fraction.  Each
 factor's step is packed.cut_mul, the product loop every packed product
 shares.
 
-An iterated pole sum is the exact second route: the residue at infinity of
-a rational function is minus the sum of its finite residues, so summing
-over simple poles shares no code with the expansion.  Its adder, over a
-multiset of monic linear forms with one division at the end, is the
-package's one exact sum of fractions, public as fraction_sum.  The
-module also hosts the degree bookkeeping (deg on a variable subset,
-leading-factor counts) behind the criterion that certifies a residue
-vanishes without expanding anything.
+An iterated pole sum is the exact second route, on the same ResidueProblem:
+the residue at infinity of a rational function is minus the sum of its
+finite residues, so summing over simple poles shares no code with the
+expansion.  A numerator form stays a linear form, substituted at each pole,
+and is multiplied in only at the leaf, so this route never expands V_d
+either.  Its adder, over a multiset of monic linear forms with one division
+at the end, is the package's one exact sum of fractions, public as
+fraction_sum.  The module also hosts the degree bookkeeping (deg on a
+variable subset, leading-factor counts) behind the criterion that
+certifies a residue vanishes without expanding anything.
 """
 
 from __future__ import annotations
@@ -298,22 +300,37 @@ def iterated_residue(problem: ResidueProblem, order: Optional[int] = None) -> Po
 # -- the exact pole sum -----------------------------------------------
 
 
-def residue_by_pole_sum(
-    numerator: Polynomial,
-    forms: Sequence[LinearForm],
-    variables: Sequence[Variable],
-) -> Polynomial:
-    """Iterated residue at infinity as a nested sum over simple poles.
+def residue_by_pole_sum(problem: ResidueProblem) -> Polynomial:
+    """The residue iterated_residue takes, as a nested sum over simple poles.
 
-    Exact (no truncation), at the price of requiring each variable's
-    denominator factors to have pairwise distinct linear roots.  Intended
-    for cross-checks, at numeric parameter values or at symbolic roots
-    that keep the poles apart.  The poles' fractions are added as in
-    fraction_sum; NonDivisibleError says the sum is not a polynomial.
+    Exact (no truncation), in the same regime and with the same signed
+    multiplicities, at the price of simple poles: each variable's
+    denominator factors must have pairwise distinct linear roots, and a
+    multiplicity above 1 raises CoincidentPoleError.  A per-variable series
+    raises ValueError.  A numerator form (multiplicity -m) is substituted
+    at each pole as a linear form and multiplied in, m times, only at the
+    leaf.  Intended for cross-checks, at numeric parameter values or at
+    symbolic roots that keep the poles apart.  The poles' fractions are
+    added as in fraction_sum; NonDivisibleError says the sum is not a
+    polynomial.
     """
-    if numerator.has_negative_exponent():
+    if problem.per_variable_series:
+        raise ValueError("the pole sum takes no per-variable series")
+    if problem.numerator.has_negative_exponent():
         raise ValueError("pole-sum backend expects a polynomial numerator")
-    return _quotient(_pole_sum(numerator, list(forms), list(variables)))
+    forms: List[LinearForm] = []
+    raised: List[LinearForm] = []
+    for form, mult in problem.denominator_factors:
+        if mult > 1:
+            raise CoincidentPoleError(
+                f"1/({form.to_text()}) has multiplicity {mult}; the pole sum needs simple poles"
+            )
+        if mult > 0:
+            forms.append(form)
+        else:
+            raised += [form] * -mult
+    variables = sorted(problem.variables, key=lambda v: v.index)
+    return _quotient(_pole_sum(problem.numerator, forms, raised, variables))
 
 
 def fraction_sum(terms: Iterable[Tuple[Polynomial, Sequence[LinearForm]]]) -> Polynomial:
@@ -357,9 +374,17 @@ def _quotient(total: Factored) -> Polynomial:
 
 
 def _pole_sum(
-    numerator: Polynomial, forms: List[LinearForm], variables: List[Variable]
+    numerator: Polynomial,
+    forms: List[LinearForm],
+    raised: List[LinearForm],
+    variables: List[Variable],
 ) -> Factored:
     if not variables:
+        # a numerator form that vanishes at this leaf's poles kills the leaf
+        if any(g.is_zero() for g in raised):
+            return Polynomial.zero(), Counter()
+        if raised:
+            numerator = packed_product(numerator, *(g.as_polynomial() for g in raised))
         return _monic(numerator, forms)
     v = variables[-1]
     rest_vars = variables[:-1]
@@ -388,7 +413,8 @@ def _pole_sum(
             if g is f:
                 continue
             sub_forms.append(g.substitute_linear({v: root}))
-        total = _add(total, _pole_sum(sub_numerator, sub_forms, rest_vars))
+        sub_raised = [g.substitute_linear({v: root}) if g.coefficient(v) else g for g in raised]
+        total = _add(total, _pole_sum(sub_numerator, sub_forms, sub_raised, rest_vars))
     return total
 
 

@@ -5,9 +5,12 @@ whose residue at infinity, taken one variable at a time from the last to the
 first, lands on a polynomial in Chern symbols c_0, c_1, ...  The numerator
 is a registered polynomial Qhat_d times the Vandermonde product of the
 z_m - z_l, m < l; the denominator is the product of the arithmetic weights
-z_m + z_r - z_l.  Both products stay factored: the residue kernel takes the
+z_m + z_r - z_l.  Both products stay factored: a residue problem takes the
 Vandermonde forms as factors of multiplicity -1 and the weights as factors
-of multiplicity 1.
+of multiplicity 1.  Both residue routes read that one input, the series
+kernel and the pole sum, so no class, pole sum, flag identity or
+fixed-point term expands V_d; only the positivity probe, which expands
+every factor anyway, multiplies it out.
 
 Beyond the main computation this module holds the classical cross-checks
 (the length-two closed form, the series shift) and the fixed-point
@@ -485,27 +488,31 @@ def pole_sum_class(
     target, as a pole sum that shares no code with the series kernel.
 
     At the roots the Chern series sum_i c_i z_l^(codim - i) is
-    prod_t (z_l + theta_t) / prod_i (z_l + lambda_i), so the theta factors
-    join the numerator and the z_l + lambda_i the denominator.  The result
-    equals substitute_chern(thom_polynomial(d, codim), d, d + codim).  When
-    d = 1, or d = 2 with codim <= 2, c_1 .. c_(2d + codim) are algebraically
-    independent and cover every index in the class, so that equality is
-    equality of the classes.  From d = 3 on some poles coincide
-    structurally and the pole sum raises CoincidentPoleError.
+    prod_t (z_l + theta_t) / prod_i (z_l + lambda_i), so the pole sum takes
+    _integrand's factors, the forms z_l + theta_t at multiplicity -1 and
+    the z_l + lambda_i at 1; neither V_d nor the theta product is expanded.
+    The result equals substitute_chern(thom_polynomial(d, codim), d,
+    d + codim).  When d = 1, or d = 2 with codim <= 2, c_1 .. c_(2d + codim)
+    are algebraically independent and cover every index in the class, so
+    that equality is equality of the classes.  From d = 3 on some poles
+    coincide structurally and the pole sum raises CoincidentPoleError.
     """
     _check_class_args(d, codim)
-    k = d + codim
     zs = [zvar(l) for l in range(1, d + 1)]
-    theta_factors = (
-        linear_form((1, z), (1, thvar(t))).as_polynomial() for z in zs for t in range(1, k + 1)
-    )
     numerator, factors = _integrand(d, registry or default_registry())
-    forms = [form for form, mult in factors if mult > 0]
-    forms += [linear_form((1, z), (1, lamvar(i))) for z in zs for i in range(1, d + 1)]
-    return residue_by_pole_sum(packed_product(numerator, vandermonde(d), *theta_factors), forms, zs)
+    factors += tuple(
+        (linear_form((1, z), (1, thvar(t))), -1) for z in zs for t in range(1, d + codim + 1)
+    )
+    factors += tuple((linear_form((1, z), (1, lamvar(i))), 1) for z in zs for i in range(1, d + 1))
+    return residue_by_pole_sum(ResidueProblem(numerator, factors, variables=zs))
 
 
 # -- localization over flags ------------------------------------------
+
+
+def _check_samples(samples: int):
+    if samples < 1:
+        raise ValueError("need at least one sample")
 
 
 def _distinct_fractions(rng: random.Random, count: int) -> List[Fraction]:
@@ -544,20 +551,23 @@ def flag_residue_identity(
 ) -> bool:
     """Check, at random rational root samples, that the nested-exclusion sum
     over ordered d-element selections equals the iterated residue of the
-    Vandermonde-weighted numerator against the root poles."""
+    numerator against the root poles, with V_d's forms beside them at
+    multiplicity -1.  Fewer than one sample raises ValueError."""
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
+    _check_samples(samples)
     zs = [zvar(l) for l in range(1, d + 1)]
     for v in numerator.variables():
         if v.family != "z" or not 1 <= v.index <= d:
             raise ValueError(f"numerator must live in z_1..z_{d}, found {v.text}")
     rng = random.Random(seed)
-    weighted = packed_product(vandermonde(d), numerator)
+    vandermonde_factors = tuple((form, -1) for form in _vandermonde_forms(d))
     for _ in range(samples):
         lam = _distinct_fractions(rng, n)
         lhs = _flag_sum(lam, d, numerator.evaluate)
-        forms = _root_poles(d, [LinearForm(li) for li in lam])
-        rhs = residue_by_pole_sum(weighted, forms, zs).evaluate({})
+        poles = _root_poles(d, [LinearForm(li) for li in lam])
+        problem = ResidueProblem(numerator, vandermonde_factors + poles, variables=zs)
+        rhs = residue_by_pole_sum(problem).evaluate({})
         if lhs != rhs:
             return False
     return True
@@ -654,7 +664,9 @@ def sampled_class_agreement(
     """Compare the fixed-point sum against the closed class at seeded
     rational samples, drawing fresh roots past pole coincidences.  The class
     is evaluated at the sample's Chern values, which equals evaluating
-    substitute_chern of it at the roots."""
+    substitute_chern of it at the roots.  Fewer than one sample raises
+    ValueError."""
+    _check_samples(samples)
     rng = random.Random(seed)
     tp = thom_polynomial(d, k - n)
     top = tp.d * (tp.codim + 1)
@@ -693,45 +705,49 @@ def _elementary_envelope(shift: LinearForm, k: int) -> Polynomial:
     return out
 
 
-def _term_numerator_factors(term: FixedPointTerm, k: int) -> List[Polynomial]:
-    # V_d's linear factors, then one envelope per shift
-    return [form.as_polynomial() for form in _vandermonde_forms(term.sequence.depth)] + [
-        _elementary_envelope(shift, k) for shift in term.shifts
-    ]
+def _term_integrand(
+    term: FixedPointTerm, envelopes: Sequence[Polynomial]
+) -> Tuple[Polynomial, FactorList]:
+    """A term's integrand, as _integrand gives a class's: the product of its
+    envelopes, one per shift, and one factor list, V_d's forms at -1 and
+    then the charts at 1."""
+    factors = [(form, -1) for form in _vandermonde_forms(term.sequence.depth)]
+    factors += [(form, 1) for form in term.chart_factors]
+    return packed_product(*envelopes), tuple(factors)
 
 
-def _root_poles(d: int, roots: Sequence[LinearForm]) -> List[LinearForm]:
-    # root - z_l for l = 1..d and each source root, l outermost
-    return [root.minus(linear_form((1, zvar(l)))) for l in range(1, d + 1) for root in roots]
+def _root_poles(d: int, roots: Sequence[LinearForm]) -> FactorList:
+    # root - z_l at multiplicity 1 for l = 1..d and each source root, l outermost
+    return tuple(
+        (root.minus(linear_form((1, zvar(l)))), 1) for l in range(1, d + 1) for root in roots
+    )
 
 
 def _term_factor_list(term: FixedPointTerm, n: int) -> FactorList:
     roots = [linear_form((1, lamvar(i))) for i in range(1, n + 1)]
-    poles = _root_poles(term.sequence.depth, roots)
-    return tuple((form, 1) for form in (*term.chart_factors, *poles))
-
-
-def _compressed_term_residue(term: FixedPointTerm, num: Polynomial, n: int) -> Polynomial:
-    """The term's full residue with theta compressed to elementary symbols
-    (num is the product of its _term_numerator_factors) and the root poles
-    compressed to complete homogeneous symbols."""
     charts = tuple((form, 1) for form in term.chart_factors)
+    return charts + _root_poles(term.sequence.depth, roots)
+
+
+def _compressed_term_residue(
+    integrand: Tuple[Polynomial, FactorList], d: int, n: int
+) -> Polynomial:
+    """A depth-d term's full residue from its _term_integrand, with theta
+    compressed to elementary symbols (the envelopes) and the n root poles
+    compressed to complete homogeneous symbols (a Chern window of lead -n)."""
     sign = -1 if n % 2 else 1
-    return iterated_residue(_chern_window_problem(num, charts, term.sequence.depth, -n, sign))
+    return iterated_residue(_chern_window_problem(*integrand, d, -n, sign))
 
 
 def _term_residue_at_roots(
-    num: Polynomial, charts: Sequence[LinearForm], lam: List[Fraction], d: int
+    integrand: Tuple[Polynomial, FactorList], lam: List[Fraction], d: int
 ) -> Polynomial:
     # chart weights substituted with numeric roots can produce repeated
     # poles, so this goes through the series engine rather than pole sums
-    forms = (*charts, *_root_poles(d, [LinearForm(li) for li in lam]))
-    problem = ResidueProblem(
-        numerator=num,
-        denominator_factors=tuple((form, 1) for form in forms),
-        variables=tuple(zvar(l) for l in range(1, d + 1)),
-    )
-    return iterated_residue(problem)
+    numerator, factors = integrand
+    poles = _root_poles(d, [LinearForm(li) for li in lam])
+    zs = tuple(zvar(l) for l in range(1, d + 1))
+    return iterated_residue(ResidueProblem(numerator, factors + poles, variables=zs))
 
 
 @dataclass(frozen=True)
@@ -761,29 +777,34 @@ def nondistinguished_vanishing(
 
     For each term this runs the degree criterion over all slots, takes the
     compressed symbolic residue, and recomputes the residue at seeded
-    numeric root samples with the target alphabet kept symbolic."""
+    numeric root samples with the target alphabet kept symbolic.  Both
+    residues read the term's one _term_integrand.  Fewer than one sample
+    raises ValueError."""
     if n < d:
         raise ValueError("need at least d source roots")
     if k < 1:
         raise ValueError("need at least one target root")
+    _check_samples(samples)
     rng = random.Random(seed)
+    # the criterion reads V_d's forms as numerator factors, beside the envelopes
+    vandermonde_factors = [form.as_polynomial() for form in _vandermonde_forms(d)]
     out = []
     for term in fixed_point_terms(d):
         if term.distinguished:
             continue
-        num_factors = _term_numerator_factors(term, k)
-        num = packed_product(*num_factors)
+        envelopes = [_elementary_envelope(shift, k) for shift in term.shifts]
+        integrand = _term_integrand(term, envelopes)
         factors = _term_factor_list(term, n)
         position = None
         for l in range(1, d + 1):
-            if vanishing_criterion(num_factors, factors, l, d):
+            if vanishing_criterion(vandermonde_factors + envelopes, factors, l, d):
                 position = l
                 break
-        expansion = _compressed_term_residue(term, num, n)
+        expansion = _compressed_term_residue(integrand, d, n)
         sampled_zero = True
         for _ in range(samples):
             lam = _distinct_fractions(rng, n)
-            value = _term_residue_at_roots(num, term.chart_factors, lam, d)
+            value = _term_residue_at_roots(integrand, lam, d)
             if not value.is_zero():
                 sampled_zero = False
         out.append(

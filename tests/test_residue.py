@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 from thomcalc import (
     CoincidentPoleError,
     ConstantFormError,
+    LinearForm,
     NonDivisibleError,
     Polynomial,
     ResidueProblem,
@@ -248,20 +249,27 @@ def test_pole_sum_agrees_with_series_engine():
         form((1, Z2), constant=-2),
         form((1, Z2), constant=-5),
     ]
-    by_poles = residue_by_pole_sum(num, numeric_forms, (Z1, Z2))
     problem = ResidueProblem(
         num, tuple((f, 1) for f in numeric_forms), variables=(Z1, Z2)
     )
-    assert by_poles == iterated_residue(problem)
+    assert residue_by_pole_sum(problem) == iterated_residue(problem)
 
 
 def test_pole_sum_coincident_roots():
+    poles = ((form((1, Z1), constant=-1), 1), (form((2, Z1), constant=-2), 1))
     with pytest.raises(CoincidentPoleError):
-        residue_by_pole_sum(
-            Polynomial.one(),
-            [form((1, Z1), constant=-1), form((2, Z1), constant=-2)],
-            (Z1,),
-        )
+        residue_by_pole_sum(ResidueProblem(Polynomial.one(), poles, variables=(Z1,)))
+    double = ((form((1, Z1), constant=-1), 2),)
+    with pytest.raises(CoincidentPoleError, match="multiplicity 2"):
+        residue_by_pole_sum(ResidueProblem(Polynomial.one(), double, variables=(Z1,)))
+    series = ResidueProblem(
+        Polynomial.one(), per_variable_series={Z1: Polynomial.variable(cvar(1))}, variables=(Z1,)
+    )
+    with pytest.raises(ValueError, match="per-variable series"):
+        residue_by_pole_sum(series)
+    # a constant form divides by zero: refused before either route runs
+    with pytest.raises(ConstantFormError):
+        ResidueProblem(Polynomial.one(), ((LinearForm(0), 1),), variables=(Z1,))
 
 
 @given(
@@ -276,14 +284,18 @@ def test_pole_sum_coincident_roots():
 def test_backends_agree_on_numeric_roots(a, b, roots):
     num = Polynomial.term(1, [(Z1, a)]) + Polynomial.term(b + 1, [(Z1, b)])
     forms = [form((1, Z1), constant=-r) for r in roots]
-    by_poles = residue_by_pole_sum(num, forms, (Z1,))
-    series = iterated_residue(
-        ResidueProblem(num, tuple((f, 1) for f in forms), variables=(Z1,))
-    )
-    assert by_poles == series
+    problem = ResidueProblem(num, tuple((f, 1) for f in forms), variables=(Z1,))
+    assert residue_by_pole_sum(problem) == iterated_residue(problem)
 
 
 ROOTS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(5)])
+# numerator forms a*z1 + b*z2 + r at multiplicity -1 or -2
+RAISED = st.lists(
+    st.tuples(
+        st.sampled_from([(1, 0), (0, 1), (1, -1), (2, 1)]), ROOTS, st.sampled_from([-1, -2])
+    ),
+    max_size=2,
+)
 
 
 @given(
@@ -294,25 +306,28 @@ ROOTS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 2),
     st.lists(ROOTS, max_size=2, unique=True),
     st.lists(ROOTS, max_size=2, unique=True),
     st.lists(ROOTS, max_size=2, unique=True),
+    RAISED,
+    st.sampled_from([(Z1, Z2), (Z2, Z1)]),
 )
 @settings(max_examples=200, deadline=None)
-def test_two_variable_backends_agree(terms, r_roots, s_roots, t_roots):
+def test_two_variable_backends_agree(terms, r_roots, s_roots, t_roots, raised, variables):
     # the z2 - z1 - t factors are not homogeneous in z: while one remains,
-    # the series engine may bound the total z-degree from below only
+    # the series engine may bound the total z-degree from below only; both
+    # routes take z2 first whatever the listed order
     num = Polynomial.zero()
     for a, b, c in terms:
         num = num + Polynomial.term(c, [(Z1, a), (Z2, b)])
     forms = [form((1, Z1), constant=-r) for r in r_roots]
     forms += [form((1, Z2), constant=-s) for s in s_roots]
     forms += [form((1, Z2), (-1, Z1), constant=-t) for t in t_roots]
+    factors = [(f, 1) for f in forms]
+    factors += [(form((a, Z1), (b, Z2), constant=r), m) for (a, b), r, m in raised]
+    problem = ResidueProblem(num, factors, variables=variables)
     try:
-        by_poles = residue_by_pole_sum(num, forms, (Z1, Z2))
+        by_poles = residue_by_pole_sum(problem)
     except CoincidentPoleError:
         assume(False)
-    series = iterated_residue(
-        ResidueProblem(num, tuple((f, 1) for f in forms), variables=(Z1, Z2))
-    )
-    assert by_poles == series
+    assert by_poles == iterated_residue(problem)
 
 
 # -- the exact sum of fractions ---------------------------------------

@@ -318,6 +318,17 @@ def test_class_path_never_expands_the_vandermonde(monkeypatch):
         # Q_6 alone: its 395 terms, not the 25,691 of V_6 * Q_6
         assert len(residue_problem_for(6, codim, registry).numerator) == 395
         thom_polynomial(6, codim, registry)
+    pole_sum_class(2, 2)
+    assert flag_residue_identity(zmono(1, (1, 2), (2, 1)), 4, 3, samples=1)
+    # each depth-3 term residue reads the product of its envelopes alone:
+    # at most 336 terms, not the 1,100 of V_3 times that product
+    sizes = []
+    residue = thom.iterated_residue
+    monkeypatch.setattr(
+        thom, "iterated_residue", lambda p: sizes.append(len(p.numerator)) or residue(p)
+    )
+    assert all(ev.vanishes for ev in nondistinguished_vanishing(3, 5, 5, samples=1))
+    assert max(sizes) == 336
     assert calls == []
 
 
@@ -428,17 +439,23 @@ def test_flag_identity_and_guards():
         flag_residue_identity(q, 1, 2)
     with pytest.raises(ValueError):
         flag_residue_identity(Polynomial.variable(cvar(1)), 3, 2)
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="at least one sample"):
+            flag_residue_identity(q, 3, 2, samples=samples)
 
 
 # -- fixed-point terms and their residues ------------------------------
 
 
 def residue_term_value(term, lam, theta):
-    """One term's iterated residue at a fully numeric root sample."""
-    d = term.sequence.depth
-    factors = (Polynomial.constant(t) - s.as_polynomial() for s in term.shifts for t in theta)
-    num = packed_product(vandermonde(d), *factors)
-    return thom._term_residue_at_roots(num, term.chart_factors, lam, d).evaluate({})
+    """One term's iterated residue at a fully numeric root sample: the
+    envelopes become prod_j (theta_j - s_l) at numbers."""
+    envelopes = [
+        packed_product(*(Polynomial.constant(t) - s.as_polynomial() for t in theta))
+        for s in term.shifts
+    ]
+    integrand = thom._term_integrand(term, envelopes)
+    return thom._term_residue_at_roots(integrand, lam, term.sequence.depth).evaluate({})
 
 
 def test_term_factor_list_is_charts_then_root_poles():
@@ -545,6 +562,9 @@ def test_localization_sum_guards():
         fixed_point_sum(2, (1, 1), (3, 5))
     with pytest.raises(CoincidentPoleError, match="chart weight"):
         fixed_point_sum(2, (1, 2), (3, 5))  # 2*z_1 - z_2 dies on this sample
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="at least one sample"):
+            sampled_class_agreement(2, 2, 3, samples=samples)
 
 
 def test_depth_one_sum_is_the_rank_one_class():
@@ -624,10 +644,10 @@ def test_subset_degree_of_a_term_numerator_adds_over_its_factors():
         for term in fixed_point_terms(d):
             if term.distinguished:
                 continue
-            factors = vandermonde_factors + [
-                thom._elementary_envelope(shift, k) for shift in term.shifts
-            ]
-            expanded = packed_product(*thom._term_numerator_factors(term, k))
+            envelopes = [thom._elementary_envelope(shift, k) for shift in term.shifts]
+            factors = vandermonde_factors + envelopes
+            numerator, _ = thom._term_integrand(term, envelopes)
+            expanded = packed_product(*vandermonde_factors, numerator)
             for subset in subsets:
                 degrees = [deg_in_subset(f, subset) for f in factors]
                 summed = float("-inf") if float("-inf") in degrees else sum(degrees)
@@ -655,21 +675,17 @@ def test_longer_series_window_changes_no_compressed_residue(monkeypatch):
         for term in fixed_point_terms(d)
         for n, k in ((5, 5), (3, 3), (4, 2), (6, 4))
     ]
-    exact = [
-        thom._compressed_term_residue(
-            term, packed_product(*thom._term_numerator_factors(term, k)), n
-        )
-        for term, n, k in cases
-    ]
+
+    def compressed(term, n, k):
+        envelopes = [thom._elementary_envelope(shift, k) for shift in term.shifts]
+        integrand = thom._term_integrand(term, envelopes)
+        return thom._compressed_term_residue(integrand, term.sequence.depth, n)
+
+    exact = [compressed(*case) for case in cases]
     assert any(not residue.is_zero() for residue in exact)
     cap = thom._series_cap
     monkeypatch.setattr(thom, "_series_cap", lambda *args: cap(*args) + 3)
-    assert [
-        thom._compressed_term_residue(
-            term, packed_product(*thom._term_numerator_factors(term, k)), n
-        )
-        for term, n, k in cases
-    ] == exact
+    assert [compressed(*case) for case in cases] == exact
 
 
 def test_vanishing_guards():
@@ -677,6 +693,9 @@ def test_vanishing_guards():
         nondistinguished_vanishing(3, 2, 2)
     with pytest.raises(ValueError):
         nondistinguished_vanishing(2, 2, 0)
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="at least one sample"):
+            nondistinguished_vanishing(2, 5, 5, samples=samples)
 
 
 # -- the order-five numerator derivation -------------------------------
