@@ -309,7 +309,12 @@ def residue_by_pole_sum(problem: ResidueProblem) -> Polynomial:
     multiplicity above 1 raises CoincidentPoleError.  A per-variable series
     raises ValueError.  A numerator form (multiplicity -m) is substituted
     at each pole as a linear form and multiplied in, m times, only at the
-    leaf.  Intended for cross-checks, at numeric parameter values or at
+    leaf.  The numerator forms are substituted first, and a branch where
+    one of them is identically 0 is skipped before anything else is: the
+    poles have been checked simple, so that form is a multiple of the
+    pole's own form, the pole is removable and the branch is 0.  A
+    coincidence of poles found only below such a branch is not reported.
+    Intended for cross-checks, at numeric parameter values or at
     symbolic roots that keep the poles apart.  The poles' fractions are
     added as in fraction_sum; NonDivisibleError says the sum is not a
     polynomial.
@@ -380,9 +385,6 @@ def _pole_sum(
     variables: List[Variable],
 ) -> Factored:
     if not variables:
-        # a numerator form that vanishes at this leaf's poles kills the leaf
-        if any(g.is_zero() for g in raised):
-            return Polynomial.zero(), Counter()
         if raised:
             numerator = packed_product(numerator, *(g.as_polynomial() for g in raised))
         return _monic(numerator, forms)
@@ -404,6 +406,11 @@ def _pole_sum(
 
     total: Factored = (Polynomial.zero(), Counter())
     for f, root in zip(with_v, roots):
+        sub_raised = [g.substitute_linear({v: root}) if g.coefficient(v) else g for g in raised]
+        if any(g.is_zero() for g in sub_raised):
+            # that form vanishes where f does, so it is a multiple of f: the
+            # pole is removable and the branch is 0
+            continue
         a = f.coefficient(v)
         sub_numerator = numerator.substitute({v: root.as_polynomial()}) * (Fraction(-1) / a)
         # the -1/a carries both the residue normalization and the sign of
@@ -413,7 +420,6 @@ def _pole_sum(
             if g is f:
                 continue
             sub_forms.append(g.substitute_linear({v: root}))
-        sub_raised = [g.substitute_linear({v: root}) if g.coefficient(v) else g for g in raised]
         total = _add(total, _pole_sum(sub_numerator, sub_forms, sub_raised, rest_vars))
     return total
 

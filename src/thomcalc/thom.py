@@ -17,7 +17,11 @@ Beyond the main computation this module holds the classical cross-checks
 localization terms for depths 1 to 3, generated from the complete
 admissible sequences (depth 1 is the rank-one Porteous sum).  One flag sum
 over ordered selections of source roots evaluates both the fixed-point sum
-and the flag residue identity.  The module also proves that the
+and the flag residue identity, in whatever exact ring the roots live in:
+Fractions for the flag identity, ints for the fixed-point sum, which scales
+each sample's roots once by the lcm of their denominators (the sum and the
+class it is checked against are homogeneous of one degree in the roots, so
+scaling changes both alike).  The module also proves that the
 non-distinguished contributions vanish, derives a numerator Qhat_d as the
 multidegree of the ideal of basic relations, and runs a positivity probe:
 the residue fraction itself at z_l = a_l ... a_(d-1), expanded from the
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, permutations
+from math import lcm, prod
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -524,22 +529,23 @@ def _distinct_fractions(rng: random.Random, count: int) -> List[Fraction]:
     return out
 
 
-def _flag_sum(lam: List[Fraction], d: int, value) -> Fraction:
-    # sum over ordered d-selections s of value(z_m -> lam_{s_m}), each divided
-    # by prod over stages m of prod_{i not yet chosen} (lam_i - lam_{s_m})
-    zs = [zvar(l) for l in range(1, d + 1)]
-    total = Fraction(0)
-    for selection in permutations(range(len(lam)), d):
-        num = value({z: lam[s] for z, s in zip(zs, selection)})
-        den = Fraction(1)
+def _flag_sum(roots: Sequence, d: int, value) -> Tuple:
+    # sum over ordered d-selections s of value(roots at s), each divided by
+    # prod over stages m of prod_{i not yet chosen} (root_i - root_{s_m}),
+    # in the roots' own exact ring; value gives a (numerator, denominator)
+    # pair and the sum stays an unreduced pair, so no quotient is taken
+    total_num, total_den = 0, 1
+    for selection in permutations(range(len(roots)), d):
+        num, den = value([roots[s] for s in selection])
         chosen = set()
         for s in selection:
             chosen.add(s)
-            for i in range(len(lam)):
+            for i, root in enumerate(roots):
                 if i not in chosen:
-                    den *= lam[i] - lam[s]
-        total += num / den
-    return total
+                    den *= root - roots[s]
+        total_num = total_num * den + num * total_den
+        total_den *= den
+    return total_num, total_den
 
 
 def flag_residue_identity(
@@ -564,11 +570,13 @@ def flag_residue_identity(
     vandermonde_factors = tuple((form, -1) for form in _vandermonde_forms(d))
     for _ in range(samples):
         lam = _distinct_fractions(rng, n)
-        lhs = _flag_sum(lam, d, numerator.evaluate)
+        lhs_num, lhs_den = _flag_sum(
+            lam, d, lambda point: (numerator.evaluate(dict(zip(zs, point))), 1)
+        )
         poles = _root_poles(d, [LinearForm(li) for li in lam])
         problem = ResidueProblem(numerator, vandermonde_factors + poles, variables=zs)
         rhs = residue_by_pole_sum(problem).evaluate({})
-        if lhs != rhs:
+        if lhs_num != rhs * lhs_den:
             return False
     return True
 
@@ -625,9 +633,29 @@ def fixed_point_terms(d: int) -> Tuple[FixedPointTerm, ...]:
     return tuple(terms)
 
 
+def _scaled_roots(lam: Sequence[Fraction], theta: Sequence[Fraction]):
+    # (L, L*lam, L*theta) with L the lcm of the roots' denominators
+    scale = lcm(*(x.denominator for x in (*lam, *theta)))
+    return (
+        scale,
+        [x.numerator * (scale // x.denominator) for x in lam],
+        [x.numerator * (scale // x.denominator) for x in theta],
+    )
+
+
 def fixed_point_sum(d: int, lam: Sequence[ScalarLike], theta: Sequence[ScalarLike]) -> Fraction:
     """The full depth-d fixed-point sum at numeric roots: lam are the n
-    source roots and theta the k target roots, with d <= n <= k."""
+    source roots and theta the k target roots, with d <= n <= k.
+
+    The sum runs in integers.  With L the lcm of the roots' denominators,
+    it is taken at the integer roots L*lam and L*theta, and every shift,
+    chart weight and exclusion factor is an integer there.  Each term has
+    d*k numerator factors over d(d - 1)/2 charts, and each selection adds
+    dn - d(d + 1)/2 exclusion factors below, so the sum is homogeneous of
+    degree d(k - n + 1) in the roots, and its value at lam, theta is the
+    one at the scaled roots over L^(d(k - n + 1)).  The terms are added as
+    an unreduced pair, and the one Fraction is built at the end.
+    """
     lam = [Fraction(x) for x in lam]
     theta = [Fraction(x) for x in theta]
     if not d <= len(lam) <= len(theta):
@@ -635,27 +663,43 @@ def fixed_point_sum(d: int, lam: Sequence[ScalarLike], theta: Sequence[ScalarLik
     terms = fixed_point_terms(d)
     if len(set(lam)) != len(lam):
         raise CoincidentPoleError("source roots in the sample coincide")
+    scale, a, b = _scaled_roots(lam, theta)
+    zs = [zvar(l) for l in range(1, d + 1)]
 
-    def bracket(assignment):
-        total = Fraction(0)
-        for term in terms:
-            num = Fraction(1)
-            for shift in term.shifts:
-                w = shift.evaluate(assignment)
-                for t in theta:
-                    num *= t - w
-            den = Fraction(1)
-            for chart in term.chart_factors:
-                q = chart.evaluate(assignment)
+    def row(form):
+        # the generated forms have integer coefficients and no constant
+        return tuple(int(form.coefficient(z)) for z in zs)
+
+    rows = [
+        ([row(shift) for shift in term.shifts], [(row(c), c) for c in term.chart_factors])
+        for term in terms
+    ]
+
+    def bracket(point):
+        envelopes: Dict[tuple, int] = {}  # prod_j (b_j - shift) per distinct shift
+        total_num, total_den = 0, 1
+        for shifts, charts in rows:
+            num = 1
+            for r in shifts:
+                envelope = envelopes.get(r)
+                if envelope is None:
+                    w = sum(c * x for c, x in zip(r, point))
+                    envelope = envelopes[r] = prod(t - w for t in b)
+                num *= envelope
+            den = 1
+            for r, chart in charts:
+                q = sum(c * x for c, x in zip(r, point))
                 if q == 0:
                     raise CoincidentPoleError(
                         f"chart weight {chart.to_text()} vanishes at the sample"
                     )
                 den *= q
-            total += num / den
-        return total
+            total_num = total_num * den + num * total_den
+            total_den *= den
+        return total_num, total_den
 
-    return _flag_sum(lam, d, bracket)
+    num, den = _flag_sum(a, d, bracket)
+    return Fraction(num, den * scale ** (d * (len(theta) - len(lam) + 1)))
 
 
 def sampled_class_agreement(
@@ -664,7 +708,10 @@ def sampled_class_agreement(
     """Compare the fixed-point sum against the closed class at seeded
     rational samples, drawing fresh roots past pole coincidences.  The class
     is evaluated at the sample's Chern values, which equals evaluating
-    substitute_chern of it at the roots.  Fewer than one sample raises
+    substitute_chern of it at the roots.  Both sides are homogeneous of
+    degree d(k - n + 1) in the roots, so each sample is scaled once by the
+    lcm of its denominators and both sides are compared at those integer
+    roots, the Chern values staying in ints.  Fewer than one sample raises
     ValueError."""
     _check_samples(samples)
     rng = random.Random(seed)
@@ -680,11 +727,12 @@ def sampled_class_agreement(
         theta = [
             Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(k)
         ]
+        _, a, b = _scaled_roots(lam, theta)
         try:
-            lhs = fixed_point_sum(d, lam, theta)
+            lhs = fixed_point_sum(d, a, b)
         except CoincidentPoleError:
             continue
-        values = _chern_values(lam, theta, top, Fraction(1))
+        values = _chern_values(a, b, top, 1)
         if lhs != tp.body.evaluate({cvar(m): c for m, c in enumerate(values)}):
             return False
         done += 1

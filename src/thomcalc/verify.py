@@ -210,9 +210,10 @@ def _localization(collector: _Collector, seed: int):
 def _relations(collector: _Collector, seed: int):
     def annihilation():
         count = 0
+        taus = partitions_up_to(4)
         for d in (2, 3, 4):
             for rho in enumerate_admissible(d):
-                for tau in partitions_up_to(4):
+                for tau in taus:
                     rel = expansion_relation(rho, tau)
                     for m in range(1, d + 2):
                         if not apply_right_action(rel, m).is_zero():
@@ -240,8 +241,9 @@ def _relations(collector: _Collector, seed: int):
         return weight == expected, weight.to_text()
 
     def splitting():
-        for rho in partitions_up_to(3):
-            for tau in partitions_up_to(3):
+        partitions = partitions_up_to(3)
+        for rho in partitions:
+            for tau in partitions:
                 top = rho.weight + tau.weight
                 for m in range(top, top + 3):
                     if u_reference_value(pair_relation(rho, tau, m)) != 0:

@@ -255,6 +255,19 @@ def test_pole_sum_agrees_with_series_engine():
     assert residue_by_pole_sum(problem) == iterated_residue(problem)
 
 
+def test_pole_sum_skips_a_removable_pole():
+    # the raised z2 - 1 equals a denominator form, so the branch at z2 = 1 is
+    # 0; at z2 = 2 the raised z2 is the nonzero constant 2 and must stay
+    poles = [form((1, Z2), constant=-1), form((1, Z2), constant=-2)]
+    poles += [form((1, Z1), constant=-3), form((1, Z1), constant=-5)]
+    factors = [(f, 1) for f in poles]
+    factors += [(form((1, Z2), constant=-1), -1), (form((1, Z2)), -1)]
+    problem = ResidueProblem(Polynomial.variable(Z1), factors, variables=(Z1, Z2))
+    by_poles = residue_by_pole_sum(problem)
+    assert by_poles == iterated_residue(problem)
+    assert not by_poles.is_zero()
+
+
 def test_pole_sum_coincident_roots():
     poles = ((form((1, Z1), constant=-1), 1), (form((2, Z1), constant=-2), 1))
     with pytest.raises(CoincidentPoleError):

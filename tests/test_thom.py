@@ -5,8 +5,11 @@ import json
 import random
 import time
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import assume, given, settings
+import hypothesis.strategies as st
 
 from thomcalc import (
     LinearForm,
@@ -428,8 +431,10 @@ def test_pole_sum_tells_a_wrong_class_apart():
     wrong = substitute_chern(thom_polynomial(2, 0, doubled), 2, 2)
     assert pole_sum_class(2, 0) != wrong
     assert pole_sum_class(2, 0, doubled) == wrong
-    with pytest.raises(CoincidentPoleError):
-        pole_sum_class(3, 0)  # some poles coincide structurally from order 3 on
+    # some poles coincide structurally from order 3 on; the branches the
+    # pole sum prunes hide the one at -1/2*l_1
+    with pytest.raises(CoincidentPoleError, match="coincide at -l_1$"):
+        pole_sum_class(3, 0)
 
 
 def test_flag_identity_and_guards():
@@ -565,6 +570,44 @@ def test_localization_sum_guards():
     for samples in (0, -3):
         with pytest.raises(ValueError, match="at least one sample"):
             sampled_class_agreement(2, 2, 3, samples=samples)
+
+
+def test_class_agreement_gives_up_past_a_dead_chart(monkeypatch):
+    # every draw puts the source roots at (1, 2), where 2*z_1 - z_2 dies
+    monkeypatch.setattr(thom, "_distinct_fractions", lambda rng, count: (1, 2))
+    with pytest.raises(CoincidentPoleError, match="cannot draw enough generic root samples"):
+        sampled_class_agreement(2, 2, 3, samples=2)
+
+
+@cache
+def substituted_class(d, n, k):
+    return substitute_chern(thom_polynomial(d, k - n), n, k)
+
+
+@st.composite
+def localization_samples(draw):
+    # roots with denominators up to 12, so the lcm of a sample varies
+    root = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d, 5))
+    k = draw(st.integers(n, 5))
+    return d, draw(st.lists(root, min_size=n, max_size=n)), draw(
+        st.lists(root, min_size=k, max_size=k)
+    )
+
+
+@given(localization_samples())
+@settings(max_examples=60, deadline=None)
+def test_fixed_point_sum_is_the_substituted_class(sample):
+    d, lam, theta = sample
+    assume(len(set(lam)) == len(lam))
+    try:
+        total = fixed_point_sum(d, lam, theta)
+    except CoincidentPoleError:
+        assume(False)
+    assignment = {lamvar(i): x for i, x in enumerate(lam, start=1)}
+    assignment.update({thvar(j): t for j, t in enumerate(theta, start=1)})
+    assert total == substituted_class(d, len(lam), len(theta)).evaluate(assignment)
 
 
 def test_depth_one_sum_is_the_rank_one_class():
