@@ -31,9 +31,12 @@ expansion.  A numerator form stays a linear form, substituted at each pole,
 and is multiplied in only at the leaf, so this route never expands V_d
 either.  Its adder, over a multiset of monic linear forms with one division
 at the end, is the package's one exact sum of fractions, public as
-fraction_sum.  The module also hosts the degree bookkeeping (deg on a
-variable subset, leading-factor counts) behind the criterion that
-certifies a residue vanishes without expanding anything.
+fraction_sum.
+
+The vanishing criterion reads the same ResidueProblem too.  It certifies
+that a residue vanishes by counting degrees in a subset of the variables,
+every other symbol held constant: the numerator's degree and one per form
+with a variable in the subset, so that nothing is expanded.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ from .packed import (
 )
 from .poly import (
     LinearForm,
-    Monomial,
     Polynomial,
     Variable,
     json_object,
@@ -427,83 +429,54 @@ def _pole_sum(
 # -- vanishing bookkeeping --------------------------------------------
 
 def deg_in_subset(p: Polynomial, subset: Iterable[int]):
-    """Degree of p after sending z_i for i in subset (z-indices) to t and
-    the other z-variables to 1, keeping remaining symbols.  Returns -inf on
-    the zero polynomial (and in particular whenever cancellation wipes out
-    every term).
-
-    The map is a ring homomorphism into R[t] with R a polynomial ring over
-    the rationals, an integral domain, so on a product the degrees add and
-    one factor sent to 0 makes the product's degree -inf."""
+    """Degree of p in the z_i with i in subset (z-indices), every other
+    symbol held constant: the largest sum of subset exponents over p's
+    terms, and -inf on the zero polynomial.  Over a polynomial ring, an
+    integral domain, the degrees of a product's factors add."""
     svars = {zvar(i) for i in subset}
-    buckets: Dict[Tuple[int, Monomial], Fraction] = {}
-    for mono, coeff in p.term_map().items():
-        texp = 0
-        rest = []
-        for v, e in mono:
-            if v in svars:
-                texp += e
-            elif v.family == "z":
-                continue  # evaluated at 1
-            else:
-                rest.append((v, e))
-        key = (texp, tuple(rest))
-        q = buckets.get(key, Fraction(0)) + coeff
-        if q:
-            buckets[key] = q
-        else:
-            buckets.pop(key, None)
-    if not buckets:
-        return NEG_INF
-    return max(texp for texp, _ in buckets)
+    return max(
+        (sum(e for v, e in mono if v in svars) for mono in p.term_map()), default=NEG_INF
+    )
 
 
-def _factors_deg_in_subset(factors: FactorList, subset: Collection[int]):
-    """The degree of prod(factors) in the subset, summed over the factors
-    (see deg_in_subset); NEG_INF absorbs the sum when one factor has no
-    term in the subset."""
-    return sum(mult * deg_in_subset(form.as_polynomial(), subset) for form, mult in factors)
-
-
-def lead_count(factors: FactorList, m: int) -> int:
-    """Number of denominator factors (with multiplicity) whose top
-    z-variable is z_m."""
-    count = 0
-    for form, mult in factors:
-        try:
-            top, _ = form.top_z_variable()
-        except ConstantFormError:
-            continue
-        if top.index == m:
-            count += mult
-    return count
-
-
-def vanishing_criterion(
-    numerator_factors: Sequence[Polynomial], factors: FactorList, l: int, d: int
-) -> bool:
+def vanishing_criterion(problem: ResidueProblem, l: int) -> bool:
     """True when degree bookkeeping alone forces the iterated residue of
-    prod(numerator_factors) / prod(factors) over z_1..z_d to vanish at
-    position l.
+    problem to vanish at position l, counting its variables in index order.
 
-    Either the tail-subset degrees leave no room for the exponent pattern
-    (-1, ..., -1), or the single-variable count at z_l does while every
-    z_l-factor tops out there.  Sending the subset's z to t and the other z
-    to 1 is a ring homomorphism into R[t], an integral domain, so both
-    sides' degrees are sums over their factors, and one factor sent to 0
-    gives -inf; the numerator is never expanded.  A single polynomial p is
-    passed as [p].
+    Either the degrees in the tail z_l, ..., z_d leave no room for the
+    exponent pattern (-1, ..., -1), or the degrees in z_l alone do while
+    every denominator factor with z_l is topped by it.  Each side's degree
+    is a sum over its factors: the numerator's degree plus one per numerator
+    form with a z in the subset, against one per denominator form with such
+    a z, so no form is ever multiplied out.  A per-variable series raises
+    ValueError.
     """
+    if problem.per_variable_series:
+        raise ValueError("the vanishing criterion takes no per-variable series")
+    variables = sorted(problem.variables, key=lambda v: v.index)
+    d = len(variables)
     if not 1 <= l <= d:
         raise ValueError("need 1 <= l <= d")
-    tail = range(l, d + 1)
-    dp_tail = sum(deg_in_subset(p, tail) for p in numerator_factors)
-    if dp_tail + (d - l + 1) < _factors_deg_in_subset(factors, tail):
-        return True
+    z_l = variables[l - 1]
 
-    single = [l]
-    dq_single = _factors_deg_in_subset(factors, single)
-    if dq_single == NEG_INF:
-        return False
-    dp_single = sum(deg_in_subset(p, single) for p in numerator_factors)
-    return dp_single + 1 < dq_single and dq_single == lead_count(factors, l)
+    def sides(subset: Collection[Variable]):
+        num = deg_in_subset(problem.numerator, [v.index for v in subset])
+        den = 0
+        for form, mult in problem.denominator_factors:
+            if any(w in subset for w, _ in form.items):
+                if mult > 0:
+                    den += mult
+                else:
+                    num -= mult
+        return num, den
+
+    num, den = sides(set(variables[l - 1 :]))
+    if num + (d - l + 1) < den:
+        return True
+    num, den = sides({z_l})
+    topped = sum(
+        mult
+        for form, mult in problem.denominator_factors
+        if mult > 0 and form.top_z_variable()[0] is z_l
+    )
+    return num + 1 < den and den == topped

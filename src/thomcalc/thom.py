@@ -33,7 +33,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate, permutations
 from math import lcm, prod
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -222,32 +222,26 @@ def _plugin_key() -> Optional[Tuple[str, str]]:
     return env, digest.hexdigest()
 
 
-# the plugin key with the registry it loads, or with an unraised copy of
-# the error its loading raised
-_default_state: Optional[
-    Tuple[Optional[Tuple[str, str]], Union[QhatRegistry, QhatFormatError]]
-] = None
+@lru_cache(maxsize=1)
+def _loaded_registry(key: Optional[Tuple[str, str]]) -> Union[QhatRegistry, QhatFormatError]:
+    # the registry with the plugins under key, or the error loading raised
+    registry = QhatRegistry()
+    try:
+        if key is not None:
+            for path in _plugin_files(key[0]):
+                registry.load_file(path)
+    except QhatFormatError as err:
+        return err
+    return registry
 
 
 def default_registry() -> QhatRegistry:
     """The shared registry, including plugins from $THOMCALC_QHAT_DIR.
 
     A plugin that fails to load is not read again while the directory's
-    files stay the same: each later call raises a new error of the same
-    type and message."""
-    global _default_state
-    key = _plugin_key()
-    if _default_state is None or _default_state[0] != key:
-        registry = QhatRegistry()
-        try:
-            if key is not None:
-                for path in _plugin_files(key[0]):
-                    registry.load_file(path)
-        except QhatFormatError as err:
-            _default_state = (key, type(err)(*err.args))
-            raise
-        _default_state = (key, registry)
-    state = _default_state[1]
+    files stay the same: each call raises a new error of the same type
+    and message."""
+    state = _loaded_registry(_plugin_key())
     if isinstance(state, QhatFormatError):
         raise type(state)(*state.args)
     return state
@@ -293,9 +287,9 @@ def _series_cap(top: int, factor_count: int, d: int, lead: int) -> int:
 
 
 def _chern_window_problem(
-    numerator: Polynomial, factors: FactorList, d: int, lead: int, sign: int = 1
+    numerator: Polynomial, factors: FactorList, d: int, lead: int
 ) -> ResidueProblem:
-    """numerator times the factors over z_1..z_d, with sign times the window
+    """numerator times the factors over z_1..z_d, with the window
     c_0 z_l^lead + ... + c_cap z_l^(lead - cap) of the Chern series on each
     z_l.  The cap is the degree count of _series_cap, which for the residue
     of tp(d, codim) is the weighted degree d * (codim + 1)."""
@@ -304,7 +298,7 @@ def _chern_window_problem(
     zs = tuple(zvar(l) for l in range(1, d + 1))
     series = {
         z: Polynomial(
-            {_mono_from_pairs([(cvar(i), 1), (z, lead - i)]): sign for i in range(cap + 1)}
+            {_mono_from_pairs([(cvar(i), 1), (z, lead - i)]): 1 for i in range(cap + 1)}
         )
         for z in zs
     }
@@ -548,6 +542,17 @@ def _flag_sum(roots: Sequence, d: int, value) -> Tuple:
     return total_num, total_den
 
 
+def _with_root_poles(
+    integrand: Tuple[Polynomial, FactorList], d: int, roots: Sequence[LinearForm]
+) -> ResidueProblem:
+    """The integrand over z_1..z_d times the poles 1/(root - z_l), one per
+    l = 1..d and root, l outermost."""
+    numerator, factors = integrand
+    zs = tuple(zvar(l) for l in range(1, d + 1))
+    poles = tuple((root.minus(linear_form((1, z))), 1) for z in zs for root in roots)
+    return ResidueProblem(numerator, factors + poles, variables=zs)
+
+
 def flag_residue_identity(
     numerator: Polynomial,
     n: int,
@@ -567,14 +572,13 @@ def flag_residue_identity(
         if v.family != "z" or not 1 <= v.index <= d:
             raise ValueError(f"numerator must live in z_1..z_{d}, found {v.text}")
     rng = random.Random(seed)
-    vandermonde_factors = tuple((form, -1) for form in _vandermonde_forms(d))
+    integrand = numerator, tuple((form, -1) for form in _vandermonde_forms(d))
     for _ in range(samples):
         lam = _distinct_fractions(rng, n)
         lhs_num, lhs_den = _flag_sum(
             lam, d, lambda point: (numerator.evaluate(dict(zip(zs, point))), 1)
         )
-        poles = _root_poles(d, [LinearForm(li) for li in lam])
-        problem = ResidueProblem(numerator, vandermonde_factors + poles, variables=zs)
+        problem = _with_root_poles(integrand, d, [LinearForm(li) for li in lam])
         rhs = residue_by_pole_sum(problem).evaluate({})
         if lhs_num != rhs * lhs_den:
             return False
@@ -633,6 +637,22 @@ def fixed_point_terms(d: int) -> Tuple[FixedPointTerm, ...]:
     return tuple(terms)
 
 
+@cache
+def _fixed_point_rows(d: int) -> Tuple:
+    """Per term of fixed_point_terms(d): its shifts as integer coefficient
+    rows over z_1..z_d, and its charts as (row, form) pairs."""
+    zs = [zvar(l) for l in range(1, d + 1)]
+
+    def row(form):
+        # the generated forms have integer coefficients and no constant
+        return tuple(int(form.coefficient(z)) for z in zs)
+
+    return tuple(
+        (tuple(row(shift) for shift in term.shifts), tuple((row(c), c) for c in term.chart_factors))
+        for term in fixed_point_terms(d)
+    )
+
+
 def _scaled_roots(lam: Sequence[Fraction], theta: Sequence[Fraction]):
     # (L, L*lam, L*theta) with L the lcm of the roots' denominators
     scale = lcm(*(x.denominator for x in (*lam, *theta)))
@@ -660,20 +680,10 @@ def fixed_point_sum(d: int, lam: Sequence[ScalarLike], theta: Sequence[ScalarLik
     theta = [Fraction(x) for x in theta]
     if not d <= len(lam) <= len(theta):
         raise ValueError("need d <= n <= k")
-    terms = fixed_point_terms(d)
+    rows = _fixed_point_rows(d)
     if len(set(lam)) != len(lam):
         raise CoincidentPoleError("source roots in the sample coincide")
     scale, a, b = _scaled_roots(lam, theta)
-    zs = [zvar(l) for l in range(1, d + 1)]
-
-    def row(form):
-        # the generated forms have integer coefficients and no constant
-        return tuple(int(form.coefficient(z)) for z in zs)
-
-    rows = [
-        ([row(shift) for shift in term.shifts], [(row(c), c) for c in term.chart_factors])
-        for term in terms
-    ]
 
     def bracket(point):
         envelopes: Dict[tuple, int] = {}  # prod_j (b_j - shift) per distinct shift
@@ -764,38 +774,18 @@ def _term_integrand(
     return packed_product(*envelopes), tuple(factors)
 
 
-def _root_poles(d: int, roots: Sequence[LinearForm]) -> FactorList:
-    # root - z_l at multiplicity 1 for l = 1..d and each source root, l outermost
-    return tuple(
-        (root.minus(linear_form((1, zvar(l)))), 1) for l in range(1, d + 1) for root in roots
-    )
-
-
-def _term_factor_list(term: FixedPointTerm, n: int) -> FactorList:
-    roots = [linear_form((1, lamvar(i))) for i in range(1, n + 1)]
-    charts = tuple((form, 1) for form in term.chart_factors)
-    return charts + _root_poles(term.sequence.depth, roots)
-
-
 def _compressed_term_residue(
     integrand: Tuple[Polynomial, FactorList], d: int, n: int
 ) -> Polynomial:
     """A depth-d term's full residue from its _term_integrand, with theta
     compressed to elementary symbols (the envelopes) and the n root poles
-    compressed to complete homogeneous symbols (a Chern window of lead -n)."""
-    sign = -1 if n % 2 else 1
-    return iterated_residue(_chern_window_problem(*integrand, d, -n, sign))
-
-
-def _term_residue_at_roots(
-    integrand: Tuple[Polynomial, FactorList], lam: List[Fraction], d: int
-) -> Polynomial:
-    # chart weights substituted with numeric roots can produce repeated
-    # poles, so this goes through the series engine rather than pole sums
+    compressed to complete homogeneous symbols (a Chern window of lead -n).
+    Each pole 1/(lambda_i - z_l) is -1/(z_l - lambda_i), so the d windows
+    carry (-1)^(nd), which the numerator takes."""
     numerator, factors = integrand
-    poles = _root_poles(d, [LinearForm(li) for li in lam])
-    zs = tuple(zvar(l) for l in range(1, d + 1))
-    return iterated_residue(ResidueProblem(numerator, factors + poles, variables=zs))
+    if n * d % 2:
+        numerator = -numerator
+    return iterated_residue(_chern_window_problem(numerator, factors, d, -n))
 
 
 @dataclass(frozen=True)
@@ -823,36 +813,35 @@ def nondistinguished_vanishing(
 ) -> List[VanishingEvidence]:
     """Evidence that every non-distinguished term dies in the residue.
 
-    For each term this runs the degree criterion over all slots, takes the
-    compressed symbolic residue, and recomputes the residue at seeded
-    numeric root samples with the target alphabet kept symbolic.  Both
-    residues read the term's one _term_integrand.  Fewer than one sample
-    raises ValueError."""
+    Each term has one _term_integrand, and all three witnesses read it.  The
+    degree criterion runs over every slot on it over the symbolic poles
+    lambda_i - z_l; the compressed symbolic residue takes it with the poles
+    as a Chern window; and the residue is recomputed with the poles at
+    seeded numeric root samples, the target alphabet kept symbolic.  Fewer
+    than one sample raises ValueError."""
     if n < d:
         raise ValueError("need at least d source roots")
     if k < 1:
         raise ValueError("need at least one target root")
     _check_samples(samples)
     rng = random.Random(seed)
-    # the criterion reads V_d's forms as numerator factors, beside the envelopes
-    vandermonde_factors = [form.as_polynomial() for form in _vandermonde_forms(d)]
+    roots = [linear_form((1, lamvar(i))) for i in range(1, n + 1)]
     out = []
     for term in fixed_point_terms(d):
         if term.distinguished:
             continue
         envelopes = [_elementary_envelope(shift, k) for shift in term.shifts]
         integrand = _term_integrand(term, envelopes)
-        factors = _term_factor_list(term, n)
-        position = None
-        for l in range(1, d + 1):
-            if vanishing_criterion(vandermonde_factors + envelopes, factors, l, d):
-                position = l
-                break
+        problem = _with_root_poles(integrand, d, roots)
+        position = next((l for l in range(1, d + 1) if vanishing_criterion(problem, l)), None)
         expansion = _compressed_term_residue(integrand, d, n)
         sampled_zero = True
         for _ in range(samples):
             lam = _distinct_fractions(rng, n)
-            value = _term_residue_at_roots(integrand, lam, d)
+            # chart weights substituted with numeric roots can produce
+            # repeated poles, so this goes through the series engine rather
+            # than pole sums
+            value = iterated_residue(_with_root_poles(integrand, d, [LinearForm(li) for li in lam]))
             if not value.is_zero():
                 sampled_zero = False
         out.append(

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from thomcalc import (
@@ -28,7 +28,7 @@ from thomcalc import (
     vanishing_criterion,
     zvar,
 )
-from thomcalc.residue import _add, _factors_deg_in_subset, _monic, deg_in_subset, lead_count
+from thomcalc.residue import _add, _monic, deg_in_subset
 
 Z1, Z2, Z3 = zvar(1), zvar(2), zvar(3)
 
@@ -66,8 +66,8 @@ def test_asymmetry_of_nesting():
     problem = ResidueProblem(num, factors, variables=(Z1, Z2))
     assert iterated_residue(problem) == Polynomial.one()
     # and the certificate rightly refuses to certify it
-    assert not vanishing_criterion([num], factors, 1, 2)
-    assert not vanishing_criterion([num], factors, 2, 2)
+    assert not vanishing_criterion(problem, 1)
+    assert not vanishing_criterion(problem, 2)
 
 
 def test_double_factor_vanishes_with_certificate():
@@ -75,7 +75,7 @@ def test_double_factor_vanishes_with_certificate():
     factors = ((form((1, Z1)), 1), (form((1, Z1), (1, Z2)), 2))
     problem = ResidueProblem(num, factors, variables=(Z1, Z2))
     assert iterated_residue(problem).is_zero()
-    assert vanishing_criterion([num], factors, 2, 2)
+    assert vanishing_criterion(problem, 2)
 
 
 def test_truncation_instability_is_detected():
@@ -401,39 +401,82 @@ def test_deg_in_subset():
     assert deg_in_subset(p, [2]) == 4
     assert deg_in_subset(p, [1, 2]) == 4
     assert deg_in_subset(p, [1]) == 2
+    # every other symbol is a constant, so z_1 - z_2 has degree 1 in both
+    # variables, not the degree of t - t
     cancel = Polynomial.term(1, [(Z1, 1)]) - Polynomial.term(1, [(Z2, 1)])
     assert deg_in_subset(cancel, [1]) == 1
-    assert deg_in_subset(cancel, [1, 2]) == float("-inf")
+    assert deg_in_subset(cancel, [1, 2]) == 1
+    assert deg_in_subset(Polynomial.zero(), [1]) == float("-inf")
 
 
-def test_factors_deg_in_subset():
-    # z_1, z_2 go to t, z_3 to 1, and lambda_1 stays a symbol
-    subset = {1, 2}
+def test_criterion_counts_each_form_with_a_subset_variable_once():
+    # at position 2 of z_1, z_2, z_3 the tail is {z_2, z_3}, and two
+    # divisions by z_3 sit right at the tail clause's bound: one more
+    # denominator form with a z in the tail passes it, one more numerator
+    # form with a z in the tail keeps it from passing
     lam1 = lamvar(1)
     cases = [
-        (form((1, Z1)), 1),
-        (form((1, Z1), (-1, Z2)), float("-inf")),
-        (form((1, Z1), (-1, Z2), (1, lam1)), 0),
-        (form((1, Z1), (-1, Z2), (1, Z3)), 0),
-        (form((1, Z3)), 0),
+        (form((1, Z2)), True),
+        (form((1, Z2), (-1, Z3)), True),
+        (form((1, Z1), (-1, Z2), (1, lam1)), True),
+        (form((1, Z1), (-1, Z3)), True),
+        (form((1, Z1)), False),
+        (form((1, Z1), (1, lam1)), False),
     ]
-    for f, expected in cases:
-        assert _factors_deg_in_subset([(f, 1)], subset) == expected
-    # multiplicities add; one factor without a term in the subset kills the product
-    z1_squared = (form((1, Z1)), 2)
-    assert _factors_deg_in_subset([z1_squared, (form((1, Z3)), 1)], subset) == 2
-    assert _factors_deg_in_subset([z1_squared, (cases[1][0], 1)], subset) == float("-inf")
+    two_z3 = (form((1, Z3)), 2)
+    for f, in_tail in cases:
+        over = ResidueProblem(Polynomial.one(), (two_z3, (f, 1)), variables=(Z1, Z2, Z3))
+        assert vanishing_criterion(over, 2) == in_tail, f.to_text()
+        raised = ResidueProblem(
+            Polynomial.one(), ((form((1, Z3)), 3), (f, -1)), variables=(Z1, Z2, Z3)
+        )
+        assert vanishing_criterion(raised, 2) != in_tail, f.to_text()
 
 
-def test_lead_count():
-    factors = (
-        (form((2, Z1), (-1, Z2)), 1),
-        (form((1, Z1), (1, Z2), (-1, Z3)), 1),
-        (form((2, Z1), (-1, Z3)), 1),
+def test_single_clause_needs_every_factor_with_z_l_topped_by_it():
+    # the tail {z_1, z_2} has room (2 + 2 is not below 4), so z_1 alone decides
+    num = Polynomial.term(1, [(Z2, 2)])
+    topped = ((form((1, Z1)), 2), (form((1, Z2)), 2))
+    problem = ResidueProblem(num, topped, variables=(Z1, Z2))
+    assert vanishing_criterion(problem, 1)
+    assert iterated_residue(problem).is_zero()
+    # z_1 + z_2 is topped by z_2, so z_1's count no longer settles it
+    mixed = ((form((1, Z1)), 1), (form((1, Z1), (1, Z2)), 1), (form((1, Z2)), 2))
+    problem = ResidueProblem(num, mixed, variables=(Z1, Z2))
+    assert not vanishing_criterion(problem, 1)
+    assert iterated_residue(problem) == Polynomial.one()
+
+
+def test_criterion_refuses_a_vandermonde_form_in_the_subset():
+    # (z_1 - z_2) / (z_1 z_2^2) has residue -1, whether z_1 - z_2 is a
+    # numerator form or part of the numerator polynomial; z_1 - z_2 sent
+    # to t - t would read as degree -inf and certify it
+    vform = form((1, Z1), (-1, Z2))
+    poles = ((form((1, Z1)), 1), (form((1, Z2)), 2))
+    for problem in (
+        ResidueProblem(Polynomial.one(), ((vform, -1),) + poles, variables=(Z1, Z2)),
+        ResidueProblem(vform.as_polynomial(), poles, variables=(Z1, Z2)),
+    ):
+        assert iterated_residue(problem) == Polynomial.constant(-1)
+        assert not vanishing_criterion(problem, 1)
+        assert not vanishing_criterion(problem, 2)
+
+
+def test_criterion_positions_follow_the_variable_indices():
+    # over z_1, z_3 position 2 is z_3, however the variables are listed
+    factors = ((form((1, Z1)), 1), (form((1, Z3)), 3))
+    for variables in ((Z1, Z3), (Z3, Z1)):
+        problem = ResidueProblem(Polynomial.one(), factors, variables=variables)
+        assert vanishing_criterion(problem, 2)
+        assert iterated_residue(problem).is_zero()
+        for l in (0, 3):
+            with pytest.raises(ValueError):
+                vanishing_criterion(problem, l)
+    series = ResidueProblem(
+        Polynomial.one(), per_variable_series={Z1: Polynomial.variable(cvar(1))}, variables=(Z1,)
     )
-    assert lead_count(factors, 3) == 2
-    assert lead_count(factors, 2) == 1
-    assert lead_count(factors, 1) == 0
+    with pytest.raises(ValueError, match="per-variable series"):
+        vanishing_criterion(series, 1)
 
 
 FACTOR_POOL = [
@@ -442,6 +485,13 @@ FACTOR_POOL = [
     form((1, Z1), (1, Z2)),
     form((2, Z1), (1, Z2)),
     form((1, Z1), (2, Z2)),
+]
+
+RAISED_POOL = [
+    form((1, Z1), (-1, Z2)),
+    form((1, Z2), constant=1),
+    form((1, Z1), (1, Z2)),
+    form((1, Z1), constant=-1),
 ]
 
 
@@ -453,13 +503,17 @@ FACTOR_POOL = [
         min_size=1,
         max_size=3,
     ),
+    st.lists(
+        st.tuples(st.sampled_from(RAISED_POOL), st.integers(-2, -1)),
+        max_size=2,
+    ),
 )
+@example(0, 0, [(FACTOR_POOL[0], 1), (FACTOR_POOL[1], 2)], [(RAISED_POOL[0], -1)])
 @settings(max_examples=60, deadline=None)
-def test_certified_vanishing_is_sound(a, b, factors):
+def test_certified_vanishing_is_sound(a, b, factors, raised):
     # whenever the certificate fires at some position, the residue is zero
     num = Polynomial.term(1, [(Z1, a), (Z2, b)])
-    factors = tuple(factors)
-    if not any(vanishing_criterion([num], factors, l, 2) for l in (1, 2)):
+    problem = ResidueProblem(num, tuple(factors + raised), variables=(Z1, Z2))
+    if not any(vanishing_criterion(problem, l) for l in (1, 2)):
         return
-    problem = ResidueProblem(num, factors, variables=(Z1, Z2))
     assert iterated_residue(problem).is_zero()

@@ -52,7 +52,7 @@ from thomcalc.errors import (
 from thomcalc.packed import packed_product
 from thomcalc.partitions import deg_qhat, uhat_index_triples
 from thomcalc.poly import cvar, lamvar, thvar, zvar
-from thomcalc.residue import deg_in_subset
+from thomcalc.residue import deg_in_subset, iterated_residue, vanishing_criterion
 
 
 def zmono(coeff, *pairs):
@@ -460,21 +460,36 @@ def residue_term_value(term, lam, theta):
         for s in term.shifts
     ]
     integrand = thom._term_integrand(term, envelopes)
-    return thom._term_residue_at_roots(integrand, lam, term.sequence.depth).evaluate({})
+    roots = [LinearForm(x) for x in lam]
+    return iterated_residue(thom._with_root_poles(integrand, term.sequence.depth, roots)).evaluate({})
 
 
-def test_term_factor_list_is_charts_then_root_poles():
-    # the charts, then lambda_i - z_l with l outermost, each simple
-    n = 5
+def term_problem(term, n, k):
+    """One term's integrand over the symbolic poles lambda_i - z_l, as the
+    vanishing criterion reads it."""
+    envelopes = [thom._elementary_envelope(shift, k) for shift in term.shifts]
+    roots = [linear_form((1, lamvar(i))) for i in range(1, n + 1)]
+    return thom._with_root_poles(thom._term_integrand(term, envelopes), term.sequence.depth, roots)
+
+
+def test_term_problem_is_vandermonde_charts_then_root_poles():
+    # V_d's forms at -1, the charts, then lambda_i - z_l with l outermost, each simple
+    n, k = 5, 2
     for d in (1, 2, 3):
+        zs = tuple(zvar(l) for l in range(1, d + 1))
         for term in fixed_point_terms(d):
             poles = [
                 linear_form((1, lamvar(i)), (-1, zvar(l)))
                 for l in range(1, d + 1)
                 for i in range(1, n + 1)
             ]
-            expected = tuple((form, 1) for form in (*term.chart_factors, *poles))
-            assert thom._term_factor_list(term, n) == expected, term
+            expected = tuple((form, -1) for form in thom._vandermonde_forms(d))
+            expected += tuple((form, 1) for form in (*term.chart_factors, *poles))
+            problem = term_problem(term, n, k)
+            assert problem.denominator_factors == expected, term
+            assert problem.variables == zs
+            envelopes = [thom._elementary_envelope(shift, k) for shift in term.shifts]
+            assert problem.numerator == packed_product(*envelopes)
 
 
 def test_depth_two_term_table():
@@ -660,19 +675,29 @@ def test_criterion_positions_are_pinned():
         for ev in nondistinguished_vanishing(d, 5, 5, samples=1)
     }
     assert got == {
-        (2, "([1],[1,1])"): 1,
+        (2, "([1],[1,1])"): 2,
         (3, "([1],[2],[1,1])"): 2,
-        (3, "([1],[2],[1,2])"): 2,
-        (3, "([1],[1,1],[2])"): 3,
-        (3, "([1],[1,1],[3])"): 3,
-        (3, "([1],[1,1],[1,1,1])"): 1,
+        (3, "([1],[2],[1,2])"): 3,
+        (3, "([1],[1,1],[2])"): 2,
+        (3, "([1],[1,1],[3])"): 2,
+        (3, "([1],[1,1],[1,1,1])"): 2,
     }
 
 
+@pytest.mark.parametrize("d, n, k", [(2, 5, 5), (2, 3, 2), (3, 3, 2), (3, 5, 5)])
+def test_criterion_never_certifies_the_distinguished_term(d, n, k):
+    # the distinguished term carries the class, so its residue is not zero
+    # and no position may certify that it vanishes
+    (term,) = [t for t in fixed_point_terms(d) if t.distinguished]
+    problem = term_problem(term, n, k)
+    assert not iterated_residue(problem).is_zero()
+    assert not any(vanishing_criterion(problem, l) for l in range(1, d + 1))
+
+
 def test_subset_degree_of_a_term_numerator_adds_over_its_factors():
-    # z in the subset -> t, other z -> 1 is a ring map into a domain, so
-    # the expanded numerator's degree is the sum over V_d's linear factors
-    # and the envelopes, and -inf as soon as one factor maps to 0
+    # with every symbol outside the subset held constant the degrees live
+    # in a polynomial ring, a domain, so the expanded numerator's degree is
+    # the sum over V_d's linear factors and the envelopes
     k = 5
     for d in (2, 3):
         vandermonde_factors = [
@@ -692,12 +717,14 @@ def test_subset_degree_of_a_term_numerator_adds_over_its_factors():
             numerator, _ = thom._term_integrand(term, envelopes)
             expanded = packed_product(*vandermonde_factors, numerator)
             for subset in subsets:
-                degrees = [deg_in_subset(f, subset) for f in factors]
-                summed = float("-inf") if float("-inf") in degrees else sum(degrees)
+                summed = sum(deg_in_subset(f, subset) for f in factors)
                 assert deg_in_subset(expanded, subset) == summed, (term, subset)
-            # z_1 - z_2 maps to t - t = 0 on {z_1, z_2}
-            assert deg_in_subset(vandermonde_factors[0], [1, 2]) == float("-inf")
-            assert deg_in_subset(expanded, [1, 2]) == float("-inf")
+            # z_1 - z_2 has degree 1 on {z_1, z_2}: it is not t - t = 0
+            assert deg_in_subset(vandermonde_factors[0], [1, 2]) == 1
+            # every V_d form has z_1 or z_2, and an envelope has degree k
+            # when its shift does
+            reached = [s for s in term.shifts if s.coefficient(zvar(1)) or s.coefficient(zvar(2))]
+            assert deg_in_subset(expanded, [1, 2]) == len(vandermonde_factors) + k * len(reached)
 
 
 def test_class_agreement_refuses_a_wrong_class(monkeypatch):
