@@ -25,6 +25,7 @@ from thomcalc import (
     fixed_point_sum,
     fixed_point_terms,
     flag_residue_identity,
+    iterated_residue,
     linear_form,
     nondistinguished_vanishing,
     pole_sum_class,
@@ -40,6 +41,7 @@ from thomcalc import (
     thom_series_view,
     tp_positivity,
     vandermonde,
+    vanishing_criterion,
 )
 from thomcalc import thom
 from thomcalc.errors import (
@@ -52,7 +54,7 @@ from thomcalc.errors import (
 from thomcalc.packed import packed_product
 from thomcalc.partitions import deg_qhat, uhat_index_triples
 from thomcalc.poly import cvar, lamvar, thvar, zvar
-from thomcalc.residue import deg_in_subset, iterated_residue, vanishing_criterion
+from thomcalc.residue import deg_in_subset
 
 
 def zmono(coeff, *pairs):
