@@ -52,9 +52,13 @@ class InfiniteStaircaseError(CalcError):
 class SPairBudgetError(CalcError):
     """Buchberger ran past its S-pair budget.
 
-    ``counts`` holds what the run reached: pairs taken from the queue,
-    pairs reduced, pairs skipped by the coprime and by the chain criterion,
-    and the basis size."""
+    ``counts`` holds what the run reached.  ``taken`` counts the pairs
+    formed, one with each live element as an element enters the basis, and
+    is what the budget bounds.  ``reduced`` counts the pairs whose
+    S-polynomial was reduced, ``coprime`` the new pairs dropped for coprime
+    leads, ``chain`` the pairs dropped by the Gebauer-Moeller criteria (a
+    new pair's lcm a multiple of another's, or a queued pair's lcm divided
+    by the new lead), and ``basis`` the basis size."""
 
     def __init__(self, budget: int, counts: Dict[str, int]):
         super().__init__(

@@ -21,9 +21,11 @@ each generator is converted once to {key: coefficient} with the first
 variable of the lex order in the top field, so int comparison is the
 monomial order, a divisibility test is one subtraction against the guard
 bits and a reduction step updates a dict.  Buchberger's algorithm takes
-S-pairs first in, first out and skips a pair by the coprime criterion or by
-the chain criterion (Gebauer and Moeller, J. Symb. Comput. 6, 1988); its
-``pair_budget`` counts every pair taken from the queue, skipped or reduced.
+S-pairs first in, first out; each new basis element passes through the pair
+update of Gebauer and Moeller (J. Symb. Comput. 6, 1988; Becker and
+Weispfenning, Groebner Bases, 1993, UPDATE), which drops most pairs before
+they are queued.  Its ``pair_budget`` counts every pair formed, whether it
+is later dropped or reduced.
 The staircase step finds the minimal-codimension coordinate subspaces of
 the initial ideal by a branching search for minimum hitting sets of the
 generators' supports, not by scanning all coordinate subsets.  On each it
@@ -261,40 +263,62 @@ def _buchberger(
     packing: ExponentPacking, generators: List[Polynomial], pair_budget: int
 ) -> Tuple[List[Polynomial], Dict[str, int]]:
     """The Buchberger loop on one packing; OverflowError when a key
-    outgrows it."""
+    outgrows it.  Every generator and every nonzero remainder enters the
+    basis by update, the Gebauer-Moeller pair update."""
     guard, width, mask = packing.bias, packing.width, packing.mask
-    basis = [Divisor(packing.terms(g)) for g in generators]
-    pairs = deque((a, b) for b in range(len(basis)) for a in range(b))
-    taken = set()
+
+    def lcm(x: int, y: int) -> int:
+        # the guard bit stays set in each field where x's exponent is at
+        # least y's; spread to a full field, it picks x's there
+        pick_x = ((((x | guard) - y) & guard) >> (width - 1)) * mask
+        return (x & pick_x) | (y & ~pick_x)
+
+    basis: List[Divisor] = []
+    live: List[int] = []  # the elements that still form pairs
+    pairs: deque = deque()  # (a, b, lcm of their leads), first in first out
     counts = {"taken": 0, "reduced": 0, "coprime": 0, "chain": 0}
+
+    def update(h: Divisor) -> None:
+        lead, new = h.lead, len(basis)
+        basis.append(h)
+        with_h = [lcm(e.lead, lead) for e in basis]
+        formed = []
+        for g in live:
+            if counts["taken"] == pair_budget:
+                raise SPairBudgetError(pair_budget, dict(counts, basis=len(basis)))
+            counts["taken"] += 1
+            # sorted by lcm, a coprime pair before the others of its lcm
+            formed.append((with_h[g], with_h[g] != basis[g].lead + lead, g))
+        for _ in range(len(pairs)):
+            a, b, ab = pairs.popleft()
+            if (ab - lead) & guard or ab == with_h[a] or ab == with_h[b]:
+                pairs.append((a, b, ab))
+            else:
+                counts["chain"] += 1
+        minimal: List[int] = []
+        queued = []
+        for gh, reducible, g in sorted(formed):
+            if reducible and any(not (gh - m) & guard for m in minimal):
+                counts["chain"] += 1
+                continue
+            # a coprime pair is never queued, but it still covers the pairs
+            # whose lcm is a multiple of its own
+            minimal.append(gh)
+            if reducible:
+                queued.append((g, new, gh))
+            else:
+                counts["coprime"] += 1
+        pairs.extend(sorted(queued))
+        live[:] = [g for g in live if (basis[g].lead - lead) & guard] + [new]
+
+    for g in generators:
+        update(Divisor(packing.terms(g)))
     while pairs:
-        if counts["taken"] == pair_budget:
-            raise SPairBudgetError(pair_budget, dict(counts, basis=len(basis)))
-        a, b = pairs.popleft()
-        counts["taken"] += 1
-        taken.add((a, b))
-        lead_a, lead_b = basis[a].lead, basis[b].lead
-        # the guard bit stays set in each field where lead_a's exponent is
-        # at least lead_b's; spread to a full field, it picks lead_a's there
-        pick_a = ((((lead_a | guard) - lead_b) & guard) >> (width - 1)) * mask
-        lcm = (lead_a & pick_a) | (lead_b & ~pick_a)
-        if lcm == lead_a + lead_b:
-            counts["coprime"] += 1
-            continue
-        if any(
-            not (lcm - entry.lead) & guard
-            and (min(a, k), max(a, k)) in taken
-            and (min(b, k), max(b, k)) in taken
-            for k, entry in enumerate(basis)
-        ):
-            counts["chain"] += 1
-            continue
+        a, b, ab = pairs.popleft()
         counts["reduced"] += 1
-        remainder = _reduce(_s_polynomial(basis[a], basis[b], lcm, guard), basis)
+        remainder = _reduce(_s_polynomial(basis[a], basis[b], ab, guard), basis)
         if remainder:
-            basis.append(Divisor(remainder))
-            new = len(basis) - 1
-            pairs.extend((i, new) for i in range(new))
+            update(Divisor(remainder))
     polys = [packing.polynomial({k + packing.bias: c for k, c in e.terms.items()}) for e in basis]
     return polys, dict(counts, basis=len(basis))
 
@@ -307,13 +331,15 @@ def buchberger_lex(ideal: PolynomialIdeal, pair_budget: int = 10_000) -> List[Po
     top field down, so key order is the lex order and a reduction step is a
     dict update; each S-polynomial is fully reduced, dividing in Fractions
     only by a lead coefficient other than 1 or -1.  Pairs are taken first
-    in, first out.  A pair is skipped when its leading monomials are coprime
-    (Buchberger's first criterion), or when some basis element's leading
-    monomial divides their lcm and the pairs it forms with both have
-    already been taken (the chain criterion).  ``pair_budget`` bounds the
-    pairs taken from the queue, skipped ones included; past it
-    SPairBudgetError reports the pairs taken, reduced and skipped by each
-    criterion, and the basis size.
+    in, first out.  Each new element h forms a pair with every live element
+    and keeps it only if the leads are not coprime and its lcm is no
+    multiple of another new pair's lcm (of equal lcms one stays, none when
+    one of them is coprime); a queued pair is deleted when lead(h) divides
+    its lcm and that lcm differs from both of its elements' lcms with h; a
+    live element whose lead lead(h) divides forms no more pairs.  These are
+    the criteria of Gebauer and Moeller.  ``pair_budget`` bounds the pairs
+    formed, dropped ones included; past it SPairBudgetError reports the
+    pairs formed, reduced and dropped by each criterion, and the basis size.
     """
     return _lex_basis(ideal, pair_budget)[0]
 

@@ -33,7 +33,8 @@ from thomcalc import (
     yvar,
     zvar,
 )
-from thomcalc.multidegree import _lex_basis
+from thomcalc.multidegree import _lex_basis, _reduce, _s_polynomial
+from thomcalc.packed import Divisor, ExponentPacking
 
 Y = [None] + [Polynomial.variable(yvar(i)) for i in range(1, 5)]
 E = [None] + [Polynomial.variable(etavar(i)) for i in range(1, 5)]
@@ -309,9 +310,12 @@ def test_pair_budget_error_names_the_counters_reached():
         buchberger_lex(PolynomialIdeal.of(gens), pair_budget=2)
     err = caught.value
     assert err.budget == 2
-    assert err.counts == {"taken": 2, "reduced": 1, "coprime": 1, "chain": 0, "basis": 3}
+    # a pair is counted when it is formed: the second generator forms the
+    # coprime pair (y1*y3, y2*y4), and the third one pair within the budget
+    # and one past it, before any pair is reduced
+    assert err.counts == {"taken": 2, "reduced": 0, "coprime": 1, "chain": 0, "basis": 3}
     assert str(err) == (
-        "more than 2 S-pairs: 2 taken, 1 reduced, 1 skipped as coprime, "
+        "more than 2 S-pairs: 2 taken, 0 reduced, 1 skipped as coprime, "
         "0 skipped by the chain criterion, basis size 3"
     )
 
@@ -330,6 +334,78 @@ def test_chain_criterion_skips_a_pair_and_keeps_the_initial_ideal():
     assert sorted(map(sorted_items, initial_ideal(ideal).generators)) == sorted(
         map(sorted_items, expected)
     )
+
+
+def test_level7_ideal_stops_at_the_pair_budget():
+    # pairs count as they are formed, so a level-7 run stops at the budget
+    # after a few hundred reductions instead of after thousands
+    with pytest.raises(SPairBudgetError) as caught:
+        multidegree(*basic_relations_ideal(7))
+    err = caught.value
+    assert err.counts["taken"] == err.budget == 10_000
+    assert err.counts["reduced"] + err.counts["coprime"] + err.counts["chain"] <= err.budget
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_every_s_pair_of_the_basis_reduces_to_zero(d):
+    # Buchberger's criterion over all pairs of the returned basis, those the
+    # pair update dropped included
+    ideal, _ = basic_relations_ideal(d)
+    basis, counts = _lex_basis(ideal, 10_000)
+    # each pair formed is reduced or dropped, once
+    assert counts["taken"] == counts["reduced"] + counts["coprime"] + counts["chain"]
+    top = max(e for g in basis for _, e in g.exponent_pairs())
+    # a key past fields this wide raises OverflowError, which fails the test
+    packing = ExponentPacking(ideal.order, 2 * top, lex=True)
+    divisors = [Divisor(packing.terms(g)) for g in basis]
+    # exponent lists over the order compare as lex
+    leads = [max([dict(m).get(v, 0) for v in ideal.order] for m in g.term_map()) for g in basis]
+    for i, j in itertools.combinations(range(len(basis)), 2):
+        exps = [(v, max(a, b)) for v, a, b in zip(ideal.order, leads[i], leads[j]) if a or b]
+        (key,) = packing.terms(Polynomial.term(1, exps))
+        s_pair = _s_polynomial(divisors[i], divisors[j], key, packing.bias)
+        assert not _reduce(s_pair, divisors), (i, j)
+
+
+SMALL_MONOMIALS = [m for m in itertools.product(range(3), repeat=4) if sum(m) <= 2]
+
+
+@given(
+    st.lists(
+        st.dictionaries(
+            st.sampled_from(SMALL_MONOMIALS),
+            st.integers(-3, 3).filter(bool),
+            min_size=1,
+            max_size=3,
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_initial_ideal_matches_sympy_on_small_ideals(generators):
+    # generators as {exponents over y1..y4: coefficient}; sympy's Buchberger
+    # (the one sympy.groebner runs) on its own ring elements gives the
+    # reduced lex basis.  Cubes are left out: a cubic term lets a lex basis
+    # of four generators grow to seconds, on either side.
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.groebnertools import groebner
+
+    ring_, *_ = sympy.ring("y1:5", sympy.QQ, sympy.lex)
+    leads = [
+        {i + 1: e for i, e in enumerate(g.LM) if e}
+        for g in groebner([ring_.from_dict(g) for g in generators], ring_)
+    ]
+    order = [yvar(i) for i in range(1, 5)]
+    polys = [
+        sum(
+            (Polynomial.term(c, [(v, e) for v, e in zip(order, m) if e]) for m, c in g.items()),
+            Polynomial.zero(),
+        )
+        for g in generators
+    ]
+    ours = initial_ideal(PolynomialIdeal.of(polys, order)).generators
+    assert sorted(map(sorted_items, ours)) == sorted(map(sorted_items, leads))
 
 
 @pytest.mark.parametrize("d", [4, 5, 6])
