@@ -29,15 +29,15 @@ from .thom import (
 from .verify import SUITES, run_suite
 
 # Input bounds, checked before any work starts.  The cost of tp grows about
-# 1.5x per codim step: tp --d 5 --codim 14 takes 9.6-10.3 s (16,019 terms)
-# and 15 takes about 14 s, on a two-core Xeon VM with Python 3.11.7.  At d = 6
-# (from a numerator plugin) it grows 2-2.5x per step: --codim 7 takes about
-# 5.9 s (7,760 terms) and 8 takes about 12 s.
-# The ratio expansion grows 1.1-1.2x per degree: positivity --d 5 --order 46
-# takes about 9.5 s (163,642 terms, 118 MiB), 47 takes about 11.6 s.  At d = 6
-# (from a numerator plugin) it grows 1.2-1.3x per degree: --d 6 --order 30
-# takes about 9-10 s (128,444 terms, 104 MiB), 31 about 12 s and 32 about
-# 15 s (150 MiB).
+# 1.2-1.7x per codim step: tp --d 5 --codim 14 takes 1.8-2.5 s cold (16,019
+# terms) and 15 about 1.6-1.8 s in process, on a two-core Xeon VM with Python
+# 3.11.7.  At d = 6 (from a numerator plugin) it grows 1.5-2x per step:
+# --codim 7 takes 2.1-2.2 s (7,760 terms) and 8 about 2.3 s.
+# The ratio expansion grows about 1.1x per degree: positivity --d 5 --order 46
+# takes 3-5 s (163,642 terms, 107 MiB), 47 about 2.7-3.7 s in process.  At
+# d = 6 (from a numerator plugin) it grows 1.2-1.3x per degree: --d 6 --order
+# 30 takes 4.5-8 s (128,444 terms, 109 MiB), 31 about 7.6-9.2 s and 32 about
+# 6-10 s (145 MiB).  The limits date from when each took about 10 s.
 # The order d stops at 6 in tp, positivity and partitions: partitions lists
 # 21,504 sequences at depth 6 and 817,152 at depth 7, and with the one-term
 # numerator plugin z_d^deg_qhat(d), tp(8, 0) takes 4 s and tp(9, 0) more
@@ -101,7 +101,7 @@ def main():
     type=int,
     required=True,
     help=f"Codimension shift parameter, 0 to {MAX_CODIM}, or 0 to {MAX_CODIM_D6} at --d 6; "
-    f"--d 5 --codim {MAX_CODIM} takes about 10 s and --d 6 --codim {MAX_CODIM_D6} about 6 s "
+    f"--d 5 --codim {MAX_CODIM} takes about 2-3 s and --d 6 --codim {MAX_CODIM_D6} about 2 s "
     "on a two-core Xeon VM (Python 3.11.7).",
 )
 @click.option(
@@ -317,7 +317,7 @@ def verify_command(suite, fmt, seed):
     default=12,
     show_default=True,
     help=f"Total degree bound for the ratio expansion, 0 to {MAX_POSITIVITY_ORDER}, "
-    f"or 0 to {MAX_POSITIVITY_ORDER_D6} at --d 6 (either limit takes about 10 s).",
+    f"or 0 to {MAX_POSITIVITY_ORDER_D6} at --d 6 (either limit takes about 3-8 s).",
 )
 @_common
 @_guard

@@ -7,29 +7,27 @@ int addition.  A packed polynomial is a dict from these keys to
 coefficients, which stay Python ints wherever the inputs are integral and
 are Fractions only where an input has one.
 
-There is one product loop, cut_mul: packed terms times (rank, key,
-coefficient) pieces listed by increasing rank, where a term meets only the
-pieces its room allows.  packed_mul is the uncut case; the residue kernel
-cuts each 1/form series at the depth a term can still carry to the residue
-slice, and the positivity expansion at the degree still left under its
-order.  Polynomial products, powers and substitution, the kernel's
-linear numerator forms (each Vandermonde factor z_m - z_l, multiplied in
-at its own variable's step) and the 1/form series all multiply here and
-convert to a Polynomial once, at the end.
+packed_mul is the one product loop.  Polynomial products, powers and
+substitution and the kernel's linear numerator forms (each Vandermonde
+factor z_m - z_l, multiplied in at its own variable's step) multiply here
+and convert to a Polynomial once, at the end.  A denominator form is not
+expanded as a series: divide_by_form divides the terms by it, one layer
+of its top variable at a time, and keeps only the layers or keys the
+caller can still use (the residue kernel's slice, the positivity
+expansion's degree bound).
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import NonDivisibleError
 from .poly import LinearForm, Monomial, PolyLike, Polynomial, Variable, _as_poly
 
 Coefficient = Union[int, Fraction]
 PackedTerms = Dict[int, Coefficient]
-Piece = Tuple[int, int, Coefficient]  # (rank, unbiased key, coefficient)
 
 
 def _exact(q: Fraction) -> Coefficient:
@@ -122,18 +120,11 @@ class ExponentPacking:
         return result
 
 
-def cut_mul(
-    terms: Mapping[int, Coefficient], pieces: Sequence[Piece], room: Callable[[int], int]
-) -> PackedTerms:
-    """The sum of c1 * c2 at key k1 + k2 over the terms (k1, c1) and the
-    pieces (rank, k2, c2) with rank <= room(k1).  The pieces come in
-    increasing rank, so a term stops at the first piece past its room."""
+def packed_mul(a: Mapping[int, Coefficient], b: Mapping[int, Coefficient]) -> PackedTerms:
+    """The product of two packed polynomials; at most one may be biased."""
     out: PackedTerms = {}
-    for k1, c1 in terms.items():
-        limit = room(k1)
-        for rank, k2, c2 in pieces:
-            if rank > limit:
-                break
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
             key = k1 + k2
             q = out.get(key)
             q = c1 * c2 if q is None else q + c1 * c2
@@ -142,15 +133,6 @@ def cut_mul(
             else:
                 del out[key]
     return out
-
-
-def _no_room(key: int) -> int:
-    return 0
-
-
-def packed_mul(a: Mapping[int, Coefficient], b: Mapping[int, Coefficient]) -> PackedTerms:
-    """The product of two packed polynomials; at most one may be biased."""
-    return cut_mul(a, [(0, key, c) for key, c in b.items()], _no_room)
 
 
 def add_into(out: PackedTerms, terms: Mapping[int, Coefficient]) -> None:
@@ -220,28 +202,46 @@ def packed_substitute(p: Polynomial, assignment: Mapping[Variable, PolyLike]) ->
     return packing.polynomial(out)
 
 
-def inverse_series(
-    packing: ExponentPacking, form: LinearForm, order: int
-) -> List[Piece]:
-    """The terms of 1/form through power `order` of its series in its top
-    z-variable (see poly.expand_inverse_factor), as (s, unbiased key,
-    coefficient) pieces in increasing s, where the power-s terms carry
-    top^-(s+1)."""
-    top, a = form.top_z_variable()
+def divide_by_form(
+    terms: Mapping[int, Coefficient],
+    packing: ExponentPacking,
+    form: LinearForm,
+    floor: int,
+    keep: Optional[Callable[[int], bool]] = None,
+) -> PackedTerms:
+    """The biased terms divided by form as a series in its top z-variable
+    v, down to v's biased field `floor`, and only at the keys where keep
+    holds when it is given.
+
+    With form = a*v + L0, the quotient R = (terms - L0*R)/(a*v) is formed
+    one layer of v-exponent at a time from the top down (power-series
+    division, Knuth, TAOCP vol. 2, 4.7): a layer is R's layer above it
+    times -L0/(a*v) plus the terms' layer above it times 1/(a*v).  keep
+    must drop no key whose multiples by -L0/(a*v) it keeps, so that a
+    dropped key is never needed.
+    """
+    v, a = form.top_z_variable()
+    shift, mask = packing.shift[v], packing.mask
     inv = Fraction(1) / a
-    # one more power of -L0 / a, and of 1/top
-    down = packing.key(top, -1)
-    step = {packing.key(v, 1) + down: _exact(-q * inv) for v, q in form.items if v is not top}
+    down = packing.key(v, -1)
+    step = {packing.key(w, 1) + down: _exact(-q * inv) for w, q in form.items if w is not v}
     if form.constant:
         step[down] = _exact(-form.constant * inv)
-    power: PackedTerms = {down: _exact(inv)}
-    out = []
-    for s in range(order + 1):
-        if s:
-            if not step:
-                break
-            power = packed_mul(power, step)
-        out.extend((s, key, c) for key, c in power.items())
+    inv = _exact(inv)
+    # the terms' layers by v's biased field, each already times 1/(a*v)
+    layers: Dict[int, PackedTerms] = {}
+    for key, c in terms.items():
+        layers.setdefault(key >> shift & mask, {})[key + down] = c * inv
+    out: PackedTerms = {}
+    layer: PackedTerms = {}
+    field = max(layers, default=floor)  # the terms' layer that the next one reads
+    while field > floor and (layer or layers):
+        layer = packed_mul(layer, step)
+        add_into(layer, layers.pop(field, {}))
+        if keep is not None:
+            layer = {key: c for key, c in layer.items() if keep(key)}
+        out.update(layer)
+        field = field - 1 if layer or not layers else max(layers)
     return out
 
 

@@ -21,9 +21,9 @@ Sums, scalar multiples, evaluation and printing read these tuples.  All
 other arithmetic runs on packed exponent ints (packed.py), one Python int
 per monomial, and on int coefficients wherever the inputs are integral:
 products, powers, substitution, exact division, the Groebner loop of
-multidegree.py, the residue kernel and the 1/form series.  Each converts to
-a Polynomial once, at the end.  The tuples are the storage, printing and
-JSON format.
+multidegree.py and the residue kernel's division by linear forms.  Each
+converts to a Polynomial once, at the end.  The tuples are the storage,
+printing and JSON format.
 """
 
 from __future__ import annotations
@@ -634,9 +634,9 @@ def expand_inverse_factor(form: LinearForm, order: int) -> Polynomial:
     """
     if order < 0:
         raise ValueError("expansion order must be nonnegative")
-    from .packed import ExponentPacking, inverse_series  # packed imports this module
+    from .packed import ExponentPacking, divide_by_form  # packed imports this module
 
     packing = ExponentPacking(form.variables(), order + 1)
-    pieces = inverse_series(packing, form, order)
-    return packing.polynomial({packing.bias + key: coeff for _, key, coeff in pieces})
+    terms = divide_by_form({packing.bias: 1}, packing, form, packing.half - order - 1)
+    return packing.polynomial(terms)
 

@@ -1,28 +1,27 @@
 """Iterated residues at infinity.
 
-The main entry point expands every denominator factor as a geometric series
-in its top z-variable, multiplies the series together one variable at a time
-(innermost variable first, matching the regime |z_1| << ... << |z_d|), and
-reads off the coefficient of 1/(z_1 ... z_d).  The residue carries the sign
-(-1)^d relative to that coefficient.  A factor of negative multiplicity -m
-is a linear numerator factor: it is multiplied in m times at its top
-variable's step, before that variable's denominator factors, so the
-numerator V_d * Q_d of a class never has to be expanded.
+The main entry point divides by every denominator factor as a power series
+in its top z-variable, one variable at a time (innermost variable first,
+matching the regime |z_1| << ... << |z_d|), and reads off the coefficient
+of 1/(z_1 ... z_d).  The residue carries the sign (-1)^d relative to that
+coefficient.  A factor of negative multiplicity -m is a linear numerator
+factor: it is multiplied in m times at its top variable's step, before
+that variable's denominator factors, so the numerator V_d * Q_d of a class
+never has to be expanded.
 
 The expansion is exact in one pass.  Going from the last variable down,
-each factor's series is cut at the deepest power the current terms can
-still carry to the 1/v slice, and a candidate term is dropped as soon as
-one of its exponents can no longer reach -1; a variable's own series is
-applied last and only supplies that slice.  No truncation order is guessed
-and nothing is re-run to validate.
+each division stops at the exponent of v below which a term can no longer
+reach the 1/v slice; a variable's own series is applied last and only
+supplies that slice.  No truncation order is guessed and nothing is re-run
+to validate.
 
 The expansion runs on packed exponent ints (packed.ExponentPacking): one
 field per variable, z_1..z_d first, then the Chern and other symbols, each
 as wide as the problem's own exponent bounds require.  A monomial product
 is one int addition, reading an exponent is a shift and a mask, and
 coefficients are Python ints unless an input carries a Fraction.  Each
-factor's step is packed.cut_mul, the product loop every packed product
-shares.
+factor's step is packed.divide_by_form, the long-division recurrence
+R = (T - L0*R)/(a*v) for the form a*v + L0, run layer by layer in v.
 
 An iterated pole sum is the exact second route, on the same ResidueProblem:
 the residue at infinity of a rational function is minus the sum of its
@@ -56,8 +55,7 @@ from .packed import (
     Coefficient,
     ExponentPacking,
     PackedTerms,
-    cut_mul,
-    inverse_series,
+    divide_by_form,
     packed_mul,
     packed_product,
     poly_divide_exact,
@@ -186,12 +184,12 @@ def _packing(
     exponent the expansion can form.
 
     A term is one numerator term times one term of each raised numerator
-    form, one piece of each denominator factor's series and at most one
-    term of each variable's series, so no exponent exceeds the sum of what
-    each of those can carry; a form raised to the power m carries each of
-    its symbols to at most m.  Going down from the last variable, that sum
-    for v also bounds the power at which v's denominator factors are cut,
-    and a power-s piece carries each lower symbol to at most s.
+    form, one term of each denominator factor's 1/form series and at most
+    one term of each variable's series, so no exponent exceeds the sum of
+    what each of those can carry; a form raised to the power m carries each
+    of its symbols to at most m.  Going down from the last variable, that
+    sum for v also bounds the deepest power of v's denominator factors a
+    term can use, and a power-s term carries each lower symbol to at most s.
     """
     carry = _reach(problem.numerator)
     for v in variables:
@@ -213,21 +211,23 @@ def _packing(
 def iterated_residue(problem: ResidueProblem, order: Optional[int] = None) -> Polynomial:
     """Residue at infinity in every listed variable, exactly.
 
-    Each denominator factor is expanded once, only as deep as the terms in
-    play can still reach the 1/(z_1 ... z_d) slice, so the answer needs no
-    truncation order.  A numerator form (negative multiplicity) is
-    multiplied in at its top variable's step, ahead of the cuts.  An order
-    is a budget on that depth, the deepest power of any factor's series the
-    residue may use: when the exact answer needs a deeper power of some
-    factor, the call raises TruncationUnstableError instead of expanding
-    further.  A negative order raises ValueError.
+    The terms are divided by each denominator factor, once per unit of its
+    multiplicity, only as deep as they can still reach the 1/(z_1 ... z_d)
+    slice, so the answer needs no truncation order.  A numerator form
+    (negative multiplicity) is multiplied in at its top variable's step,
+    ahead of the divisions.  An order is a budget on that depth, the
+    deepest power of any factor's 1/form series the residue may use: when
+    the exact answer needs a deeper power of some factor, the call raises
+    TruncationUnstableError instead of expanding further.  A negative order
+    raises ValueError.
 
     The expansion runs on packed exponent ints (see ExponentPacking) with
     int coefficients wherever the inputs are integral.  Each factor's step
-    is packed.cut_mul, a term meeting only the series pieces whose power s
-    its exponent of the factor's top variable can still bring back to -1;
-    each variable's series then supplies the slice by a lookup on that
-    exponent.  The result becomes a Polynomial once, at the end.
+    is packed.divide_by_form, down to the lowest exponent of the factor's
+    top variable that the factors still to come and the variable's own
+    series can bring back to -1; each variable's series then supplies the
+    slice by a lookup on that exponent.  The result becomes a Polynomial
+    once, at the end.
     """
     if order is not None and order < 0:
         raise ValueError("the order budget must be nonnegative")
@@ -275,13 +275,10 @@ def iterated_residue(problem: ResidueProblem, order: Optional[int] = None) -> Po
                     f"the residue in {v.text} needs power {power} of 1/({form.to_text()}), "
                     f"past the order budget {order}"
                 )
-            # the power-s piece of 1/form carries v^-(s+1)
-            pieces = inverse_series(packing, form, power)
             for _ in range(mult):
                 v_left -= 1
-                # compared with the biased field of v
-                slack = hi_v - v_left - half
-                current = cut_mul(current, pieces, lambda k1: (k1 >> shift & mask) + slack)
+                # below this biased field of v, a term cannot reach the slice
+                current = divide_by_form(current, packing, form, v_left - hi_v - 1 + half)
         # v's series last: it only has to supply the 1/v slice
         sliced: PackedTerms = {}
         for k1, c1 in current.items():

@@ -1,41 +1,84 @@
-"""The one product loop on packed exponent ints, cut by rank."""
+"""Power-series division by a linear form, and the plain product, on packed
+exponent ints."""
+
+from fractions import Fraction
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from thomcalc.packed import cut_mul
+from thomcalc.packed import ExponentPacking, divide_by_form, packed_mul
+from thomcalc.poly import Polynomial, cvar, linear_form, zvar
 
-keys = st.integers(-20, 20)
-nonzero = st.integers(-4, 4).filter(bool)
-terms = st.dictionaries(keys, nonzero, max_size=6)
-pieces = st.lists(st.tuples(st.integers(0, 4), keys, nonzero), max_size=8).map(
-    lambda ps: sorted(ps, key=lambda piece: piece[0])
+Z1, Z2, C1 = zvar(1), zvar(2), cvar(1)
+LEADS = st.sampled_from([1, -1, 2, Fraction(-3, 2)])
+SMALL = st.integers(-2, 2)
+# (exponent of z1, of z2, of c1) -> coefficient; z2 may carry negative powers
+TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(-2, 3), st.integers(0, 2)),
+    st.integers(-3, 3).filter(bool),
+    max_size=5,
 )
 
 
-def _restricted_product(terms, pieces, room):
-    out = {}
-    for k1, c1 in terms.items():
-        for rank, k2, c2 in pieces:
-            if rank <= room(k1):
-                out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
-    return {key: c for key, c in out.items() if c}
+def _polynomial(terms):
+    total = Polynomial.zero()
+    for (i, j, k), c in terms.items():
+        total = total + Polynomial.term(c, [(Z1, i), (Z2, j), (C1, k)])
+    return total
 
 
-@given(terms, pieces, st.integers(-2, 4))
+def _series_quotient(t, a, l0, depth):
+    """sum_{s <= depth} t * (-l0)^s / (a*z2)^(s+1), in Polynomial arithmetic."""
+    over = Polynomial.term(Fraction(1) / a, [(Z2, -1)])
+    total, power = Polynomial.zero(), t * over
+    for _ in range(depth + 1):
+        total = total + power
+        power = power * -l0 * over
+    return total
+
+
+def _kept(p, keep):
+    return Polynomial({mono: c for mono, c in p.term_map().items() if keep(dict(mono))})
+
+
+@given(TERMS, LEADS, SMALL, SMALL, st.sampled_from([0, 1, -3, Fraction(1, 2)]), st.integers(-7, 0))
 @settings(max_examples=80, deadline=None)
-def test_cut_product_is_the_product_restricted_by_room(a, ps, offset):
-    def room(key):
-        return offset + key % 3
+def test_division_is_the_series_quotient_down_to_the_floor(terms, a, b, e, k, low):
+    # 1/(a*z2 + b*z1 + e*c1 + k), kept where z2's exponent is at least low
+    t = _polynomial(terms)
+    packing = ExponentPacking((Z1, Z2, C1), 20)
+    form = linear_form((a, Z2), (b, Z1), (e, C1), constant=k)
+    got = divide_by_form(packing.terms(t, biased=True), packing, form, packing.half + low)
+    l0 = linear_form((b, Z1), (e, C1), constant=k).as_polynomial()
+    # the power-s term carries z2 to at most 3 - s - 1
+    expected = _series_quotient(t, a, l0, 3 - low)
+    assert packing.polynomial(got) == _kept(expected, lambda mono: mono.get(Z2, 0) >= low)
 
-    assert cut_mul(a, ps, room) == _restricted_product(a, ps, room)
+
+@given(TERMS, LEADS, SMALL.filter(bool), st.integers(-3, 8))
+@settings(max_examples=80, deadline=None)
+def test_division_is_the_series_quotient_under_a_degree_ceiling(terms, a, b, cap):
+    # weights z1: 2, z2: 1, so each power of -b*z1/(a*z2) raises the degree
+    # by one and the ceiling alone ends the division
+    t = _polynomial(terms)
+    weights = {Z1: 2, Z2: 1}
+    packing = ExponentPacking((Z1, Z2, C1), 40, weights)
+    mask, dshift, half = packing.mask, packing.degree_shift, packing.half
+    form = linear_form((a, Z2), (b, Z1))
+    got = divide_by_form(
+        packing.terms(t, biased=True), packing, form, 0,
+        lambda key: (key >> dshift & mask) <= cap + half,
+    )
+    # the power-s term has degree at least -2 - 1 + s
+    expected = _series_quotient(t, a, linear_form((b, Z1)).as_polynomial(), cap + 3)
+
+    def under(mono):
+        return sum(e * weights.get(v, 0) for v, e in mono.items()) <= cap
+
+    assert packing.polynomial(got) == _kept(expected, under)
 
 
-def test_cut_product_edge_cases():
-    a = {3: 2, -1: 5}
-    assert cut_mul(a, [], lambda key: 10) == {}
-    # a room below every rank meets no piece
-    assert cut_mul(a, [(1, 0, 7), (2, 4, 1)], lambda key: 0) == {}
-    assert cut_mul({}, [(0, 1, 1)], lambda key: 0) == {}
+def test_product_drops_the_keys_that_cancel():
     # (1 + x)(x - 1): the two products at x cancel and leave no entry
-    assert cut_mul({0: 1, 1: 1}, [(0, 1, 1), (0, 0, -1)], lambda key: 0) == {0: -1, 2: 1}
+    assert packed_mul({0: 1, 1: 1}, {1: 1, 0: -1}) == {0: -1, 2: 1}
+    assert packed_mul({}, {1: 1}) == {}

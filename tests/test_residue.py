@@ -321,18 +321,20 @@ RAISED = st.lists(
     st.lists(ROOTS, max_size=2, unique=True),
     RAISED,
     st.sampled_from([(Z1, Z2), (Z2, Z1)]),
+    st.tuples(*[st.sampled_from([1, 2, Fraction(3, 2)])] * 2),
 )
 @settings(max_examples=200, deadline=None)
-def test_two_variable_backends_agree(terms, r_roots, s_roots, t_roots, raised, variables):
-    # the z2 - z1 - t factors are not homogeneous in z: while one remains,
-    # the series engine may bound the total z-degree from below only; both
-    # routes take z2 first whatever the listed order
+def test_two_variable_backends_agree(terms, r_roots, s_roots, t_roots, raised, variables, leads):
+    # the lead*z2 - z1 - t factors are not homogeneous in z: while one
+    # remains, the series engine may bound the total z-degree from below
+    # only; both routes take z2 first whatever the listed order
     num = Polynomial.zero()
     for a, b, c in terms:
         num = num + Polynomial.term(c, [(Z1, a), (Z2, b)])
-    forms = [form((1, Z1), constant=-r) for r in r_roots]
+    r_lead, t_lead = leads
+    forms = [form((r_lead, Z1), constant=-r) for r in r_roots]
     forms += [form((1, Z2), constant=-s) for s in s_roots]
-    forms += [form((1, Z2), (-1, Z1), constant=-t) for t in t_roots]
+    forms += [form((t_lead, Z2), (-1, Z1), constant=-t) for t in t_roots]
     factors = [(f, 1) for f in forms]
     factors += [(form((a, Z1), (b, Z2), constant=r), m) for (a, b), r, m in raised]
     problem = ResidueProblem(num, factors, variables=variables)
