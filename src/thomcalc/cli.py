@@ -29,14 +29,14 @@ from .thom import (
 from .verify import SUITES, run_suite
 
 # Input bounds, checked before any work starts.  The cost of tp grows about
-# 1.2-1.7x per codim step: tp --d 5 --codim 14 takes 1.8-2.5 s cold (16,019
-# terms) and 15 about 1.6-1.8 s in process, on a two-core Xeon VM with Python
+# 1.2-1.7x per codim step: tp --d 5 --codim 14 takes 1.5-2.5 s cold (16,019
+# terms) and 15 about 1.6-2.3 s in process, on a two-core Xeon VM with Python
 # 3.11.7.  At d = 6 (from a numerator plugin) it grows 1.5-2x per step:
-# --codim 7 takes 2.1-2.2 s (7,760 terms) and 8 about 2.3 s.
+# --codim 7 takes 2.0-2.2 s (7,760 terms) and 8 about 2.3-3.2 s.
 # The ratio expansion grows about 1.1x per degree: positivity --d 5 --order 46
-# takes 3-5 s (163,642 terms, 107 MiB), 47 about 2.7-3.7 s in process.  At
+# takes 3-5 s (163,642 terms, 107 MiB), 47 about 2.7-5.1 s in process.  At
 # d = 6 (from a numerator plugin) it grows 1.2-1.3x per degree: --d 6 --order
-# 30 takes 4.5-8 s (128,444 terms, 109 MiB), 31 about 7.6-9.2 s and 32 about
+# 30 takes 4.5-8.5 s (128,444 terms, 109 MiB), 31 about 7.6-9.2 s and 32 about
 # 6-10 s (145 MiB).  The limits date from when each took about 10 s.
 # The order d stops at 6 in tp, positivity and partitions: partitions lists
 # 21,504 sequences at depth 6 and 817,152 at depth 7, and with the one-term
@@ -317,7 +317,7 @@ def verify_command(suite, fmt, seed):
     default=12,
     show_default=True,
     help=f"Total degree bound for the ratio expansion, 0 to {MAX_POSITIVITY_ORDER}, "
-    f"or 0 to {MAX_POSITIVITY_ORDER_D6} at --d 6 (either limit takes about 3-8 s).",
+    f"or 0 to {MAX_POSITIVITY_ORDER_D6} at --d 6 (either limit takes about 3-8.5 s).",
 )
 @_common
 @_guard

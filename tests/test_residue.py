@@ -309,6 +309,8 @@ RAISED = st.lists(
     ),
     max_size=2,
 )
+# leading coefficients of the denominator forms
+LEADS = st.sampled_from([1, 2, Fraction(3, 2)])
 
 
 @given(
@@ -321,7 +323,7 @@ RAISED = st.lists(
     st.lists(ROOTS, max_size=2, unique=True),
     RAISED,
     st.sampled_from([(Z1, Z2), (Z2, Z1)]),
-    st.tuples(*[st.sampled_from([1, 2, Fraction(3, 2)])] * 2),
+    st.tuples(LEADS, LEADS),
 )
 @settings(max_examples=200, deadline=None)
 def test_two_variable_backends_agree(terms, r_roots, s_roots, t_roots, raised, variables, leads):
