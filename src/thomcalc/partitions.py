@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -312,17 +313,25 @@ def _permutation_sign(perm: Sequence[int]) -> int:
     return sign
 
 
+@cache
+def _feasible_permutations(weights: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """The permutations of entries of these weights that put weight at most
+    l in each slot l, with their signs."""
+    return tuple(
+        (perm, _permutation_sign(perm))
+        for perm in itertools.permutations(range(len(weights)))
+        if all(weights[p] <= l for l, p in enumerate(perm, start=1))
+    )
+
+
 def expansion_relation(rho: AdmissibleSequence, tau: Partition) -> Polynomial:
     """The signed sum over permutations and insertion slots of rho's
     entries with tau merged into one slot, keeping admissible outcomes."""
     # slot l holds weight at most l, and merging tau only adds weight, so
     # the bound is tested on integers before any union is built
-    weights = [e.weight for e in rho.entries]
+    weights = tuple(e.weight for e in rho.entries)
     signed: Dict[Monomial, int] = {}
-    for perm in itertools.permutations(range(rho.depth)):
-        if any(weights[p] > l for l, p in enumerate(perm, start=1)):
-            continue
-        sign = _permutation_sign(perm)
+    for perm, sign in _feasible_permutations(weights):
         for slot, p in enumerate(perm):
             if weights[p] + tau.weight > slot + 1:
                 continue

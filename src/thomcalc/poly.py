@@ -559,32 +559,11 @@ class LinearForm:
             total += q * Fraction(assignment[v])
         return total
 
-    def substitute_linear(self, assignment: Mapping[Variable, "LinearForm"]) -> "LinearForm":
-        """Replace variables by linear forms; the result stays linear."""
-        constant = self.constant
-        coeffs: Dict[Variable, Fraction] = {}
-        for v, q in self.items:
-            if v in assignment:
-                sub = assignment[v]
-                constant += q * sub.constant
-                for w, p in sub.items:
-                    coeffs[w] = coeffs.get(w, Fraction(0)) + q * p
-            else:
-                coeffs[v] = coeffs.get(v, Fraction(0)) + q
-        return LinearForm(constant, coeffs)
-
-    def scaled(self, factor: ScalarLike) -> "LinearForm":
-        q = Fraction(factor)
-        return LinearForm(self.constant * q, {v: c * q for v, c in self.items})
-
     def minus(self, other: "LinearForm") -> "LinearForm":
         coeffs = {v: c for v, c in self.items}
         for v, c in other.items:
             coeffs[v] = coeffs.get(v, Fraction(0)) - c
         return LinearForm(self.constant - other.constant, coeffs)
-
-    def drop(self, v: Variable) -> "LinearForm":
-        return LinearForm(self.constant, {w: c for w, c in self.items if w is not v})
 
     def to_text(self) -> str:
         return self.as_polynomial().to_text()

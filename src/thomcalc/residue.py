@@ -30,7 +30,9 @@ expansion.  A numerator form stays a linear form, substituted at each pole,
 and is multiplied in only at the leaf, so this route never expands V_d
 either.  Its adder, over a multiset of monic linear forms with one division
 at the end, is the package's one exact sum of fractions, public as
-fraction_sum.
+fraction_sum.  One packing serves a whole sum: forms and roots are packed
+linear forms, each root enters the numerator through its packed powers,
+and the sum becomes a Polynomial once, for the final division.
 
 The vanishing criterion reads the same ResidueProblem too.  It certifies
 that a residue vanishes by counting degrees in a subset of the variables,
@@ -43,7 +45,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from math import prod
+from math import perm
 from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -55,9 +57,9 @@ from .packed import (
     Coefficient,
     ExponentPacking,
     PackedTerms,
+    add_into,
     divide_by_form,
     packed_mul,
-    packed_product,
     poly_divide_exact,
 )
 from .poly import (
@@ -173,15 +175,22 @@ def _reach(p: Polynomial) -> Dict[Variable, int]:
     return out
 
 
-def _packing(
-    problem: ResidueProblem,
-    variables: Sequence[Variable],
-    topped: Mapping[Variable, FactorList],
-    raised: Mapping[Variable, FactorList],
-    series: Mapping[Variable, Polynomial],
-) -> ExponentPacking:
+def _layout(problem: ResidueProblem):
+    """The variables in index order; per top variable, the denominator
+    factors and the raised numerator forms; and each variable's series,
+    1 where it has none."""
+    variables = sorted(problem.variables, key=lambda v: v.index)
+    topped: Dict[Variable, List[Tuple[LinearForm, int]]] = {v: [] for v in variables}
+    raised: Dict[Variable, List[Tuple[LinearForm, int]]] = {v: [] for v in variables}
+    for form, mult in problem.denominator_factors:
+        (topped if mult > 0 else raised)[form.top_z_variable()[0]].append((form, abs(mult)))
+    own_series = {v: problem.per_variable_series.get(v, Polynomial.one()) for v in variables}
+    return variables, topped, raised, own_series
+
+
+def _packing(*problems: ResidueProblem) -> ExponentPacking:
     """Fields for z_1..z_d, then every other symbol, wide enough for any
-    exponent the expansion can form.
+    exponent the expansion of any of the problems can form.
 
     A term is one numerator term times one term of each raised numerator
     form, one term of each denominator factor's 1/form series and at most
@@ -191,21 +200,26 @@ def _packing(
     sum for v also bounds the deepest power of v's denominator factors a
     term can use, and a power-s term carries each lower symbol to at most s.
     """
-    carry = _reach(problem.numerator)
-    for v in variables:
-        for w, e in _reach(series[v]).items():
-            carry[w] = carry.get(w, 0) + e
-        # the slice lifts v from -1 back to 0
-        carry[v] = carry.get(v, 0) + 1
-        for form, mult in raised[v]:
-            for w, _ in form.items:
-                carry[w] = carry.get(w, 0) + mult
-    for v in reversed(variables):
-        power = carry[v]
-        for form, mult in topped[v]:
-            for w, _ in form.items:
-                carry[w] = carry.get(w, 0) + mult * (power + 1 if w is v else power)
-    return ExponentPacking(carry.keys(), max(carry.values()))
+    bound: Dict[Variable, int] = {}
+    for problem in problems:
+        variables, topped, raised, series = _layout(problem)
+        carry = _reach(problem.numerator)
+        for v in variables:
+            for w, e in _reach(series[v]).items():
+                carry[w] = carry.get(w, 0) + e
+            # the slice lifts v from -1 back to 0
+            carry[v] = carry.get(v, 0) + 1
+            for form, mult in raised[v]:
+                for w, _ in form.items:
+                    carry[w] = carry.get(w, 0) + mult
+        for v in reversed(variables):
+            power = carry[v]
+            for form, mult in topped[v]:
+                for w, _ in form.items:
+                    carry[w] = carry.get(w, 0) + mult * (power + 1 if w is v else power)
+        for w, e in carry.items():
+            bound[w] = max(bound.get(w, 0), e)
+    return ExponentPacking(bound.keys(), max(bound.values(), default=0))
 
 
 def iterated_residue(problem: ResidueProblem, order: Optional[int] = None) -> Polynomial:
@@ -221,32 +235,44 @@ def iterated_residue(problem: ResidueProblem, order: Optional[int] = None) -> Po
     TruncationUnstableError instead of expanding further.  A negative order
     raises ValueError.
 
-    The expansion runs on packed exponent ints (see ExponentPacking) with
-    int coefficients wherever the inputs are integral.  Each factor's step
-    is packed.divide_by_form, down to the lowest exponent of the factor's
-    top variable that the factors still to come and the variable's own
-    series can bring back to -1; each variable's series then supplies the
-    slice by a lookup on that exponent.  The result becomes a Polynomial
-    once, at the end.
+    The numerator is packed once (see ExponentPacking), with int
+    coefficients wherever the inputs are integral, the expansion runs in
+    _residue on packed keys, and the result becomes a Polynomial once, at
+    the end.
     """
     if order is not None and order < 0:
         raise ValueError("the order budget must be nonnegative")
     if not problem.variables:
         return problem.numerator
+    packing = _packing(problem)
+    terms = packing.terms(problem.numerator, biased=True)
+    return packing.polynomial(_residue(problem, packing, terms, order))
 
+
+def _residue(
+    problem: ResidueProblem,
+    packing: ExponentPacking,
+    terms: PackedTerms,
+    order: Optional[int] = None,
+) -> PackedTerms:
+    """iterated_residue on packed keys: the residue of problem with the
+    biased terms in packing as its numerator, as new biased terms.
+
+    The packing must hold every field _packing(problem) holds, at least as
+    wide, so one packing made by _packing over several problems serves each
+    of them, and one numerator packed in it serves every residue that reads
+    it; the terms are not changed.  Each factor's step is
+    packed.divide_by_form, down to the lowest exponent of the factor's top
+    variable that the factors still to come and the variable's own series
+    can bring back to -1; each variable's series then supplies the slice by
+    a lookup on that exponent.
+    """
     # the regime is |z_1| << |z_2| << ... whatever the listed order: each
     # factor is a series in its z-variable of largest index
-    variables = sorted(problem.variables, key=lambda v: v.index)
-    # per top variable: the denominator factors, and the raised numerator forms
-    topped: Dict[Variable, List[Tuple[LinearForm, int]]] = {v: [] for v in variables}
-    raised: Dict[Variable, List[Tuple[LinearForm, int]]] = {v: [] for v in variables}
-    for form, mult in problem.denominator_factors:
-        (topped if mult > 0 else raised)[form.top_z_variable()[0]].append((form, abs(mult)))
-    own_series = {v: problem.per_variable_series.get(v, Polynomial.one()) for v in variables}
-    packing = _packing(problem, variables, topped, raised, own_series)
+    variables, topped, raised, own_series = _layout(problem)
     mask, half = packing.mask, packing.half
 
-    current = packing.terms(problem.numerator, biased=True)
+    current = terms
     for v in reversed(variables):
         shift = packing.shift[v]
         # v's series keyed by its own exponent; no series reads as 1.  A
@@ -258,23 +284,22 @@ def iterated_residue(problem: ResidueProblem, order: Optional[int] = None) -> Po
         hi_v = max(by_exp, default=0)
         # numerator forms first, so that every cut sees v's final exponent
         for form, mult in raised[v]:
-            terms = packing.terms(form.as_polynomial())
+            form_terms = packing.terms(form.as_polynomial())
             for _ in range(mult):
-                current = packed_mul(current, terms)
+                current = packed_mul(current, form_terms)
         # factors topped by v only lower e_v, by at least one each
         v_left = sum(mult for _, mult in topped[v])
         for form, mult in topped[v]:
             if not current:
                 break
-            power = max((key >> shift) & mask for key in current) - half + hi_v - v_left + 1
-            if power < 0:
-                current = {}
-                break
-            if order is not None and power > order:
-                raise TruncationUnstableError(
-                    f"the residue in {v.text} needs power {power} of 1/({form.to_text()}), "
-                    f"past the order budget {order}"
-                )
+            if order is not None:
+                # the deepest power of 1/form that a term can still use
+                power = max((key >> shift) & mask for key in current) - half + hi_v - v_left + 1
+                if power > order:
+                    raise TruncationUnstableError(
+                        f"the residue in {v.text} needs power {power} of 1/({form.to_text()}), "
+                        f"past the order budget {order}"
+                    )
             for _ in range(mult):
                 v_left -= 1
                 # below this biased field of v, a term cannot reach the slice
@@ -293,10 +318,14 @@ def iterated_residue(problem: ResidueProblem, order: Optional[int] = None) -> Po
 
     if len(variables) % 2:
         current = {key: -coeff for key, coeff in current.items()}
-    return packing.polynomial(current)
+    return current
 
 
 # -- the exact pole sum -----------------------------------------------
+
+# A linear form on a sum's packing: the unbiased key of each variable, and
+# key 0 for the constant.  A pole's root is one too.
+PackedForm = Dict[int, Coefficient]
 
 
 def residue_by_pole_sum(problem: ResidueProblem) -> Polynomial:
@@ -314,9 +343,13 @@ def residue_by_pole_sum(problem: ResidueProblem) -> Polynomial:
     pole's own form, the pole is removable and the branch is 0.  A
     coincidence of poles found only below such a branch is not reported.
     Intended for cross-checks, at numeric parameter values or at
-    symbolic roots that keep the poles apart.  The poles' fractions are
-    added as in fraction_sum; NonDivisibleError says the sum is not a
-    polynomial.
+    symbolic roots that keep the poles apart.
+
+    The whole sum runs on one ExponentPacking: the numerator is packed
+    once, each root is substituted into it through the root's packed
+    powers, and the poles' fractions are added as in fraction_sum, on
+    packed keys; the sum becomes a Polynomial once, for the final exact
+    division.  NonDivisibleError says the sum is not a polynomial.
     """
     if problem.per_variable_series:
         raise ValueError("the pole sum takes no per-variable series")
@@ -334,92 +367,184 @@ def residue_by_pole_sum(problem: ResidueProblem) -> Polynomial:
         else:
             raised += [form] * -mult
     variables = sorted(problem.variables, key=lambda v: v.index)
-    return _quotient(_pole_sum(problem.numerator, forms, raised, variables))
+    # A term of the sum is a leaf's numerator term, of degree at most the
+    # numerator's plus one per raised form, times the forms of the sum's
+    # denominator that the leaf lacks.  Those are leaf forms, and a leaf
+    # form keeps a symbol only when some form has one besides z: then each
+    # of the at most F!/(F - d)! leaves brings at most F - d of them.
+    count, depth = len(forms), len(variables)
+    free = any(w.family != "z" for form in forms for w, _ in form.items)
+    spare = len(raised) + (perm(count, depth) * (count - depth) if free else 0)
+    packing = _fraction_packing([problem.numerator], forms + raised, spare, variables)
+    total = _pole_sum(
+        packing,
+        packing.terms(problem.numerator, biased=True),
+        [packing.terms(f.as_polynomial()) for f in forms],
+        [packing.terms(g.as_polynomial()) for g in raised],
+        variables,
+    )
+    return _quotient(packing, total)
 
 
 def fraction_sum(terms: Iterable[Tuple[Polynomial, Sequence[LinearForm]]]) -> Polynomial:
     """The polynomial sum of numerator / prod(forms) over the pairs.
 
-    Each fraction is made monic, the sum keeps its denominator as a
-    multiset of monic forms, and one exact division ends it.  Raises
-    NonDivisibleError when the sum is not a polynomial.
+    The inputs are packed once, on one packing for the whole sum.  Each
+    fraction is made monic, the sum keeps its denominator as a multiset of
+    monic forms, and one exact division ends it.  A zero form raises
+    ValueError; NonDivisibleError says the sum is not a polynomial.
     """
-    parts = (_monic(numerator, forms) for numerator, forms in terms)
-    return _quotient(reduce(_add, parts, (Polynomial.zero(), Counter())))
+    pairs = [(numerator, list(forms)) for numerator, forms in terms]
+    for i, (_, forms) in enumerate(pairs):
+        for form in forms:
+            if form.is_zero():
+                raise ValueError(f"fraction {i} divides by the zero form {form.to_text()}")
+    # the sum's denominator holds at most every form of every fraction
+    every_form = [form for _, forms in pairs for form in forms]
+    packing = _fraction_packing([numerator for numerator, _ in pairs], every_form, len(every_form))
+    parts = (
+        _monic(
+            packing.terms(numerator, biased=True),
+            [packing.terms(form.as_polynomial()) for form in forms],
+        )
+        for numerator, forms in pairs
+    )
+    return _quotient(packing, reduce(_add, parts, ({}, Counter())))
+
+
+def _fraction_packing(
+    numerators: Sequence[Polynomial],
+    forms: Sequence[LinearForm],
+    spare: int,
+    variables: Iterable[Variable] = (),
+) -> ExponentPacking:
+    """A field for every symbol of the numerators and forms, and for the
+    variables, wide enough for a numerator term times spare linear forms."""
+    symbols = set(variables).union(
+        *(p.variables() for p in numerators), *(f.variables() for f in forms)
+    )
+    degree = max(
+        (sum(abs(e) for _, e in mono) for p in numerators for mono in p.term_map()), default=0
+    )
+    return ExponentPacking(symbols, degree + spare)
 
 
 # A sum of fractions over a multiset of monic linear forms, so adding two
-# multiplies each numerator by only the factors it lacks.
-Factored = Tuple[Polynomial, Counter]
+# multiplies each numerator by only the factors it lacks.  A monic form is
+# a sorted tuple of its (key, coefficient) pairs.
+Factored = Tuple[PackedTerms, Counter]
 
 
-def _monic(numerator: Polynomial, forms: Sequence[LinearForm]) -> Factored:
+def _over(c: Coefficient, a: Coefficient) -> Coefficient:
+    """c / a exactly, an int where it is one."""
+    if a == 1 or a == -1:
+        return c * a
+    q = Fraction(c) / a
+    return q.numerator if q.denominator == 1 else q
+
+
+def _monic(numerator: PackedTerms, forms: Sequence[PackedForm]) -> Factored:
     # the constants and leading coefficients go to the numerator
-    leads = [form.items[0][1] if form.items else form.constant for form in forms]
-    den = Counter(form.scaled(1 / lead) for form, lead in zip(forms, leads) if form.items)
-    return numerator * (1 / prod(leads, start=Fraction(1))), den
+    scale: Coefficient = 1
+    den: Counter = Counter()
+    for form in forms:
+        items = sorted(form.items())
+        # the lead is the first variable's coefficient, or the constant
+        lead = items[1][1] if items[0][0] == 0 and len(items) > 1 else items[0][1]
+        scale = _over(scale, lead)
+        if len(items) > 1 or items[0][0]:
+            den[tuple((key, _over(q, lead)) for key, q in items)] += 1
+    return {key: c * scale for key, c in numerator.items()}, den
 
 
-def _times(p: Polynomial, forms: Counter) -> Polynomial:
-    return packed_product(p, *(form.as_polynomial() for form in forms.elements()))
+def _times(terms: PackedTerms, forms: Counter) -> PackedTerms:
+    for form in forms.elements():
+        terms = packed_mul(terms, dict(form))
+    return terms
 
 
 def _add(a: Factored, b: Factored) -> Factored:
-    if b[0].is_zero():
+    """The sum, which may reuse a's terms."""
+    if not b[0]:
         return a
-    if a[0].is_zero():
+    if not a[0]:
         return b
     den = a[1] | b[1]
-    return _times(a[0], den - a[1]) + _times(b[0], den - b[1]), den
+    out = _times(a[0], den - a[1])
+    add_into(out, _times(b[0], den - b[1]))
+    return out, den
 
 
-def _quotient(total: Factored) -> Polynomial:
-    return poly_divide_exact(total[0], _times(Polynomial.one(), total[1]))
+def _quotient(packing: ExponentPacking, total: Factored) -> Polynomial:
+    terms, den = total
+    return poly_divide_exact(
+        packing.polynomial(terms), packing.polynomial(_times({packing.bias: 1}, den))
+    )
+
+
+def _at(form: PackedForm, at: int, root: PackedForm) -> PackedForm:
+    """The form with the variable keyed at replaced by root."""
+    c = form.get(at)
+    if c is None:
+        return form
+    out = {key: q for key, q in form.items() if key != at}
+    add_into(out, {key: c * q for key, q in root.items()})
+    return out
+
+
+def _substitute(
+    packing: ExponentPacking, terms: PackedTerms, v: Variable, root: PackedForm, scale: Coefficient
+) -> PackedTerms:
+    """scale times the biased terms with v replaced by root, through the
+    root's powers, each formed once."""
+    shift, mask, half = packing.shift[v], packing.mask, packing.half
+    powers = [{0: scale}]
+    out: PackedTerms = {}
+    for key, c in terms.items():
+        e = (key >> shift & mask) - half
+        while len(powers) <= e:
+            powers.append(packed_mul(powers[-1], root))
+        rest = key - (e << shift)
+        add_into(out, {rest + k: c * q for k, q in powers[e].items()})
+    return out
 
 
 def _pole_sum(
-    numerator: Polynomial,
-    forms: List[LinearForm],
-    raised: List[LinearForm],
+    packing: ExponentPacking,
+    numerator: PackedTerms,
+    forms: List[PackedForm],
+    raised: List[PackedForm],
     variables: List[Variable],
 ) -> Factored:
     if not variables:
-        if raised:
-            numerator = packed_product(numerator, *(g.as_polynomial() for g in raised))
+        for g in raised:
+            numerator = packed_mul(numerator, g)
         return _monic(numerator, forms)
     v = variables[-1]
-    rest_vars = variables[:-1]
-    with_v = [f for f in forms if f.coefficient(v) != 0]
-    without_v = [f for f in forms if f.coefficient(v) == 0]
+    at = packing.key(v, 1)
+    with_v = [f for f in forms if at in f]
+    without_v = [f for f in forms if at not in f]
 
-    roots: List[LinearForm] = []
-    for f in with_v:
-        a = f.coefficient(v)
-        roots.append(f.drop(v).scaled(Fraction(-1) / a))
+    roots = [{key: _over(-q, f[at]) for key, q in f.items() if key != at} for f in with_v]
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             if roots[i] == roots[j]:
-                raise CoincidentPoleError(
-                    f"poles in {v.text} coincide at {roots[i].to_text()}"
-                )
+                root = packing.polynomial({packing.bias + key: q for key, q in roots[i].items()})
+                raise CoincidentPoleError(f"poles in {v.text} coincide at {root.to_text()}")
 
-    total: Factored = (Polynomial.zero(), Counter())
+    total: Factored = ({}, Counter())
     for f, root in zip(with_v, roots):
-        sub_raised = [g.substitute_linear({v: root}) if g.coefficient(v) else g for g in raised]
-        if any(g.is_zero() for g in sub_raised):
+        sub_raised = [_at(g, at, root) for g in raised]
+        if not all(sub_raised):
             # that form vanishes where f does, so it is a multiple of f: the
             # pole is removable and the branch is 0
             continue
-        a = f.coefficient(v)
-        sub_numerator = numerator.substitute({v: root.as_polynomial()}) * (Fraction(-1) / a)
         # the -1/a carries both the residue normalization and the sign of
         # the at-infinity flip for this variable
-        sub_forms = list(without_v)
-        for g in with_v:
-            if g is f:
-                continue
-            sub_forms.append(g.substitute_linear({v: root}))
-        total = _add(total, _pole_sum(sub_numerator, sub_forms, sub_raised, rest_vars))
+        sub_numerator = _substitute(packing, numerator, v, root, _over(-1, f[at]))
+        sub_forms = without_v + [_at(g, at, root) for g in with_v if g is not f]
+        branch = _pole_sum(packing, sub_numerator, sub_forms, sub_raised, variables[:-1])
+        total = _add(total, branch)
     return total
 
 

@@ -69,10 +69,19 @@ from .poly import (
     thvar,
     zvar,
 )
-from .packed import ExponentPacking, divide_by_form, packed_product, poly_divide_exact
+from .packed import (
+    ExponentPacking,
+    PackedTerms,
+    divide_by_form,
+    packed_mul,
+    packed_product,
+    poly_divide_exact,
+)
 from .residue import (
     FactorList,
     ResidueProblem,
+    _packing,
+    _residue,
     iterated_residue,
     residue_by_pole_sum,
     vanishing_criterion,
@@ -549,7 +558,9 @@ def _with_root_poles(
     l = 1..d and root, l outermost."""
     numerator, factors = integrand
     zs = tuple(zvar(l) for l in range(1, d + 1))
-    poles = tuple((root.minus(linear_form((1, z))), 1) for z in zs for root in roots)
+    poles = tuple(
+        (LinearForm(root.constant, {**dict(root.items), z: -1}), 1) for z in zs for root in roots
+    )
     return ResidueProblem(numerator, factors + poles, variables=zs)
 
 
@@ -752,40 +763,68 @@ def sampled_class_agreement(
 # -- vanishing of the non-distinguished contributions -----------------
 
 
-def _elementary_envelope(shift: LinearForm, k: int) -> Polynomial:
-    # prod_j (theta_j - X) = sum_t a_t (-X)^(k - t), with the elementary
-    # symmetric coefficients a_t of the theta alphabet riding as opaque
-    # a-symbols (a_0 = 1), by Horner's rule in -X
-    minus_x = -shift.as_polynomial()
-    out = Polynomial.one()
-    for t in range(1, k + 1):
-        out = out * minus_x + Polynomial.variable(avar(t))
-    return out
-
-
-def _term_integrand(
-    term: FixedPointTerm, envelopes: Sequence[Polynomial]
-) -> Tuple[Polynomial, FactorList]:
+def _term_integrand(term: FixedPointTerm, k: int) -> Tuple[Polynomial, FactorList]:
     """A term's integrand, as _integrand gives a class's: the product of its
-    envelopes, one per shift, and one factor list, V_d's forms at -1 and
-    then the charts at 1."""
-    factors = [(form, -1) for form in _vandermonde_forms(term.sequence.depth)]
+    envelopes prod_j (theta_j - s), one per shift s, and one factor list,
+    V_d's forms at -1 and then the charts at 1.
+
+    The elementary symmetric coefficients a_t of the k target roots ride as
+    opaque a-symbols (a_0 = 1), so an envelope is sum_t a_t (-s)^(k - t).
+    Each is formed by Horner's rule in -s on packed keys, and the product
+    of the envelopes becomes a Polynomial once."""
+    d = term.sequence.depth
+    elementary = [avar(t) for t in range(1, k + 1)]
+    # an envelope has z-degree k and degree 1 in the a-symbols
+    packing = ExponentPacking([*(zvar(l) for l in range(1, d + 1)), *elementary], d * k)
+    product = {packing.bias: 1}
+    for shift in term.shifts:
+        minus_s = packing.terms(-shift.as_polynomial())
+        envelope = {0: 1}
+        for a_t in elementary:
+            # every term of the product has a z, so a_t is a new key
+            envelope = packed_mul(envelope, minus_s)
+            envelope[packing.key(a_t, 1)] = 1
+        product = packed_mul(product, envelope)
+    factors = [(form, -1) for form in _vandermonde_forms(d)]
     factors += [(form, 1) for form in term.chart_factors]
-    return packed_product(*envelopes), tuple(factors)
+    return packing.polynomial(product), tuple(factors)
 
 
-def _compressed_term_residue(
-    integrand: Tuple[Polynomial, FactorList], d: int, n: int
-) -> Polynomial:
-    """A depth-d term's full residue from its _term_integrand, with theta
-    compressed to elementary symbols (the envelopes) and the n root poles
-    compressed to complete homogeneous symbols (a Chern window of lead -n).
-    Each pole 1/(lambda_i - z_l) is -1/(z_l - lambda_i), so the d windows
-    carry (-1)^(nd), which the numerator takes."""
-    numerator, factors = integrand
-    if n * d % 2:
-        numerator = -numerator
-    return iterated_residue(_chern_window_problem(numerator, factors, d, -n))
+class _TermResidues:
+    """One fixed-point term's residues over n source roots, the k target
+    roots compressed to the elementary symbols of _term_integrand.
+
+    The integrand is built once.  `problem` sets it over the symbolic poles
+    lambda_i - z_l; `compressed` takes its residue with those n poles
+    compressed to complete homogeneous symbols (a Chern window of lead
+    -n); `sampled` takes it with the poles at numeric roots.  One packing,
+    wide enough for the symbolic and the compressed problem, holds the
+    integrand's numerator, packed once, and every residue reads it: numeric
+    roots add no field, and their poles' z-parts are the symbolic poles',
+    so a sample needs no more room.  Residues stay packed terms, so a zero
+    test unpacks nothing."""
+
+    def __init__(self, term: FixedPointTerm, n: int, k: int):
+        self.integrand = _term_integrand(term, k)
+        self.depth = term.sequence.depth
+        roots = [linear_form((1, lamvar(i))) for i in range(1, n + 1)]
+        self.problem = _with_root_poles(self.integrand, self.depth, roots)
+        # each pole 1/(lambda_i - z_l) is -1/(z_l - lambda_i): the window
+        # leaves out the sign (-1)^(nd), which cannot make a residue zero
+        self._window = _chern_window_problem(*self.integrand, self.depth, -n)
+        self.packing = _packing(self.problem, self._window)
+        self._numerator = self.packing.terms(self.integrand[0], biased=True)
+
+    def compressed(self) -> PackedTerms:
+        """The residue over the symbolic poles, up to the sign (-1)^(nd)."""
+        return _residue(self._window, self.packing, self._numerator)
+
+    def sampled(self, lam: Sequence[Fraction]) -> PackedTerms:
+        """The residue with the poles at the numeric roots lam, the target
+        alphabet kept symbolic.  Chart weights at numeric roots can repeat
+        a pole, so this is the series kernel and not a pole sum."""
+        problem = _with_root_poles(self.integrand, self.depth, [LinearForm(x) for x in lam])
+        return _residue(problem, self.packing, self._numerator)
 
 
 @dataclass(frozen=True)
@@ -817,38 +856,33 @@ def nondistinguished_vanishing(
     degree criterion runs over every slot on it over the symbolic poles
     lambda_i - z_l; the compressed symbolic residue takes it with the poles
     as a Chern window; and the residue is recomputed with the poles at
-    seeded numeric root samples, the target alphabet kept symbolic.  Fewer
-    than one sample raises ValueError."""
+    seeded numeric root samples, the target alphabet kept symbolic.  The
+    integrand's numerator is packed once, for the compressed residue and
+    every sample (_TermResidues), and each residue is tested for zero on
+    its packed terms.  Fewer than one sample raises ValueError."""
     if n < d:
         raise ValueError("need at least d source roots")
     if k < 1:
         raise ValueError("need at least one target root")
     _check_samples(samples)
     rng = random.Random(seed)
-    roots = [linear_form((1, lamvar(i))) for i in range(1, n + 1)]
     out = []
     for term in fixed_point_terms(d):
         if term.distinguished:
             continue
-        envelopes = [_elementary_envelope(shift, k) for shift in term.shifts]
-        integrand = _term_integrand(term, envelopes)
-        problem = _with_root_poles(integrand, d, roots)
-        position = next((l for l in range(1, d + 1) if vanishing_criterion(problem, l)), None)
-        expansion = _compressed_term_residue(integrand, d, n)
+        residues = _TermResidues(term, n, k)
+        position = next(
+            (l for l in range(1, d + 1) if vanishing_criterion(residues.problem, l)), None
+        )
         sampled_zero = True
         for _ in range(samples):
-            lam = _distinct_fractions(rng, n)
-            # chart weights substituted with numeric roots can produce
-            # repeated poles, so this goes through the series engine rather
-            # than pole sums
-            value = iterated_residue(_with_root_poles(integrand, d, [LinearForm(li) for li in lam]))
-            if not value.is_zero():
+            if residues.sampled(_distinct_fractions(rng, n)):
                 sampled_zero = False
         out.append(
             VanishingEvidence(
                 term=term,
                 criterion_position=position,
-                expansion_zero=expansion.is_zero(),
+                expansion_zero=not residues.compressed(),
                 sampled_zero=sampled_zero,
             )
         )

@@ -437,12 +437,6 @@ def test_top_z_variable():
         linear_form((1, lamvar(1))).top_z_variable()
 
 
-def test_linear_form_substitute_linear():
-    f = linear_form((1, zvar(1)), (1, zvar(2)))
-    g = f.substitute_linear({zvar(2): linear_form((2, zvar(1)))})
-    assert g == linear_form((3, zvar(1)))
-
-
 def test_linear_form_json_round_trip():
     f = linear_form((2, zvar(1)), (-1, lamvar(2)), constant=Fraction(1, 3))
     assert LinearForm.from_json_dict(f.to_json_dict()) == f

@@ -28,7 +28,9 @@ from thomcalc import (
     vanishing_criterion,
     zvar,
 )
-from thomcalc.residue import _add, _monic, deg_in_subset
+from thomcalc.packed import ExponentPacking
+from thomcalc.poly import expand_inverse_factor
+from thomcalc.residue import _add, _monic, _packing, _residue, deg_in_subset
 
 Z1, Z2, Z3 = zvar(1), zvar(2), zvar(3)
 
@@ -347,6 +349,109 @@ def test_two_variable_backends_agree(terms, r_roots, s_roots, t_roots, raised, v
     assert by_poles == iterated_residue(problem)
 
 
+# roots r + sigma*l_1, sigma in {-1, 0, 1}
+SYMBOLIC_ROOTS = st.tuples(ROOTS, st.sampled_from([-1, 0, 1]))
+# z1^a z2^(n - a) l1^b, total z-degree n up to 5
+NUMERATOR_TERMS = st.lists(
+    st.tuples(
+        st.integers(0, 5).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))),
+        st.integers(0, 1),
+        st.integers(-3, 3),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+@given(
+    NUMERATOR_TERMS,
+    st.lists(SYMBOLIC_ROOTS, max_size=2, unique=True),
+    st.lists(SYMBOLIC_ROOTS, max_size=2, unique=True),
+    st.lists(SYMBOLIC_ROOTS, max_size=2, unique=True),
+    RAISED,
+    st.tuples(LEADS, LEADS),
+)
+# an exponent of l_1 here outgrows a packing sized by the numerator's
+# degree plus one per form and raised form
+@example(
+    terms=[((0, 5), 1, 1)],
+    r_roots=[(Fraction(0), -1), (Fraction(0), 0)],
+    s_roots=[(Fraction(0), -1), (Fraction(0), 1)],
+    t_roots=[(Fraction(1), -1), (Fraction(-2), 0)],
+    raised=[((1, 0), Fraction(0), -1), ((1, 0), Fraction(0), -2)],
+    leads=(1, Fraction(3, 2)),
+)
+@settings(max_examples=100, deadline=None)
+def test_two_variable_backends_agree_at_symbolic_roots(
+    terms, r_roots, s_roots, t_roots, raised, leads
+):
+    # a root carrying l_1 raises its exponent at every substitution into
+    # the numerator and with every form the sum's denominator gains, which
+    # numeric roots never do: the pole sum's one packing must hold it all
+    l1 = lamvar(1)
+    num = Polynomial.zero()
+    for (a, n), b, c in terms:
+        num = num + Polynomial.term(c, [(Z1, a), (Z2, n - a), (l1, b)])
+    r_lead, t_lead = leads
+    forms = [form((r_lead, Z1), (-sigma, l1), constant=-r) for r, sigma in r_roots]
+    forms += [form((1, Z2), (-sigma, l1), constant=-s) for s, sigma in s_roots]
+    forms += [form((t_lead, Z2), (-1, Z1), (-sigma, l1), constant=-t) for t, sigma in t_roots]
+    factors = [(f, 1) for f in forms]
+    factors += [(form((a, Z1), (b, Z2), constant=r), m) for (a, b), r, m in raised]
+    problem = ResidueProblem(num, factors, variables=(Z1, Z2))
+    try:
+        by_poles = residue_by_pole_sum(problem)
+    except CoincidentPoleError:
+        assume(False)
+    assert by_poles == iterated_residue(problem)
+
+
+# denominator forms of a multiplicity-2 problem: topped by z2 (with z1 or
+# l_1 in the rest) or by z1, leads 1, 2 and -3/2
+DOUBLE_POOL = [
+    form((1, Z2), (-1, Z1)),
+    form((2, Z2), (1, lamvar(1)), constant=-1),
+    form((1, Z2), constant=3),
+    form((1, Z1), (-1, lamvar(1))),
+    form((Fraction(-3, 2), Z1), constant=2),
+]
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)),
+        min_size=1, max_size=3,
+    ),
+    st.lists(st.tuples(st.sampled_from(DOUBLE_POOL), st.integers(1, 2)), min_size=1, max_size=2),
+)
+@settings(max_examples=40, deadline=None)
+def test_double_factors_match_the_expanded_product(terms, factors):
+    # the pole sum takes simple poles only, so the reference for a factor
+    # at multiplicity 2 is the product of the numerator with each factor's
+    # series, squared, read off at 1/(z1 z2) (d = 2, so no sign).  With
+    # numerator z-degree D, a series power past D cannot reach the slice:
+    # z2's factors use powers summing to at most D, which leave z1 at most
+    # D, and z1's factors then use powers summing to at most D.
+    assume(any(m == 2 for _, m in factors))
+    num = Polynomial.zero()
+    for a, b, c in terms:
+        num = num + Polynomial.term(c, [(Z1, a), (Z2, b)])
+    assume(not num.is_zero())
+    problem = ResidueProblem(num, factors, variables=(Z1, Z2))
+    packing = _packing(problem)
+    got = packing.polynomial(_residue(problem, packing, packing.terms(num, biased=True)))
+
+    depth = max(sum(e for _, e in mono) for mono in num.term_map())
+    product = num
+    for f, m in factors:
+        product = product * expand_inverse_factor(f, depth) ** m
+    expected = Polynomial.zero()
+    for mono, c in product.term_map().items():
+        exps = dict(mono)
+        if exps.get(Z1) == -1 and exps.get(Z2) == -1:
+            expected = expected + Polynomial.term(c, [(v, e) for v, e in mono if v not in (Z1, Z2)])
+    assert got == expected
+
+
 # -- the exact sum of fractions ---------------------------------------
 
 SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -385,11 +490,24 @@ def test_fraction_sum_of_cleared_fractions_is_the_sum_of_numerators(pairs):
 def test_a_zero_numerator_adds_no_forms():
     f, g = form((1, Z1), (1, Z2)), form((1, Z1), (-1, Z2))
     z1 = Polynomial.variable(Z1)
-    kept = _monic(z1, [f])
-    zero = _monic(Polynomial.zero(), [g])
-    assert _add(kept, zero) == (z1, Counter([f]))
-    assert _add(zero, kept) == (z1, Counter([f]))
+    packing = ExponentPacking([Z1, Z2], 2)
+    kept = _monic(packing.terms(z1, biased=True), [packing.terms(f.as_polynomial())])
+    zero = _monic({}, [packing.terms(g.as_polynomial())])
+    # f is monic: its pairs are its one monic form
+    monic_f = tuple(sorted(packing.terms(f.as_polynomial()).items()))
+    expected = (packing.terms(z1, biased=True), Counter([monic_f]))
+    assert _add(kept, zero) == expected
+    assert _add(zero, kept) == expected
     assert fraction_sum([(z1 * f.as_polynomial(), [f]), (Polynomial.zero(), [g])]) == z1
+
+
+def test_fraction_sum_names_a_zero_form():
+    with pytest.raises(ValueError, match="zero form 0"):
+        fraction_sum([(Polynomial.one(), [LinearForm(0)])])
+    with pytest.raises(ValueError, match="fraction 1 divides by the zero form"):
+        fraction_sum(
+            [(Polynomial.one(), [form((1, Z1))]), (Polynomial.one(), [form((1, Z2)), LinearForm(0)])]
+        )
 
 
 def test_fraction_sum_rejects_a_proper_fraction():

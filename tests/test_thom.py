@@ -53,7 +53,7 @@ from thomcalc.errors import (
 )
 from thomcalc.packed import packed_product
 from thomcalc.partitions import deg_qhat, uhat_index_triples
-from thomcalc.poly import cvar, lamvar, thvar, zvar
+from thomcalc.poly import avar, cvar, lamvar, thvar, zvar
 from thomcalc.residue import deg_in_subset
 
 
@@ -328,9 +328,11 @@ def test_class_path_never_expands_the_vandermonde(monkeypatch):
     # each depth-3 term residue reads the product of its envelopes alone:
     # at most 336 terms, not the 1,100 of V_3 times that product
     sizes = []
-    residue = thom.iterated_residue
+    residue = thom._residue
     monkeypatch.setattr(
-        thom, "iterated_residue", lambda p: sizes.append(len(p.numerator)) or residue(p)
+        thom,
+        "_residue",
+        lambda p, packing, terms: sizes.append(len(terms)) or residue(p, packing, terms),
     )
     assert all(ev.vanishes for ev in nondistinguished_vanishing(3, 5, 5, samples=1))
     assert max(sizes) == 336
@@ -456,22 +458,33 @@ def test_flag_identity_and_guards():
 
 def residue_term_value(term, lam, theta):
     """One term's iterated residue at a fully numeric root sample: the
-    envelopes become prod_j (theta_j - s_l) at numbers."""
+    envelopes become prod_j (theta_j - s_l) at numbers, and the term's
+    factors are _term_integrand's."""
     envelopes = [
         packed_product(*(Polynomial.constant(t) - s.as_polynomial() for t in theta))
         for s in term.shifts
     ]
-    integrand = thom._term_integrand(term, envelopes)
+    _, factors = thom._term_integrand(term, len(theta))
+    integrand = packed_product(*envelopes), factors
     roots = [LinearForm(x) for x in lam]
     return iterated_residue(thom._with_root_poles(integrand, term.sequence.depth, roots)).evaluate({})
+
+
+def elementary_envelope(shift, k):
+    """prod_j (theta_j - s) as sum_t a_t (-s)^(k - t), a_0 = 1, by Horner's
+    rule in Polynomial arithmetic: the reference for _term_integrand's
+    packed envelopes."""
+    minus_s = -shift.as_polynomial()
+    out = Polynomial.one()
+    for t in range(1, k + 1):
+        out = out * minus_s + Polynomial.variable(avar(t))
+    return out
 
 
 def term_problem(term, n, k):
     """One term's integrand over the symbolic poles lambda_i - z_l, as the
     vanishing criterion reads it."""
-    envelopes = [thom._elementary_envelope(shift, k) for shift in term.shifts]
-    roots = [linear_form((1, lamvar(i))) for i in range(1, n + 1)]
-    return thom._with_root_poles(thom._term_integrand(term, envelopes), term.sequence.depth, roots)
+    return thom._TermResidues(term, n, k).problem
 
 
 def test_term_problem_is_vandermonde_charts_then_root_poles():
@@ -490,7 +503,7 @@ def test_term_problem_is_vandermonde_charts_then_root_poles():
             problem = term_problem(term, n, k)
             assert problem.denominator_factors == expected, term
             assert problem.variables == zs
-            envelopes = [thom._elementary_envelope(shift, k) for shift in term.shifts]
+            envelopes = [elementary_envelope(shift, k) for shift in term.shifts]
             assert problem.numerator == packed_product(*envelopes)
 
 
@@ -659,6 +672,29 @@ def test_depth_three_distinguished_value():
     assert value == substituted.evaluate(assignment) == Fraction(-82, 27)
 
 
+@pytest.mark.parametrize(
+    "lam, theta, expected",
+    [
+        ((1, 5), (3, 7), Fraction(8)),
+        ((1, 5, Fraction(17, 2)), (3, 7, Fraction(23, 3)), Fraction(-82, 27)),
+    ],
+)
+def test_packed_samples_keep_the_distinguished_value(lam, theta, expected):
+    # the witness can still fail: on the path the vanishing check samples,
+    # with the numerator packed once for every residue, the distinguished
+    # term keeps the class values pinned above, the target alphabet entering
+    # through its elementary symmetric functions a_t
+    (term,) = [t for t in fixed_point_terms(len(lam)) if t.distinguished]
+    residues = thom._TermResidues(term, len(lam), len(theta))
+    value = residues.sampled([Fraction(x) for x in lam])
+    assert value and residues.compressed()
+    elementary = [Fraction(1)]
+    for t in theta:
+        elementary = [a + t * b for a, b in zip(elementary + [0], [0] + elementary)]
+    at = {avar(i): elementary[i] for i in range(1, len(theta) + 1)}
+    assert residues.packing.polynomial(value).evaluate(at) == expected
+
+
 def test_nondistinguished_term_contributes_nothing():
     other = [t for t in fixed_point_terms(2) if not t.distinguished][0]
     assert residue_term_value(other, (1, 5), (3, 7)) == 0
@@ -714,9 +750,10 @@ def test_subset_degree_of_a_term_numerator_adds_over_its_factors():
         for term in fixed_point_terms(d):
             if term.distinguished:
                 continue
-            envelopes = [thom._elementary_envelope(shift, k) for shift in term.shifts]
+            envelopes = [elementary_envelope(shift, k) for shift in term.shifts]
             factors = vandermonde_factors + envelopes
-            numerator, _ = thom._term_integrand(term, envelopes)
+            numerator, _ = thom._term_integrand(term, k)
+            assert numerator == packed_product(*envelopes)
             expanded = packed_product(*vandermonde_factors, numerator)
             for subset in subsets:
                 summed = sum(deg_in_subset(f, subset) for f in factors)
@@ -749,9 +786,8 @@ def test_longer_series_window_changes_no_compressed_residue(monkeypatch):
     ]
 
     def compressed(term, n, k):
-        envelopes = [thom._elementary_envelope(shift, k) for shift in term.shifts]
-        integrand = thom._term_integrand(term, envelopes)
-        return thom._compressed_term_residue(integrand, term.sequence.depth, n)
+        residues = thom._TermResidues(term, n, k)
+        return residues.packing.polynomial(residues.compressed())
 
     exact = [compressed(*case) for case in cases]
     assert any(not residue.is_zero() for residue in exact)
