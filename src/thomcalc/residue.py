@@ -323,11 +323,6 @@ def _residue(
 
 # -- the exact pole sum -----------------------------------------------
 
-# A linear form on a sum's packing: the unbiased key of each variable, and
-# key 0 for the constant.  A pole's root is one too.
-PackedForm = Dict[int, Coefficient]
-
-
 def residue_by_pole_sum(problem: ResidueProblem) -> Polynomial:
     """The residue iterated_residue takes, as a nested sum over simple poles.
 
@@ -443,7 +438,7 @@ def _over(c: Coefficient, a: Coefficient) -> Coefficient:
     return q.numerator if q.denominator == 1 else q
 
 
-def _monic(numerator: PackedTerms, forms: Sequence[PackedForm]) -> Factored:
+def _monic(numerator: PackedTerms, forms: Sequence[PackedTerms]) -> Factored:
     # the constants and leading coefficients go to the numerator
     scale: Coefficient = 1
     den: Counter = Counter()
@@ -482,8 +477,9 @@ def _quotient(packing: ExponentPacking, total: Factored) -> Polynomial:
     )
 
 
-def _at(form: PackedForm, at: int, root: PackedForm) -> PackedForm:
-    """The form with the variable keyed at replaced by root."""
+def _at(form: PackedTerms, at: int, root: PackedTerms) -> PackedTerms:
+    """The form with the variable keyed at replaced by root.  A form, and a
+    root, is packed with unbiased keys, its constant at key 0."""
     c = form.get(at)
     if c is None:
         return form
@@ -493,7 +489,7 @@ def _at(form: PackedForm, at: int, root: PackedForm) -> PackedForm:
 
 
 def _substitute(
-    packing: ExponentPacking, terms: PackedTerms, v: Variable, root: PackedForm, scale: Coefficient
+    packing: ExponentPacking, terms: PackedTerms, v: Variable, root: PackedTerms, scale: Coefficient
 ) -> PackedTerms:
     """scale times the biased terms with v replaced by root, through the
     root's powers, each formed once."""
@@ -512,8 +508,8 @@ def _substitute(
 def _pole_sum(
     packing: ExponentPacking,
     numerator: PackedTerms,
-    forms: List[PackedForm],
-    raised: List[PackedForm],
+    forms: List[PackedTerms],
+    raised: List[PackedTerms],
     variables: List[Variable],
 ) -> Factored:
     if not variables:
