@@ -14,7 +14,8 @@ and convert to a Polynomial once, at the end.  A denominator form is not
 expanded as a series: divide_by_form divides the terms by it, one layer
 of its top variable at a time, and keeps only the layers or keys the
 caller can still use (the residue kernel's slice, the positivity
-expansion's degree bound).
+expansion's degree bound).  divide_exact is the one exact division of
+polynomials, and exact_quotient the one division of coefficients.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ def _exact(q: Fraction) -> Coefficient:
 
 
 def exact_quotient(c: Coefficient, lead: Coefficient) -> Coefficient:
-    """c / lead, never a float: a product for a lead of 1 or -1, else a Fraction."""
-    return c * lead if lead == 1 or lead == -1 else Fraction(c) / lead
+    """c / lead exactly, never a float: an int where the quotient is one, else a Fraction."""
+    return _exact(c * lead if lead in (1, -1) else Fraction(c) / lead)
 
 
 class ExponentPacking:
@@ -181,7 +182,7 @@ def packed_substitute(p: Polynomial, assignment: Mapping[Variable, PolyLike]) ->
             if len(table[1]) > 1:
                 raise ValueError("cannot invert a polynomial with more than one term")
             [(key, c)] = table[1].items()
-            table[-1] = {-key: _exact(1 / Fraction(c))}
+            table[-1] = {-key: exact_quotient(1, c)}
         step = 1 if e > 0 else -1
         known = e
         while known not in table:
@@ -222,12 +223,11 @@ def divide_by_form(
     """
     v, a = form.top_z_variable()
     shift, mask = packing.shift[v], packing.mask
-    inv = Fraction(1) / a
+    inv = exact_quotient(1, a)
     down = packing.key(v, -1)
-    step = {packing.key(w, 1) + down: _exact(-q * inv) for w, q in form.items if w is not v}
+    step = {packing.key(w, 1) + down: exact_quotient(-q, a) for w, q in form.items if w is not v}
     if form.constant:
-        step[down] = _exact(-form.constant * inv)
-    inv = _exact(inv)
+        step[down] = exact_quotient(-form.constant, a)
     # the terms' layers by v's biased field, each already times 1/(a*v)
     layers: Dict[int, PackedTerms] = {}
     for key, c in terms.items():
@@ -303,28 +303,21 @@ class TermHeap:
                     del terms[key]
 
 
-def poly_divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Divide p by q, requiring a zero remainder.
+def divide_exact(packing: ExponentPacking, p: PackedTerms, q: PackedTerms) -> PackedTerms:
+    """p / q, requiring a zero remainder: p biased, q unbiased and nonzero,
+    both with nonnegative exponents, and the quotient biased.
 
-    Runs single-divisor division under the lex order of the variables
-    present, sorted by canonical key descending, on packed keys from a
-    TermHeap.  An exact quotient never needs an exponent above the largest
-    one of p and q, so the fields hold that much; a remainder term that
-    outgrows them proves a remainder.  Laurent inputs are rejected.
-    Raises NonDivisibleError when the division leaves a remainder.
+    Runs single-divisor division under the packing's key order, which is
+    lex in its fields from the top down, on packed keys from a TermHeap.
+    An exact quotient never needs an exponent above the largest one of p
+    and q, so fields that hold that much suffice; a remainder term that
+    outgrows them proves a remainder.  Raises NonDivisibleError when the
+    division leaves a remainder.
     """
-    if q.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if p.has_negative_exponent() or q.has_negative_exponent():
-        raise ValueError("exact division expects plain polynomials, not Laurent terms")
-    if p.is_zero():
-        return Polynomial.zero()
-    pairs = p.exponent_pairs() | q.exponent_pairs()
-    packing = ExponentPacking({v for v, _ in pairs}, max((e for _, e in pairs), default=0))
     guard = packing.bias
-    divisor = Divisor(packing.terms(q))
+    divisor = Divisor(q)
     quotient: PackedTerms = {}
-    remainder = TermHeap(packing.terms(p), guard)
+    remainder = TermHeap({key - guard: c for key, c in p.items()}, guard)
     try:
         for key, coeff in remainder.drain():
             shift = key - divisor.lead
@@ -337,4 +330,18 @@ def poly_divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
             remainder.subtract(divisor.tail, shift, c)
     except OverflowError:
         raise NonDivisibleError("a remainder term outgrows the exponents of the dividend") from None
+    return quotient
+
+
+def poly_divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p / q by divide_exact, under the lex order of the variables present
+    by canonical key descending.  Laurent inputs are rejected, and
+    NonDivisibleError says the division leaves a remainder."""
+    if q.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.has_negative_exponent() or q.has_negative_exponent():
+        raise ValueError("exact division expects plain polynomials, not Laurent terms")
+    pairs = p.exponent_pairs() | q.exponent_pairs()
+    packing = ExponentPacking({v for v, _ in pairs}, max((e for _, e in pairs), default=0))
+    quotient = divide_exact(packing, packing.terms(p, biased=True), packing.terms(q))
     return packing.polynomial(quotient)

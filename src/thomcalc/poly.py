@@ -145,17 +145,23 @@ _SUBSCRIPT_FAMILY = {prefix: family for family, prefix in _SUBSCRIPT_PREFIX.item
 
 
 def variable_from_text(text: str) -> Variable:
-    """Parse the short text spelling (z_1, l_2, t_3, e_4, y_5, c0, a2, u_{1,2}^{3})."""
+    """Parse the short text spelling (z_1, l_2, t_3, e_4, y_5, c0, a2, a(-1),
+    u_{1,2}^{3}), exactly as Variable.text writes it, so that no two names
+    read as one variable."""
     if not isinstance(text, str):
         raise ValueError(f"expected a variable name, got {text!r}")
-    m = _VAR_TEXT_RE.match(text.strip())
+    m = _VAR_TEXT_RE.match(text)
     if not m:
         raise ValueError(f"cannot parse variable {text!r}")
     if m.group(1):
-        return Variable(_SUBSCRIPT_FAMILY[m.group(1)], int(m.group(2)))
-    if m.group(3):
-        return Variable("c" if m.group(3) == "c" else "a", int(m.group(4)))
-    return Variable("uhat", (int(m.group(5)), int(m.group(6)), int(m.group(7))))
+        v = Variable(_SUBSCRIPT_FAMILY[m.group(1)], int(m.group(2)))
+    elif m.group(3):
+        v = Variable("c" if m.group(3) == "c" else "a", int(m.group(4)))
+    else:
+        v = Variable("uhat", (int(m.group(5)), int(m.group(6)), int(m.group(7))))
+    if v.text != text:
+        raise ValueError(f"cannot parse variable {text!r}")
+    return v
 
 
 def zvar(i: int) -> Variable:
@@ -550,14 +556,6 @@ class LinearForm:
 
     def as_polynomial(self) -> Polynomial:
         return Polynomial({_ONE: self.constant, **{((v, 1),): q for v, q in self.items}})
-
-    def evaluate(self, assignment: Mapping[Variable, ScalarLike]) -> Fraction:
-        total = self.constant
-        for v, q in self.items:
-            if v not in assignment:
-                raise UnassignedVariableError(v.text)
-            total += q * Fraction(assignment[v])
-        return total
 
     def minus(self, other: "LinearForm") -> "LinearForm":
         coeffs = {v: c for v, c in self.items}

@@ -32,7 +32,8 @@ either.  Its adder, over a multiset of monic linear forms with one division
 at the end, is the package's one exact sum of fractions, public as
 fraction_sum.  One packing serves a whole sum: forms and roots are packed
 linear forms, each root enters the numerator through its packed powers,
-and the sum becomes a Polynomial once, for the final division.
+and the final exact division runs on the sum's packing, so the sum
+becomes a Polynomial once, after it.
 
 The vanishing criterion reads the same ResidueProblem too.  It certifies
 that a residue vanishes by counting degrees in a subset of the variables,
@@ -43,7 +44,6 @@ with a variable in the subset, so that nothing is expanded.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import reduce
 from math import perm
 from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -59,8 +59,9 @@ from .packed import (
     PackedTerms,
     add_into,
     divide_by_form,
+    divide_exact,
+    exact_quotient,
     packed_mul,
-    poly_divide_exact,
 )
 from .poly import (
     LinearForm,
@@ -242,8 +243,6 @@ def iterated_residue(problem: ResidueProblem, order: Optional[int] = None) -> Po
     """
     if order is not None and order < 0:
         raise ValueError("the order budget must be nonnegative")
-    if not problem.variables:
-        return problem.numerator
     packing = _packing(problem)
     terms = packing.terms(problem.numerator, biased=True)
     return packing.polynomial(_residue(problem, packing, terms, order))
@@ -343,8 +342,9 @@ def residue_by_pole_sum(problem: ResidueProblem) -> Polynomial:
     The whole sum runs on one ExponentPacking: the numerator is packed
     once, each root is substituted into it through the root's packed
     powers, and the poles' fractions are added as in fraction_sum, on
-    packed keys; the sum becomes a Polynomial once, for the final exact
-    division.  NonDivisibleError says the sum is not a polynomial.
+    packed keys, and the final exact division (packed.divide_exact) runs on
+    that packing; the quotient becomes a Polynomial once, at the end.
+    NonDivisibleError says the sum is not a polynomial.
     """
     if problem.per_variable_series:
         raise ValueError("the pole sum takes no per-variable series")
@@ -430,14 +430,6 @@ def _fraction_packing(
 Factored = Tuple[PackedTerms, Counter]
 
 
-def _over(c: Coefficient, a: Coefficient) -> Coefficient:
-    """c / a exactly, an int where it is one."""
-    if a == 1 or a == -1:
-        return c * a
-    q = Fraction(c) / a
-    return q.numerator if q.denominator == 1 else q
-
-
 def _monic(numerator: PackedTerms, forms: Sequence[PackedTerms]) -> Factored:
     # the constants and leading coefficients go to the numerator
     scale: Coefficient = 1
@@ -446,9 +438,9 @@ def _monic(numerator: PackedTerms, forms: Sequence[PackedTerms]) -> Factored:
         items = sorted(form.items())
         # the lead is the first variable's coefficient, or the constant
         lead = items[1][1] if items[0][0] == 0 and len(items) > 1 else items[0][1]
-        scale = _over(scale, lead)
+        scale = exact_quotient(scale, lead)
         if len(items) > 1 or items[0][0]:
-            den[tuple((key, _over(q, lead)) for key, q in items)] += 1
+            den[tuple((key, exact_quotient(q, lead)) for key, q in items)] += 1
     return {key: c * scale for key, c in numerator.items()}, den
 
 
@@ -472,9 +464,7 @@ def _add(a: Factored, b: Factored) -> Factored:
 
 def _quotient(packing: ExponentPacking, total: Factored) -> Polynomial:
     terms, den = total
-    return poly_divide_exact(
-        packing.polynomial(terms), packing.polynomial(_times({packing.bias: 1}, den))
-    )
+    return packing.polynomial(divide_exact(packing, terms, _times({0: 1}, den)))
 
 
 def _at(form: PackedTerms, at: int, root: PackedTerms) -> PackedTerms:
@@ -521,7 +511,7 @@ def _pole_sum(
     with_v = [f for f in forms if at in f]
     without_v = [f for f in forms if at not in f]
 
-    roots = [{key: _over(-q, f[at]) for key, q in f.items() if key != at} for f in with_v]
+    roots = [{key: exact_quotient(-q, f[at]) for key, q in f.items() if key != at} for f in with_v]
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             if roots[i] == roots[j]:
@@ -537,7 +527,7 @@ def _pole_sum(
             continue
         # the -1/a carries both the residue normalization and the sign of
         # the at-infinity flip for this variable
-        sub_numerator = _substitute(packing, numerator, v, root, _over(-1, f[at]))
+        sub_numerator = _substitute(packing, numerator, v, root, exact_quotient(-1, f[at]))
         sub_forms = without_v + [_at(g, at, root) for g in with_v if g is not f]
         branch = _pole_sum(packing, sub_numerator, sub_forms, sub_raised, variables[:-1])
         total = _add(total, branch)

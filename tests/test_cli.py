@@ -202,7 +202,14 @@ def test_tp_refuses_a_repeated_key_in_a_numerator_file(runner, tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("mult", 1.8), ("constant", 0.5), ("coeffs", {"z_1": 1.0}), ("coeffs", [1])],
+    [
+        ("mult", 1.8),
+        ("constant", 0.5),
+        ("coeffs", {"z_1": 1.0}),
+        ("coeffs", [1]),
+        # a second spelling of z_1 once overwrote its coefficient
+        ("coeffs", {"z_1": "1/1", "z_01": "2/1"}),
+    ],
 )
 def test_residue_refuses_a_malformed_problem_file(runner, tmp_path, field, value):
     obj = residue_problem_for(2, 0).to_json_dict()
@@ -232,6 +239,17 @@ def test_residue_refuses_a_repeated_key(runner, tmp_path):
     result = runner.invoke(main, ["residue", "--problem", str(path)])
     assert result.exit_code == 1
     assert f"cannot read problem file {path}: repeated key 'z_1'" in result.output
+
+
+def test_residue_refuses_a_second_spelling_of_a_series_variable(runner, tmp_path):
+    # z_01 once read as z_1, and its series silently replaced z_1's
+    obj = residue_problem_for(2, 0).to_json_dict()
+    obj["per_variable_series"]["z_01"] = obj["per_variable_series"]["z_1"]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, ["residue", "--problem", str(path)])
+    _refused(result, path)
+    assert f"cannot read problem file {path}: cannot parse variable 'z_01'" in result.output
 
 
 def test_residue_from_file(runner, tmp_path):

@@ -6,7 +6,13 @@ from fractions import Fraction
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from thomcalc.packed import ExponentPacking, divide_by_form, packed_mul
+from thomcalc.packed import (
+    ExponentPacking,
+    divide_by_form,
+    divide_exact,
+    exact_quotient,
+    packed_mul,
+)
 from thomcalc.poly import Polynomial, cvar, linear_form, zvar
 
 Z1, Z2, C1 = zvar(1), zvar(2), cvar(1)
@@ -82,3 +88,19 @@ def test_product_drops_the_keys_that_cancel():
     # (1 + x)(x - 1): the two products at x cancel and leave no entry
     assert packed_mul({0: 1, 1: 1}, {1: 1, 0: -1}) == {0: -1, 2: 1}
     assert packed_mul({}, {1: 1}) == {}
+
+
+def test_exact_quotient_is_an_int_exactly_where_the_quotient_is_integral():
+    for c in (0, 6, -7, Fraction(9, 2), Fraction(-4, 1)):
+        for lead in (1, -1, 2, Fraction(-3, 2)):
+            q = exact_quotient(c, lead)
+            assert q == Fraction(c) / lead
+            assert type(q) is (int if (Fraction(c) / lead).denominator == 1 else Fraction)
+
+
+def test_divide_exact_takes_a_biased_dividend_and_gives_a_biased_quotient():
+    p = _polynomial({(2, 1, 0): 3, (0, 0, 1): -1})
+    q = _polynomial({(1, 0, 0): 2, (0, 1, 1): 1})
+    packing = ExponentPacking([Z1, Z2, C1], 4)
+    dividend = packing.terms(p * q, biased=True)
+    assert divide_exact(packing, dividend, packing.terms(q)) == packing.terms(p, biased=True)

@@ -354,6 +354,16 @@ def test_a_variable_name_that_is_not_a_string_is_refused():
         variable_from_text(5)
 
 
+@pytest.mark.parametrize(
+    "alias", ["z_01", "c03", "c(3", "c3)", "c(3)", "a-1", "a(2)", " z_1", "z_1 ", "z_1\n"]
+)
+def test_a_variable_name_is_read_only_as_its_own_text(alias):
+    # each alias once named z_1, c3, a(-1) or a2 beside that text, so two
+    # JSON keys could name one variable and one value was silently dropped
+    with pytest.raises(ValueError, match="cannot parse variable"):
+        variable_from_text(alias)
+
+
 def test_json_coefficients_carry_denominators():
     p = Polynomial.term(6, [(cvar(1), 1)])
     payload = p.to_json_dict()

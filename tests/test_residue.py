@@ -49,6 +49,13 @@ def test_pure_pole_product():
     assert iterated_residue(problem) == Polynomial.constant(-1)
 
 
+def test_a_problem_without_variables_has_its_numerator_as_residue():
+    numerator = Polynomial.term(Fraction(3, 2), [(cvar(1), -2), (lamvar(1), 1)]) + 5
+    problem = ResidueProblem(numerator)
+    assert iterated_residue(problem) == numerator
+    assert iterated_residue(problem, order=0) == numerator
+
+
 def test_single_variable_series_factor():
     series = (
         Polynomial.variable(cvar(0))
