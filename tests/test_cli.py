@@ -207,7 +207,7 @@ def test_tp_refuses_a_repeated_key_in_a_numerator_file(runner, tmp_path):
         ("constant", 0.5),
         ("coeffs", {"z_1": 1.0}),
         ("coeffs", [1]),
-        # a second spelling of z_1 once overwrote its coefficient
+        # not how z_1 is written, so it must not overwrite z_1's coefficient
         ("coeffs", {"z_1": "1/1", "z_01": "2/1"}),
     ],
 )
@@ -242,7 +242,7 @@ def test_residue_refuses_a_repeated_key(runner, tmp_path):
 
 
 def test_residue_refuses_a_second_spelling_of_a_series_variable(runner, tmp_path):
-    # z_01 once read as z_1, and its series silently replaced z_1's
+    # read as z_1, z_01's series would silently replace z_1's
     obj = residue_problem_for(2, 0).to_json_dict()
     obj["per_variable_series"]["z_01"] = obj["per_variable_series"]["z_1"]
     path = tmp_path / "problem.json"

@@ -358,8 +358,8 @@ def test_a_variable_name_that_is_not_a_string_is_refused():
     "alias", ["z_01", "c03", "c(3", "c3)", "c(3)", "a-1", "a(2)", " z_1", "z_1 ", "z_1\n"]
 )
 def test_a_variable_name_is_read_only_as_its_own_text(alias):
-    # each alias once named z_1, c3, a(-1) or a2 beside that text, so two
-    # JSON keys could name one variable and one value was silently dropped
+    # read as z_1, c3, a(-1) or a2, an alias would let two JSON keys name
+    # one variable, and one of their values would be silently dropped
     with pytest.raises(ValueError, match="cannot parse variable"):
         variable_from_text(alias)
 
