@@ -426,7 +426,7 @@ class Polynomial:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "Polynomial":
-        # each row must match vars: nothing is cut, merged or rounded
+        # each row must match vars, once: nothing is cut, merged or rounded
         vars_list = [Variable.from_json(v) for v in obj["vars"]]
         if len(set(vars_list)) != len(vars_list):
             raise ValueError("repeated variable in vars")
@@ -436,9 +436,9 @@ class Polynomial:
             if len(exps) != len(vars_list):
                 raise ValueError(f"exps {exps} do not match the {len(vars_list)} vars")
             mono = _mono_from_pairs(zip(vars_list, exps))
-            coeff = json_fraction(term["coeff"])
-            if coeff:
-                out[mono] = out.get(mono, Fraction(0)) + coeff
+            if mono in out:
+                raise ValueError(f"exps {exps} appear in two rows")
+            out[mono] = json_fraction(term["coeff"])
         return Polynomial(out)
 
     def __repr__(self) -> str:

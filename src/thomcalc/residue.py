@@ -26,14 +26,15 @@ R = (T - L0*R)/(a*v) for the form a*v + L0, run layer by layer in v.
 An iterated pole sum is the exact second route, on the same ResidueProblem:
 the residue at infinity of a rational function is minus the sum of its
 finite residues, so summing over simple poles shares no code with the
-expansion.  A numerator form stays a linear form, substituted at each pole,
-and is multiplied in only at the leaf, so this route never expands V_d
-either.  Its adder, over a multiset of monic linear forms with one division
-at the end, is the package's one exact sum of fractions, public as
-fraction_sum.  One packing serves a whole sum: forms and roots are packed
-linear forms, each root enters the numerator through its packed powers,
-and the final exact division runs on the sum's packing, so the sum
-becomes a Polynomial once, after it.
+expansion.  It takes the variables one at a time, as the kernel does, and
+each level's sum over poles, divided exactly, is the next level's
+polynomial numerator.  A numerator form stays a linear form, substituted
+at each pole, so this route never expands V_d either.  A level's adder,
+over a multiset of monic linear forms with one division at the end, is the
+package's one exact sum of fractions, public as fraction_sum.  One packing
+serves a whole sum: forms and roots are packed linear forms, each root
+enters the numerator through its packed powers, and the residue becomes a
+Polynomial once, at the end.
 
 The vanishing criterion reads the same ResidueProblem too.  It certifies
 that a residue vanishes by counting degrees in a subset of the variables,
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
-from math import perm
 from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -323,62 +323,62 @@ def _residue(
 # -- the exact pole sum -----------------------------------------------
 
 def residue_by_pole_sum(problem: ResidueProblem) -> Polynomial:
-    """The residue iterated_residue takes, as a nested sum over simple poles.
+    """The residue iterated_residue takes, as a sum over simple poles.
 
     Exact (no truncation), in the same regime and with the same signed
     multiplicities, at the price of simple poles: each variable's
     denominator factors must have pairwise distinct linear roots, and a
     multiplicity above 1 raises CoincidentPoleError.  A per-variable series
-    raises ValueError.  A numerator form (multiplicity -m) is substituted
-    at each pole as a linear form and multiplied in, m times, only at the
-    leaf.  The numerator forms are substituted first, and a branch where
-    one of them is identically 0 is skipped before anything else is: the
-    poles have been checked simple, so that form is a multiple of the
-    pole's own form, the pole is removable and the branch is 0.  A
-    coincidence of poles found only below such a branch is not reported.
-    Intended for cross-checks, at numeric parameter values or at
-    symbolic roots that keep the poles apart.
+    raises ValueError.  The sum goes level by level, from the last variable
+    down: minus the sum of the residues at the poles of the forms v tops is
+    a polynomial in the other symbols, since each of those forms has a
+    numeric lead in v, and one exact division makes it the next level's
+    numerator.  A numerator form (multiplicity -m) is substituted at each
+    pole of its top variable and multiplied in m times.  A branch where it
+    is identically 0 is skipped: the poles are simple, so that form is a
+    multiple of the pole's own form and the pole is removable.  Once a
+    level's sum is 0, no lower level is checked for coincident poles.
+    Intended for cross-checks, at numeric parameter values or at symbolic
+    roots that keep the poles apart.
 
     The whole sum runs on one ExponentPacking: the numerator is packed
-    once, each root is substituted into it through the root's packed
-    powers, and the poles' fractions are added as in fraction_sum, on
-    packed keys, and the final exact division (packed.divide_exact) runs on
-    that packing; the quotient becomes a Polynomial once, at the end.
-    NonDivisibleError says the sum is not a polynomial.
+    once, each root enters it through the root's packed powers, each
+    level's fractions are added as in fraction_sum and divided exactly
+    (packed.divide_exact), and the residue becomes a Polynomial once, at
+    the end.  NonDivisibleError says a level's sum is not a polynomial.
     """
     if problem.per_variable_series:
         raise ValueError("the pole sum takes no per-variable series")
     if problem.numerator.has_negative_exponent():
         raise ValueError("pole-sum backend expects a polynomial numerator")
-    forms: List[LinearForm] = []
-    raised: List[LinearForm] = []
     for form, mult in problem.denominator_factors:
         if mult > 1:
             raise CoincidentPoleError(
                 f"1/({form.to_text()}) has multiplicity {mult}; the pole sum needs simple poles"
             )
-        if mult > 0:
-            forms.append(form)
-        else:
-            raised += [form] * -mult
-    variables = sorted(problem.variables, key=lambda v: v.index)
-    # A term of the sum is a leaf's numerator term, of degree at most the
-    # numerator's plus one per raised form, times the forms of the sum's
-    # denominator that the leaf lacks.  Those are leaf forms, and a leaf
-    # form keeps a symbol only when some form has one besides z: then each
-    # of the at most F!/(F - d)! leaves brings at most F - d of them.
-    count, depth = len(forms), len(variables)
-    free = any(w.family != "z" for form in forms for w, _ in form.items)
-    spare = len(raised) + (perm(count, depth) * (count - depth) if free else 0)
-    packing = _fraction_packing([problem.numerator], forms + raised, spare, variables)
-    total = _pole_sum(
-        packing,
-        packing.terms(problem.numerator, biased=True),
-        [packing.terms(f.as_polynomial()) for f in forms],
-        [packing.terms(g.as_polynomial()) for g in raised],
-        variables,
+    variables, topped, raised, _ = _layout(problem)
+    # A level's numerator has degree at most the numerator's plus one per
+    # raised form above it.  A branch at a pole of v divides by the k_v - 1
+    # other forms of v at that root, each a multiple of a difference of two
+    # of v's roots, so the sum's denominator holds at most C(k_v, 2) monic
+    # forms and a branch is multiplied by at most that many.
+    spare = sum(mult for forms in raised.values() for _, mult in forms)
+    spare += max((len(forms) * (len(forms) - 1) // 2 for forms in topped.values()), default=0)
+    packing = _fraction_packing(
+        [problem.numerator], [form for form, _ in problem.denominator_factors], spare, variables
     )
-    return _quotient(packing, total)
+    terms = packing.terms(problem.numerator, biased=True)
+    for v in reversed(variables):
+        terms = _level_sum(
+            packing,
+            terms,
+            v,
+            [packing.terms(form.as_polynomial()) for form, _ in topped[v]],
+            [packing.terms(form.as_polynomial()) for form, mult in raised[v] for _ in range(mult)],
+        )
+        if not terms:
+            break
+    return packing.polynomial(terms)
 
 
 def fraction_sum(terms: Iterable[Tuple[Polynomial, Sequence[LinearForm]]]) -> Polynomial:
@@ -404,7 +404,7 @@ def fraction_sum(terms: Iterable[Tuple[Polynomial, Sequence[LinearForm]]]) -> Po
         )
         for numerator, forms in pairs
     )
-    return _quotient(packing, reduce(_add, parts, ({}, Counter())))
+    return packing.polynomial(_quotient(packing, reduce(_add, parts, ({}, Counter()))))
 
 
 def _fraction_packing(
@@ -462,9 +462,9 @@ def _add(a: Factored, b: Factored) -> Factored:
     return out, den
 
 
-def _quotient(packing: ExponentPacking, total: Factored) -> Polynomial:
+def _quotient(packing: ExponentPacking, total: Factored) -> PackedTerms:
     terms, den = total
-    return packing.polynomial(divide_exact(packing, terms, _times({0: 1}, den)))
+    return divide_exact(packing, terms, _times({0: 1}, den))
 
 
 def _at(form: PackedTerms, at: int, root: PackedTerms) -> PackedTerms:
@@ -495,23 +495,17 @@ def _substitute(
     return out
 
 
-def _pole_sum(
+def _level_sum(
     packing: ExponentPacking,
-    numerator: PackedTerms,
-    forms: List[PackedTerms],
-    raised: List[PackedTerms],
-    variables: List[Variable],
-) -> Factored:
-    if not variables:
-        for g in raised:
-            numerator = packed_mul(numerator, g)
-        return _monic(numerator, forms)
-    v = variables[-1]
+    terms: PackedTerms,
+    v: Variable,
+    forms: Sequence[PackedTerms],
+    raised: Sequence[PackedTerms],
+) -> PackedTerms:
+    """Minus the sum of the residues, at the poles of v's forms, of the
+    biased terms times the raised forms over the forms, as biased terms."""
     at = packing.key(v, 1)
-    with_v = [f for f in forms if at in f]
-    without_v = [f for f in forms if at not in f]
-
-    roots = [{key: exact_quotient(-q, f[at]) for key, q in f.items() if key != at} for f in with_v]
+    roots = [{key: exact_quotient(-q, f[at]) for key, q in f.items() if key != at} for f in forms]
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             if roots[i] == roots[j]:
@@ -519,19 +513,18 @@ def _pole_sum(
                 raise CoincidentPoleError(f"poles in {v.text} coincide at {root.to_text()}")
 
     total: Factored = ({}, Counter())
-    for f, root in zip(with_v, roots):
-        sub_raised = [_at(g, at, root) for g in raised]
-        if not all(sub_raised):
+    for f, root in zip(forms, roots):
+        values = [_at(g, at, root) for g in raised]
+        if not all(values):
             # that form vanishes where f does, so it is a multiple of f: the
             # pole is removable and the branch is 0
             continue
         # the -1/a carries both the residue normalization and the sign of
         # the at-infinity flip for this variable
-        sub_numerator = _substitute(packing, numerator, v, root, exact_quotient(-1, f[at]))
-        sub_forms = without_v + [_at(g, at, root) for g in with_v if g is not f]
-        branch = _pole_sum(packing, sub_numerator, sub_forms, sub_raised, variables[:-1])
-        total = _add(total, branch)
-    return total
+        scale = exact_quotient(-1, f[at])
+        branch = reduce(packed_mul, values, _substitute(packing, terms, v, root, scale))
+        total = _add(total, _monic(branch, [_at(g, at, root) for g in forms if g is not f]))
+    return _quotient(packing, total)
 
 
 # -- vanishing bookkeeping --------------------------------------------

@@ -500,10 +500,9 @@ def pole_sum_class(
     _integrand's factors, the forms z_l + theta_t at multiplicity -1 and
     the z_l + lambda_i at 1; neither V_d nor the theta product is expanded.
     The result equals substitute_chern(thom_polynomial(d, codim), d,
-    d + codim).  When d = 1, or d = 2 with codim <= 2, c_1 .. c_(2d + codim)
-    are algebraically independent and cover every index in the class, so
-    that equality is equality of the classes.  From d = 3 on some poles
-    coincide structurally and the pole sum raises CoincidentPoleError.
+    d + codim).  When d = 1, d = 2 with codim <= 2, or d = 3 with codim <= 1,
+    c_1 .. c_(2d + codim) are algebraically independent and cover every
+    index in the class, so that equality is equality of the classes.
     """
     _check_class_args(d, codim)
     zs = [zvar(l) for l in range(1, d + 1)]
@@ -821,8 +820,8 @@ class _TermResidues:
 
     def sampled(self, lam: Sequence[Fraction]) -> PackedTerms:
         """The residue with the poles at the numeric roots lam, the target
-        alphabet kept symbolic.  Chart weights at numeric roots can repeat
-        a pole, so this is the series kernel and not a pole sum."""
+        alphabet kept symbolic.  This is the series kernel: the pole sum
+        agrees at such samples but takes some two hundred times as long."""
         problem = _with_root_poles(self.integrand, self.depth, [LinearForm(x) for x in lam])
         return _residue(problem, self.packing, self._numerator)
 

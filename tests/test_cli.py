@@ -155,6 +155,7 @@ MALFORMED_NUMERATORS = (
     "float-coefficient",
     "fractional-variable-index",
     "fractional-order",
+    "repeated-row",
 )
 
 
@@ -176,6 +177,8 @@ def _malformed_numerator(case):
         poly["terms"][0]["coeff"] = 2.0
     elif case == "fractional-variable-index":
         poly["vars"][-1]["index"] = 4.0
+    elif case == "repeated-row":
+        rows[1][:] = rows[0]
     return {"d": 4.5 if case == "fractional-order" else 4, "polynomial": poly}
 
 
@@ -250,6 +253,18 @@ def test_residue_refuses_a_second_spelling_of_a_series_variable(runner, tmp_path
     result = runner.invoke(main, ["residue", "--problem", str(path)])
     _refused(result, path)
     assert f"cannot read problem file {path}: cannot parse variable 'z_01'" in result.output
+
+
+def test_residue_refuses_a_repeated_row(runner, tmp_path):
+    # added up, the two rows of 1 would read as the numerator 2
+    obj = residue_problem_for(2, 0).to_json_dict()
+    terms = obj["numerator"]["terms"]
+    terms.append(dict(terms[0]))
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, ["residue", "--problem", str(path)])
+    _refused(result, path)
+    assert f"cannot read problem file {path}: exps [] appear in two rows" in result.output
 
 
 def test_residue_from_file(runner, tmp_path):
@@ -364,6 +379,21 @@ def test_mdeg_ideal_file(runner, tmp_path):
     result = runner.invoke(main, ["mdeg", "--ideal-file", str(path)])
     assert result.exit_code == 0
     assert result.output == "2*e_1*e_2\n"
+
+
+def test_mdeg_ideal_file_refuses_a_repeated_row(runner, tmp_path):
+    # added up, the two rows of y_1 would read as the generator 3*y_1
+    generator = {
+        "vars": [{"family": "y", "index": 1}],
+        "terms": [{"coeff": "1/1", "exps": [1]}, {"coeff": "2/1", "exps": [1]}],
+    }
+    path = tmp_path / "ideal.json"
+    path.write_text(
+        json.dumps({"generators": [generator], "weights": [linear_form((1, etavar(1))).to_json_dict()]})
+    )
+    result = runner.invoke(main, ["mdeg", "--ideal-file", str(path)])
+    _refused(result, path)
+    assert f"cannot read ideal file {path}: exps [1] appear in two rows" in result.output
 
 
 def test_mdeg_ideal_file_with_large_pure_powers(runner, tmp_path):

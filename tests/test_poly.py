@@ -308,6 +308,10 @@ MALFORMED_POLYNOMIALS = {
         _reshaped(Z_VARS[:2] + [{"family": "z", "index": 4.5}], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
         "expected an integer, got 4.5",
     ),
+    "repeated-row": (
+        _reshaped(Z_VARS, [[1, 0, 0], [1, 0, 0], [0, 0, 1]]),
+        r"exps \[1, 0, 0\] appear in two rows",
+    ),
 }
 
 

@@ -277,9 +277,26 @@ def test_pole_sum_skips_a_removable_pole():
     assert not by_poles.is_zero()
 
 
+def test_pole_sum_packing_holds_the_sums_denominator():
+    # the six differences of the four roots are pairwise apart, so the sum's
+    # denominator has C(4, 2) monic forms and the exact division forms
+    # exponents of l_1 and l_3 past the numerator's degree 6
+    l1, l2, l3 = lamvar(1), lamvar(2), lamvar(3)
+    poles = [
+        form((1, Z1), (-1, l2)),
+        form((1, Z1), (-2, l1), (1, l3)),
+        form((1, Z1), (-1, l1), (-1, l3)),
+        form((1, Z1), (2, l1), (-2, l3)),
+    ]
+    problem = ResidueProblem(
+        Polynomial.term(1, [(Z1, 6)]), [(f, 1) for f in poles], variables=(Z1,)
+    )
+    assert residue_by_pole_sum(problem) == iterated_residue(problem)
+
+
 def test_pole_sum_coincident_roots():
     poles = ((form((1, Z1), constant=-1), 1), (form((2, Z1), constant=-2), 1))
-    with pytest.raises(CoincidentPoleError):
+    with pytest.raises(CoincidentPoleError, match="poles in z_1 coincide at 1"):
         residue_by_pole_sum(ResidueProblem(Polynomial.one(), poles, variables=(Z1,)))
     double = ((form((1, Z1), constant=-1), 2),)
     with pytest.raises(CoincidentPoleError, match="multiplicity 2"):
