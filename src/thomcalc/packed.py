@@ -312,9 +312,13 @@ def divide_exact(packing: ExponentPacking, p: PackedTerms, q: PackedTerms) -> Pa
     An exact quotient never needs an exponent above the largest one of p
     and q, so fields that hold that much suffice; a remainder term that
     outgrows them proves a remainder.  Raises NonDivisibleError when the
-    division leaves a remainder.
+    division leaves a remainder, and OverflowError when an exponent of p
+    or q already reaches a guard bit: the packing is too narrow for them,
+    which no remainder can say.
     """
     guard = packing.bias
+    if any((key - guard) & guard for key in p) or any(key & guard for key in q):
+        raise OverflowError("an exponent of the operands outgrows the packing")
     divisor = Divisor(q)
     quotient: PackedTerms = {}
     remainder = TermHeap({key - guard: c for key, c in p.items()}, guard)

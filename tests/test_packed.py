@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
+import pytest
 
 from thomcalc.packed import (
     ExponentPacking,
@@ -13,7 +14,7 @@ from thomcalc.packed import (
     exact_quotient,
     packed_mul,
 )
-from thomcalc.poly import Polynomial, cvar, linear_form, zvar
+from thomcalc.poly import Polynomial, cvar, lamvar, linear_form, zvar
 
 Z1, Z2, C1 = zvar(1), zvar(2), cvar(1)
 LEADS = st.sampled_from([1, -1, 2, Fraction(-3, 2)])
@@ -104,3 +105,13 @@ def test_divide_exact_takes_a_biased_dividend_and_gives_a_biased_quotient():
     packing = ExponentPacking([Z1, Z2, C1], 4)
     dividend = packing.terms(p * q, biased=True)
     assert divide_exact(packing, dividend, packing.terms(q)) == packing.terms(p, biased=True)
+
+
+def test_divide_exact_refuses_operands_too_wide_for_the_packing():
+    # z_1^5 does not fit fields of three bits: that is no remainder
+    packing = ExponentPacking([Z1, lamvar(1)], 3)
+    dividend = packing.terms(Polynomial.term(1, [(Z1, 5), (lamvar(1), 1)]), biased=True)
+    with pytest.raises(OverflowError, match="outgrows the packing"):
+        divide_exact(packing, dividend, packing.terms(Polynomial.variable(Z1)))
+    with pytest.raises(OverflowError, match="outgrows the packing"):
+        divide_exact(packing, {packing.bias: 1}, packing.terms(Polynomial.term(1, [(Z1, 4)])))

@@ -440,6 +440,13 @@ def test_pole_sum_tells_a_wrong_class_apart():
         assert pole_sum_class(d, 0, doubled) == wrong
 
 
+def test_pole_sum_class_takes_orders_one_to_three():
+    # symbolic roots stop paying at d = 4: that order is refused, not run
+    for d in (0, 4, 5):
+        with pytest.raises(ValueError, match="orders 1 to 3 only"):
+            pole_sum_class(d, 0)
+
+
 def test_flag_identity_and_guards():
     q = zmono(1, (1, 2), (2, 1)) + Polynomial.one()
     assert flag_residue_identity(q, 3, 2, samples=2, seed=11)
@@ -603,9 +610,17 @@ def test_localization_sum_guards():
 
 def test_class_agreement_gives_up_past_a_dead_chart(monkeypatch):
     # every draw puts the source roots at (1, 2), where 2*z_1 - z_2 dies
-    monkeypatch.setattr(thom, "_distinct_fractions", lambda rng, count: (1, 2))
+    monkeypatch.setattr(thom, "_distinct_roots", lambda rng, count: (1, 2))
     with pytest.raises(CoincidentPoleError, match="cannot draw enough generic root samples"):
         sampled_class_agreement(2, 2, 3, samples=2)
+
+
+def test_distinct_roots_are_distinct_ints_in_range():
+    rng = random.Random(5)
+    for count in (1, 3, 8):
+        roots = thom._distinct_roots(rng, count)
+        assert len(set(roots)) == len(roots) == count
+        assert all(type(x) is int and -720 <= x <= 720 for x in roots)
 
 
 @cache
@@ -615,8 +630,9 @@ def substituted_class(d, n, k):
 
 @st.composite
 def localization_samples(draw):
-    # roots with denominators up to 12, so the lcm of a sample varies
-    root = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+    # int roots, as the seeded checks draw, and Fractions with denominators
+    # up to 12, so the sum runs in either ring or in a mix of the two
+    root = st.integers(-60, 60) | st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
     d = draw(st.integers(1, 3))
     n = draw(st.integers(d, 5))
     k = draw(st.integers(n, 5))
