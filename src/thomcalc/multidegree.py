@@ -28,10 +28,14 @@ they are queued.  Its ``pair_budget`` counts every pair formed, whether it
 is later dropped or reduced.
 The staircase step finds the minimal-codimension coordinate subspaces of
 the initial ideal by a branching search for minimum hitting sets of the
-generators' supports, not by scanning all coordinate subsets.  On each it
-counts the standard monomials by slices, one axis at a time, on exponent
-tuples over the subspace's coordinates; it packs each weight once and adds
-multiplicity times weight product into one packed dict.
+generators' supports, not by scanning all coordinate subsets; each branch
+passes on only the supports it has not met yet.  On each subspace it
+counts the standard monomials by slices, one axis at a time, on the
+distinct exponent tuples over the subspace's coordinates, and each slice
+drops its own repeats.  It packs each weight once and sums multiplicity
+times weight product by Horner's rule over the subspaces' prefix trie, so
+a weight that several subspaces share through a prefix is multiplied in
+once.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import (
     InfiniteStaircaseError,
@@ -114,11 +118,12 @@ def subspace_multiplicity(ideal: MonomialIdeal, subset: Iterable[int]) -> int:
     codimension hypothesis fails).
 
     Each generator is restricted once, to an exponent tuple over the sorted
-    subset, and the tuples are counted by slices, one axis at a time."""
+    subset, repeated tuples are dropped, and the rest are counted by slices,
+    one axis at a time."""
     axes = sorted(set(subset))
     # tuple() of a list: from a generator it over-allocates, then resizes,
     # and the resized tuples pile up unused in CPython's tuple free lists
-    gens = [tuple([g.get(t, 0) for t in axes]) for g in ideal.generators]
+    gens = {tuple([g.get(t, 0) for t in axes]) for g in ideal.generators}
     if not all(any(exps) for exps in gens):
         return 0
     for i, t in enumerate(axes):
@@ -126,20 +131,22 @@ def subspace_multiplicity(ideal: MonomialIdeal, subset: Iterable[int]) -> int:
             raise InfiniteStaircaseError(
                 f"no pure power of y_{t} in the restricted ideal, staircase is infinite"
             )
-    return _staircase_count(gens) if axes else 1
+    return _staircase_count(gens, len(axes)) if axes else 1
 
 
-def _staircase_count(gens: List[Tuple[int, ...]]) -> int:
-    """Standard monomials of nonzero exponent tuples with a pure power (a
-    tuple whose entry is its whole sum) on every axis.  x^a m is standard
-    exactly when m is for the generators with first exponent at most a; that
-    set changes only at those exponents, below the first pure power."""
+def _staircase_count(gens: Set[Tuple[int, ...]], n: int) -> int:
+    """Standard monomials of distinct nonzero exponent n-tuples with a pure
+    power (a tuple whose entry is its whole sum) on every axis.  x^a m is
+    standard exactly when m is for the generators with first exponent at
+    most a; that set changes only at those exponents, below the first pure
+    power.  A slice drops the first entry, so tuples that differed only
+    there are counted once."""
     side = min(e[0] for e in gens if e[0] == sum(e))
-    if len(gens[0]) == 1:
+    if n == 1:
         return side
     cuts = sorted({0, side}.union(e[0] for e in gens if e[0] < side))
     return sum(
-        (hi - lo) * _staircase_count([e[1:] for e in gens if e[0] <= lo])
+        (hi - lo) * _staircase_count({e[1:] for e in gens if e[0] <= lo}, n - 1)
         for lo, hi in zip(cuts, cuts[1:])
     )
 
@@ -151,8 +158,11 @@ def multidegree_monomial(ideal: MonomialIdeal, ring: WeightedRing) -> Polynomial
     Those subspaces are the smallest coordinate sets meeting the support of
     every generator, found by branching: take a generator the set does not
     meet yet and try each coordinate of its support in turn.  The weights
-    are packed once, bounded by the subspace size as each is linear, and the
-    products are summed in one packed dict."""
+    are packed once, bounded by the subspace size as each is linear.  The
+    subspaces, as sorted tuples, form a prefix trie, and the sum is taken
+    by Horner's rule over it: each node multiplies the sum of its subtrees
+    by its coordinate's weight once, so the products of many factors are
+    formed only near the root."""
     if ideal.is_unit():
         return Polynomial.zero()
     supports = [frozenset(g) for g in ideal.generators]
@@ -165,27 +175,32 @@ def multidegree_monomial(ideal: MonomialIdeal, ring: WeightedRing) -> Polynomial
     weights = {t: ring.weight_of(t).as_polynomial() for t in set().union(*found)}
     packing = ExponentPacking(set().union(*(w.variables() for w in weights.values())), size)
     packed = {t: packing.terms(w) for t, w in weights.items()}
-    total: PackedTerms = {}
-    for subset in sorted(found, key=sorted):
-        # at least 1: the subset meets every generator, so 1 is standard
-        product = {packing.bias: subspace_multiplicity(ideal, subset)}
-        for t in sorted(subset):
-            product = packed_mul(product, packed[t])
-        add_into(total, product)
-    return packing.polynomial(total)
+
+    def trie_sum(rows: List[Tuple[int, ...]], depth: int) -> PackedTerms:
+        if depth == size:
+            # at least 1: the subset meets every generator, so 1 is standard
+            return {packing.bias: subspace_multiplicity(ideal, rows[0])}
+        total: PackedTerms = {}
+        for t, group in itertools.groupby(rows, key=lambda row: row[depth]):
+            add_into(total, packed_mul(trie_sum(list(group), depth + 1), packed[t]))
+        return total
+
+    return packing.polynomial(trie_sum(sorted(tuple(sorted(s)) for s in found), 0))
 
 
 def _hitting_sets(
-    supports: List[FrozenSet[int]], chosen: FrozenSet[int], room: int, found: set
+    open_supports: List[FrozenSet[int]], chosen: FrozenSet[int], room: int, found: set
 ) -> None:
     """Add to found every set of at most len(chosen) + room coordinates that
-    extends chosen and meets each support; every minimum such set is reached."""
-    open_supports = [s for s in supports if s.isdisjoint(chosen)]
+    extends chosen and meets each of open_supports, the supports that chosen
+    does not meet yet; every minimum such set is reached.  A branch that
+    takes t passes on only the supports without t."""
     if not open_supports:
         found.add(chosen)
     elif room:
         for t in min(open_supports, key=len):
-            _hitting_sets(supports, chosen | {t}, room - 1, found)
+            rest = [s for s in open_supports if t not in s]
+            _hitting_sets(rest, chosen | {t}, room - 1, found)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from thomcalc import (
     basic_relations_ideal,
     buchberger_lex,
     deg_qhat,
+    derive_qhat,
     etavar,
     initial_ideal,
     linear_form,
@@ -182,6 +183,48 @@ def test_staircase_against_a_brute_force_oracle():
         if len(positive) != len(ideal.generators):
             seen.add("dropped")
     assert seen == {"infinite", "zero", "count", "unit", "dropped"}
+
+
+def _wide_staircase(rng):
+    # one generator on each block of a random split of 5 or 6 coordinates,
+    # then a few on 2 or 3 coordinates: a minimum cover takes a coordinate
+    # from each block, so the covers are many and share prefixes
+    n = rng.randint(5, 6)
+    coords = rng.sample(range(1, n + 1), n)
+    cuts = [0] + sorted(rng.sample(range(1, n), rng.randint(2, 3))) + [n]
+    gens = [{t: rng.randint(1, 2) for t in coords[i:j]} for i, j in zip(cuts, cuts[1:])]
+    for _ in range(rng.randint(0, 8 - len(gens))):
+        gens.append({t: rng.randint(1, 2) for t in rng.sample(range(1, n + 1), rng.randint(2, 3))})
+    symbols = [etavar(i) for i in range(1, 4)]
+    coeffs = [0, 1, -1, 2, Fraction(1, 2)]
+    weights = tuple(
+        LinearForm(rng.choice([0, 0, 1, -2]), {s: rng.choice(coeffs) for s in symbols})
+        for _ in range(n)
+    )
+    return n, gens, weights
+
+
+def test_wide_staircases_against_the_oracle():
+    shared = {1: 0, 2: 0}  # ideals with two minimal subsets sharing a prefix of this length
+    for seed in range(30):
+        n, gens, weights = _wide_staircase(random.Random(seed))
+        ideal = MonomialIdeal(gens, range(1, n + 1))
+        coords = range(1, n + 1)
+        for size in coords:
+            same_size = list(itertools.combinations(coords, size))
+            minimal = [s for s in same_size if all(set(g) & set(s) for g in gens)]
+            if minimal:
+                break
+        # every subset of the least size: the minimal ones count, the others are 0
+        for subset in same_size:
+            assert subspace_multiplicity(ideal, subset) == _oracle_count(gens, subset), seed
+        assert multidegree_monomial(ideal, WeightedRing(weights)) == _oracle_multidegree(
+            gens, weights
+        ), seed
+        for length in shared:
+            pairs = itertools.combinations(minimal, 2)
+            shared[length] += size > length and any(a[:length] == b[:length] for a, b in pairs)
+    assert shared[1] >= 20 and shared[2] >= 8
 
 
 def test_staircase_edge_cases():
@@ -536,6 +579,33 @@ def test_level6_multidegree_under_two_generator_orders():
     assert len(results[0]) == 395
     degree = deg_qhat(6)
     assert all(sum(e for _, e in mono) == degree for mono in results[0].term_map())
+
+
+def test_level6_staircase_counts_each_minimal_subspace_once(monkeypatch):
+    # the benchmark reads 53 subspace_multiplicity calls on levels 4 to 6,
+    # 46 of them here: one per minimal subspace, none repeated
+    module = importlib.import_module("thomcalc.multidegree")
+    real = module.subspace_multiplicity
+    counts = {}
+
+    def spy(ideal, subset):
+        key = frozenset(subset)
+        assert key not in counts
+        counts[key] = real(ideal, subset)
+        return counts[key]
+
+    expected = derive_qhat(6)
+    ideal, weights = basic_relations_ideal(6)
+    init = initial_ideal(ideal)
+    monkeypatch.setattr(module, "subspace_multiplicity", spy)
+    result = multidegree_monomial(init, weights)
+    assert len(counts) == 46
+    assert {len(s) for s in counts} == {7}
+    assert set(counts.values()) == {1, 2, 3}
+    supports = [set(g) for g in init.generators]
+    assert all(all(s & g for g in supports) for s in counts)
+    assert result == expected
+    assert len(result) == 395
 
 
 def test_initial_ideal_matches_sympy_at_level5():
