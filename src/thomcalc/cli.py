@@ -34,10 +34,11 @@ from .verify import SUITES, run_suite
 # 3.11.7.  At d = 6 (from a numerator plugin) it grows 1.5-2x per step:
 # --codim 7 takes 2.0-2.2 s (7,760 terms) and 8 about 2.3-3.2 s.
 # The ratio expansion grows about 1.1x per degree: positivity --d 5 --order 46
-# takes 3-5 s (163,642 terms, 107 MiB), 47 about 2.7-5.1 s in process.  At
-# d = 6 (from a numerator plugin) it grows 1.2-1.3x per degree: --d 6 --order
-# 30 takes 4.5-8.5 s (128,444 terms, 109 MiB), 31 about 7.6-9.2 s and 32 about
-# 6-10 s (145 MiB).  The limits date from when each took about 10 s.
+# takes 0.64-0.75 s cold (163,642 terms, 59 MiB), 47 about 0.61-0.64 s in
+# process.  At d = 6 (from a numerator plugin) it grows 1.2-1.4x per degree:
+# --d 6 --order 30 takes 0.72-0.83 s cold (128,444 terms, 54 MiB), 31 about
+# 0.82-0.94 s and 32 about 1.0-1.2 s in process (70 MiB).  The limits date
+# from when each took about 10 s.
 # The order d stops at 6 in tp, positivity and partitions: partitions lists
 # 21,504 sequences at depth 6 and 817,152 at depth 7, and with the one-term
 # numerator plugin z_d^deg_qhat(d), tp(8, 0) takes 4 s and tp(9, 0) more
@@ -317,7 +318,7 @@ def verify_command(suite, fmt, seed):
     default=12,
     show_default=True,
     help=f"Total degree bound for the ratio expansion, 0 to {MAX_POSITIVITY_ORDER}, "
-    f"or 0 to {MAX_POSITIVITY_ORDER_D6} at --d 6 (either limit takes about 3-8.5 s).",
+    f"or 0 to {MAX_POSITIVITY_ORDER_D6} at --d 6 (either limit takes about 0.6-0.8 s).",
 )
 @_common
 @_guard

@@ -126,27 +126,29 @@ def subspace_multiplicity(ideal: MonomialIdeal, subset: Iterable[int]) -> int:
     gens = {tuple([g.get(t, 0) for t in axes]) for g in ideal.generators}
     if not all(any(exps) for exps in gens):
         return 0
-    for i, t in enumerate(axes):
-        if not any(e[i] == sum(e) for e in gens):
-            raise InfiniteStaircaseError(
-                f"no pure power of y_{t} in the restricted ideal, staircase is infinite"
-            )
-    return _staircase_count(gens, len(axes)) if axes else 1
+    return _staircase_count(gens, axes) if axes else 1
 
 
-def _staircase_count(gens: Set[Tuple[int, ...]], n: int) -> int:
-    """Standard monomials of distinct nonzero exponent n-tuples with a pure
-    power (a tuple whose entry is its whole sum) on every axis.  x^a m is
-    standard exactly when m is for the generators with first exponent at
-    most a; that set changes only at those exponents, below the first pure
-    power.  A slice drops the first entry, so tuples that differed only
-    there are counted once."""
-    side = min(e[0] for e in gens if e[0] == sum(e))
-    if n == 1:
+def _staircase_count(gens: Set[Tuple[int, ...]], axes: Sequence[int]) -> int:
+    """Standard monomials of distinct nonzero exponent tuples over the axes,
+    or InfiniteStaircaseError naming the first axis with no pure power (a
+    tuple whose entry is its whole sum).  x^a m is standard exactly when m
+    is for the generators with first exponent at most a; that set changes
+    only at those exponents, below the first pure power.  A slice drops the
+    first entry, so tuples that differed only there are counted once.  The
+    slice at 0 keeps exactly the tuples with first entry 0, every pure
+    power on a later axis among them, and it is counted first, so the
+    axes are checked in order."""
+    side = min((e[0] for e in gens if e[0] == sum(e)), default=None)
+    if side is None:
+        raise InfiniteStaircaseError(
+            f"no pure power of y_{axes[0]} in the restricted ideal, staircase is infinite"
+        )
+    if len(axes) == 1:
         return side
     cuts = sorted({0, side}.union(e[0] for e in gens if e[0] < side))
     return sum(
-        (hi - lo) * _staircase_count({e[1:] for e in gens if e[0] <= lo}, n - 1)
+        (hi - lo) * _staircase_count({e[1:] for e in gens if e[0] <= lo}, axes[1:])
         for lo, hi in zip(cuts, cuts[1:])
     )
 

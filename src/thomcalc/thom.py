@@ -8,9 +8,9 @@ z_m - z_l, m < l; the denominator is the product of the arithmetic weights
 z_m + z_r - z_l.  Both products stay factored: a residue problem takes the
 Vandermonde forms as factors of multiplicity -1 and the weights as factors
 of multiplicity 1.  Both residue routes read that one input, the series
-kernel and the pole sum, so no class, pole sum, flag identity or
-fixed-point term expands V_d; only the positivity probe, which expands
-every factor anyway, multiplies it out.
+kernel and the pole sum, and the positivity probe takes its factors in the
+kernel's schedule, so no computation expands V_d; vandermonde(d) multiplies
+it out for inspection only.
 
 Beyond the main computation this module holds the classical cross-checks
 (the length-two closed form, the series shift) and the fixed-point
@@ -22,8 +22,9 @@ the seeded checks draw integer roots, so their sums run in ints.  The
 module also proves that the non-distinguished contributions vanish,
 derives a numerator Qhat_d as the multidegree of the ideal of basic
 relations, and runs a positivity probe: the residue fraction itself at
-z_l = a_l ... a_(d-1), expanded from the same numerator as the kernel and
-divided by each form with the kernel's packed division.
+z_l = a_l ... a_(d-1), expanded from the same numerator and factors, in
+the same schedule, as the kernel, and divided by each form with the
+kernel's packed division.
 """
 
 import os
@@ -53,7 +54,6 @@ from .partitions import (
 from .multidegree import basic_relations_ideal, multidegree
 from .poly import (
     LinearForm,
-    Monomial,
     Polynomial,
     ScalarLike,
     _mono_from_pairs,
@@ -77,6 +77,7 @@ from .packed import (
 from .residue import (
     FactorList,
     ResidueProblem,
+    _layout,
     _packing,
     _residue,
     iterated_residue,
@@ -270,6 +271,7 @@ def _vandermonde_forms(d: int) -> List[LinearForm]:
 
 
 def vandermonde(d: int) -> Polynomial:
+    """V_d multiplied out, for inspection; no computation calls it."""
     return packed_product(*(form.as_polynomial() for form in _vandermonde_forms(d)))
 
 
@@ -928,57 +930,70 @@ def positivity_expansion(
     smallest one, with a witness monomial.
 
     A term prod z_l^e_l becomes prod_t a_t^(e_1 + ... + e_t), of degree
-    sum_l e_l (d - l), which the packing keeps in its top field.  Each
-    denominator form is one packed.divide_by_form, keeping a key only
-    while its degree plus the lowest degrees of the factors still to come
-    stays in range; each layer of the division raises the degree by
-    l - m >= 1, so a dropped key is never needed.  d = 5 takes about
-    0.03 s to degree 12."""
+    sum_l e_l (d - l), which the packing keeps in its top field.  The
+    factors run in the kernel's schedule (residue._layout), from Q_d alone:
+    from z_d down, each variable's Vandermonde forms are multiplied in,
+    then the denominator forms it tops are divided out, each by one
+    packed.divide_by_form.  After every step a key is kept only while its
+    degree plus the lowest degrees of the factors still to come stays in
+    range; each layer of a division raises the degree by l - m >= 1, so a
+    dropped key is never needed.  Homogeneity fixes e_d, so the report
+    reads the kept keys as they are and decodes only those at the minimum.
+    d = 5 takes about 0.005 s to degree 12."""
     if d < 1:
         raise ValueError("the singularity order must be at least 1")
     if total_order < 0:
         raise ValueError("the expansion order must be nonnegative")
     numerator, factors = _integrand(d, registry or default_registry())
-    numerator = packed_product(numerator, vandermonde(d))
-    # every numerator term has z-degree deg_qhat(d) + d (d - 1) / 2
-    reach = deg_qhat(d) + d * (d - 1) // 2
-    forms = [form for form, mult in factors if mult > 0]
-    zs = [zvar(l) for l in range(1, d + 1)]
+    zs, topped, raised, _ = _layout(
+        ResidueProblem(numerator, factors, variables=[zvar(l) for l in range(1, d + 1)])
+    )
     weights = {z: d - z.index for z in zs}
-    # the power-s term of 1/form, topped by z_l, has degree at least s - (d - l)
-    leads = [-weights[form.top_z_variable()[0]] for form in forms]
+    # a Vandermonde form topped by z_l adds degree at least d - l, and the
+    # power-s term of 1/form at least s - (d - l)
+    rest = sum(-mult * weights[form.top_z_variable()[0]] for form, mult in factors)
     lowest = min(sum(e * weights[v] for v, e in mono) for mono in numerator.term_map())
-    slack = max(0, total_order - lowest - sum(leads))
-    # weights are below d, and a power-s term carries 2s + 1 exponents
-    packing = ExponentPacking(zs, d * (reach + len(forms) * (2 * slack + 1)), weights)
+    slack = max(0, total_order - lowest - rest)
+    # every term of V_d Q_d has z-degree deg_qhat(d) + d (d - 1) / 2; weights
+    # are below d, and a power-s term carries 2s + 1 exponents
+    reach = deg_qhat(d) + d * (d - 1) // 2
+    divisions = sum(mult > 0 for _, mult in factors)
+    packing = ExponentPacking(zs, d * (reach + divisions * (2 * slack + 1)), weights)
     mask, half, dshift = packing.mask, packing.half, packing.degree_shift
 
     sign = (-1) ** d  # carried by _integrand's numerator for the residue, not by F_d
-    rest = sum(leads)
+    cut = total_order - rest + half  # compared with the biased degree field
     current = {
         key: sign * coeff
         for key, coeff in packing.terms(numerator, biased=True).items()
-        if (key >> dshift & mask) - half + rest <= total_order
+        if key >> dshift & mask <= cut
     }
-    for form, lead in zip(forms, leads):
-        rest -= lead
-        cut = total_order - rest + half  # compared with the biased degree field
-        # no floor on v's field: the degree cut ends each division
-        current = divide_by_form(
-            current, packing, form, 0, lambda key: (key >> dshift & mask) <= cut
-        )
+    for v in reversed(zs):
+        for forms, mult in ((raised[v], -1), (topped[v], 1)):
+            for form, _ in forms:
+                rest += mult * weights[v]
+                cut = total_order - rest + half
+                if mult < 0:
+                    product = packed_mul(current, packing.terms(form.as_polynomial()))
+                    current = {k: c for k, c in product.items() if k >> dshift & mask <= cut}
+                else:
+                    # no floor on v's field: the degree cut ends each division
+                    current = divide_by_form(
+                        current, packing, form, 0, lambda key: (key >> dshift & mask) <= cut
+                    )
 
-    # homogeneity fixes e_d, so distinct terms give distinct monomials
-    kept: Dict[Monomial, Fraction] = {}
-    for key, coeff in current.items():
-        exps = accumulate((key >> packing.shift[z] & mask) - half for z in zs[:-1])
-        kept[tuple((avar(t), e) for t, e in enumerate(exps, 1) if e)] = Fraction(coeff)
     minimum, witness = Fraction(0), ""
-    if kept:
-        worst = min(kept, key=lambda mono: (kept[mono], [(v.key, e) for v, e in mono]))
-        minimum, witness = kept[worst], Polynomial.term(1, worst).to_text()
+    if current:
+        low = min(current.values())
+        ties = []
+        for key, coeff in current.items():
+            if coeff == low:
+                exps = accumulate((key >> packing.shift[z] & mask) - half for z in zs[:-1])
+                ties.append(tuple((avar(t), e) for t, e in enumerate(exps, 1) if e))
+        worst = min(ties, key=lambda mono: [(v.key, e) for v, e in mono])
+        minimum, witness = Fraction(low), Polynomial.term(1, worst).to_text()
     return PositivityReport(
-        d=d, order=total_order, minimum=minimum, witness=witness, term_count=len(kept)
+        d=d, order=total_order, minimum=minimum, witness=witness, term_count=len(current)
     )
 
 

@@ -265,6 +265,10 @@ def test_infinite_staircase_names_the_coordinate():
     with pytest.raises(InfiniteStaircaseError) as caught:
         subspace_multiplicity(MonomialIdeal([], [1, 2]), {2})
     assert str(caught.value) == message
+    # the last axis, met only on the slice at 0 of every axis before it
+    with pytest.raises(InfiniteStaircaseError) as caught:
+        subspace_multiplicity(MonomialIdeal([{1: 1}, {2: 1}], [1, 2, 3]), {1, 2, 3})
+    assert str(caught.value) == message.replace("y_2", "y_3")
 
 
 # -- Groebner route ----------------------------------------------------

@@ -6,6 +6,7 @@ import random
 import time
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given, settings
@@ -51,9 +52,9 @@ from thomcalc.errors import (
     MissingQhatError,
     QhatFormatError,
 )
-from thomcalc.packed import packed_product
+from thomcalc.packed import ExponentPacking, divide_by_form, packed_product
 from thomcalc.partitions import deg_qhat, uhat_index_triples
-from thomcalc.poly import avar, cvar, lamvar, thvar, zvar
+from thomcalc.poly import Monomial, avar, cvar, lamvar, thvar, zvar
 from thomcalc.residue import deg_in_subset
 
 
@@ -325,6 +326,7 @@ def test_class_path_never_expands_the_vandermonde(monkeypatch):
         thom_polynomial(6, codim, registry)
     pole_sum_class(2, 2)
     assert flag_residue_identity(zmono(1, (1, 2), (2, 1)), 4, 3, samples=1)
+    assert positivity_expansion(6, 8, registry).term_count == 210
     # each depth-3 term residue reads the product of its envelopes alone:
     # at most 336 terms, not the 1,100 of V_3 times that product
     sizes = []
@@ -874,6 +876,75 @@ def test_positivity_report_shapes():
 def test_positivity_reports_pinned(d, order, minimum, witness, term_count):
     report = positivity_expansion(d, order)
     assert (report.minimum, report.witness, report.term_count) == (minimum, witness, term_count)
+
+
+@cache
+def _order_six() -> QhatRegistry:
+    return QhatRegistry({6: derive_qhat(6)})
+
+
+@pytest.mark.parametrize(
+    "order, minimum, witness, term_count",
+    [
+        (8, -1, "a1*a2*a3^2*a4", 210),
+        (12, -2, "a1*a2*a3^4*a4^3*a5^2", 1205),
+        (16, -4, "a1*a2*a3^5*a4^4*a5^3", 4859),
+    ],
+)
+def test_positivity_reports_pinned_at_order_six(order, minimum, witness, term_count):
+    report = positivity_expansion(6, order, _order_six())
+    assert (report.minimum, report.witness, report.term_count) == (minimum, witness, term_count)
+
+
+def _expanded_positivity(d, total_order, registry=None):
+    """The probe as it stood before it took the kernel's schedule: V_d Q_d
+    multiplied out, divided by the forms in _integrand's order, and every
+    kept term read back as a monomial."""
+    numerator, factors = thom._integrand(d, registry or default_registry())
+    numerator = packed_product(numerator, vandermonde(d))
+    reach = deg_qhat(d) + d * (d - 1) // 2
+    forms = [form for form, mult in factors if mult > 0]
+    zs = [zvar(l) for l in range(1, d + 1)]
+    weights = {z: d - z.index for z in zs}
+    leads = [-weights[form.top_z_variable()[0]] for form in forms]
+    lowest = min(sum(e * weights[v] for v, e in mono) for mono in numerator.term_map())
+    slack = max(0, total_order - lowest - sum(leads))
+    packing = ExponentPacking(zs, d * (reach + len(forms) * (2 * slack + 1)), weights)
+    mask, half, dshift = packing.mask, packing.half, packing.degree_shift
+    rest = sum(leads)
+    current = {
+        key: (-1) ** d * coeff
+        for key, coeff in packing.terms(numerator, biased=True).items()
+        if (key >> dshift & mask) - half + rest <= total_order
+    }
+    for form, lead in zip(forms, leads):
+        rest -= lead
+        cut = total_order - rest + half
+        current = divide_by_form(
+            current, packing, form, 0, lambda key: (key >> dshift & mask) <= cut
+        )
+    kept: dict[Monomial, Fraction] = {}
+    for key, coeff in current.items():
+        exps = accumulate((key >> packing.shift[z] & mask) - half for z in zs[:-1])
+        kept[tuple((avar(t), e) for t, e in enumerate(exps, 1) if e)] = Fraction(coeff)
+    minimum, witness = Fraction(0), ""
+    if kept:
+        worst = min(kept, key=lambda mono: (kept[mono], [(v.key, e) for v, e in mono]))
+        minimum, witness = kept[worst], Polynomial.term(1, worst).to_text()
+    return PositivityReport(
+        d=d, order=total_order, minimum=minimum, witness=witness, term_count=len(kept)
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_positivity_matches_the_expanded_reference(d):
+    # the pinned reports already tie 2 to 45 terms at the minimum, so the
+    # witness's tie-break is compared too
+    for order in range(17):
+        assert positivity_expansion(d, order) == _expanded_positivity(d, order)
+    if d == 5:
+        registry = _order_six()
+        assert positivity_expansion(6, 8, registry) == _expanded_positivity(6, 8, registry)
 
 
 def test_positivity_report_of_an_empty_expansion():
