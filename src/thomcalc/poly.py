@@ -454,10 +454,14 @@ def strict_int(value) -> int:
 
 
 def json_fraction(value) -> Fraction:
-    """An integer or a string such as "-3/4"; a float is refused, as 0.1
-    would read as a binary fraction, not 1/10."""
+    """An integer or a string such as "-3/4" or "0.5"; a float is refused,
+    as 0.1 would read as a binary fraction, not 1/10, and so is a string in
+    exponent notation, as "1e10000000" would build a ten-million-digit
+    integer."""
     if isinstance(value, (bool, float)):
         raise ValueError(f"expected an integer or a fraction string, got {value!r}")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"exponent notation in {value!r}; write the coefficient as p/q")
     try:
         return Fraction(value)
     except ZeroDivisionError:

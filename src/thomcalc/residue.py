@@ -189,9 +189,9 @@ def _layout(problem: ResidueProblem):
     return variables, topped, raised, own_series
 
 
-def _packing(*problems: ResidueProblem) -> ExponentPacking:
+def _packing(problem: ResidueProblem, layout) -> ExponentPacking:
     """Fields for z_1..z_d, then every other symbol, wide enough for any
-    exponent the expansion of any of the problems can form.
+    exponent the expansion of problem can form; layout is _layout(problem).
 
     A term is one numerator term times one term of each raised numerator
     form, one term of each denominator factor's 1/form series and at most
@@ -201,26 +201,22 @@ def _packing(*problems: ResidueProblem) -> ExponentPacking:
     sum for v also bounds the deepest power of v's denominator factors a
     term can use, and a power-s term carries each lower symbol to at most s.
     """
-    bound: Dict[Variable, int] = {}
-    for problem in problems:
-        variables, topped, raised, series = _layout(problem)
-        carry = _reach(problem.numerator)
-        for v in variables:
-            for w, e in _reach(series[v]).items():
-                carry[w] = carry.get(w, 0) + e
-            # the slice lifts v from -1 back to 0
-            carry[v] = carry.get(v, 0) + 1
-            for form, mult in raised[v]:
-                for w, _ in form.items:
-                    carry[w] = carry.get(w, 0) + mult
-        for v in reversed(variables):
-            power = carry[v]
-            for form, mult in topped[v]:
-                for w, _ in form.items:
-                    carry[w] = carry.get(w, 0) + mult * (power + 1 if w is v else power)
-        for w, e in carry.items():
-            bound[w] = max(bound.get(w, 0), e)
-    return ExponentPacking(bound.keys(), max(bound.values(), default=0))
+    variables, topped, raised, series = layout
+    carry = _reach(problem.numerator)
+    for v in variables:
+        for w, e in _reach(series[v]).items():
+            carry[w] = carry.get(w, 0) + e
+        # the slice lifts v from -1 back to 0
+        carry[v] = carry.get(v, 0) + 1
+        for form, mult in raised[v]:
+            for w, _ in form.items:
+                carry[w] = carry.get(w, 0) + mult
+    for v in reversed(variables):
+        power = carry[v]
+        for form, mult in topped[v]:
+            for w, _ in form.items:
+                carry[w] = carry.get(w, 0) + mult * (power + 1 if w is v else power)
+    return ExponentPacking(carry.keys(), max(carry.values(), default=0))
 
 
 def iterated_residue(problem: ResidueProblem, order: Optional[int] = None) -> Polynomial:
@@ -237,41 +233,23 @@ def iterated_residue(problem: ResidueProblem, order: Optional[int] = None) -> Po
     raises ValueError.
 
     The numerator is packed once (see ExponentPacking), with int
-    coefficients wherever the inputs are integral, the expansion runs in
-    _residue on packed keys, and the result becomes a Polynomial once, at
-    the end.
+    coefficients wherever the inputs are integral, and the expansion runs on
+    packed keys.  Each factor's step is packed.divide_by_form, down to the
+    lowest exponent of the factor's top variable that the factors still to
+    come and the variable's own series can bring back to -1; each variable's
+    series then supplies the slice by a lookup on that exponent.  The result
+    becomes a Polynomial once, at the end.
     """
     if order is not None and order < 0:
         raise ValueError("the order budget must be nonnegative")
-    packing = _packing(problem)
-    terms = packing.terms(problem.numerator, biased=True)
-    return packing.polynomial(_residue(problem, packing, terms, order))
-
-
-def _residue(
-    problem: ResidueProblem,
-    packing: ExponentPacking,
-    terms: PackedTerms,
-    order: Optional[int] = None,
-) -> PackedTerms:
-    """iterated_residue on packed keys: the residue of problem with the
-    biased terms in packing as its numerator, as new biased terms.
-
-    The packing must hold every field _packing(problem) holds, at least as
-    wide, so one packing made by _packing over several problems serves each
-    of them, and one numerator packed in it serves every residue that reads
-    it; the terms are not changed.  Each factor's step is
-    packed.divide_by_form, down to the lowest exponent of the factor's top
-    variable that the factors still to come and the variable's own series
-    can bring back to -1; each variable's series then supplies the slice by
-    a lookup on that exponent.
-    """
     # the regime is |z_1| << |z_2| << ... whatever the listed order: each
     # factor is a series in its z-variable of largest index
-    variables, topped, raised, own_series = _layout(problem)
+    layout = _layout(problem)
+    variables, topped, raised, own_series = layout
+    packing = _packing(problem, layout)
     mask, half = packing.mask, packing.half
 
-    current = terms
+    current = packing.terms(problem.numerator, biased=True)
     for v in reversed(variables):
         shift = packing.shift[v]
         # v's series keyed by its own exponent; no series reads as 1.  A
@@ -317,7 +295,7 @@ def _residue(
 
     if len(variables) % 2:
         current = {key: -coeff for key, coeff in current.items()}
-    return current
+    return packing.polynomial(current)
 
 
 # -- the exact pole sum -----------------------------------------------
@@ -554,7 +532,7 @@ def vanishing_criterion(problem: ResidueProblem, l: int) -> bool:
     """
     if problem.per_variable_series:
         raise ValueError("the vanishing criterion takes no per-variable series")
-    variables = sorted(problem.variables, key=lambda v: v.index)
+    variables, topped, _, _ = _layout(problem)
     d = len(variables)
     if not 1 <= l <= d:
         raise ValueError("need 1 <= l <= d")
@@ -575,9 +553,4 @@ def vanishing_criterion(problem: ResidueProblem, l: int) -> bool:
     if num + (d - l + 1) < den:
         return True
     num, den = sides({z_l})
-    topped = sum(
-        mult
-        for form, mult in problem.denominator_factors
-        if mult > 0 and form.top_z_variable()[0] is z_l
-    )
-    return num + 1 < den and den == topped
+    return num + 1 < den and den == sum(mult for _, mult in topped[z_l])

@@ -68,7 +68,6 @@ from .poly import (
 )
 from .packed import (
     ExponentPacking,
-    PackedTerms,
     divide_by_form,
     packed_mul,
     packed_product,
@@ -78,8 +77,6 @@ from .residue import (
     FactorList,
     ResidueProblem,
     _layout,
-    _packing,
-    _residue,
     iterated_residue,
     residue_by_pole_sum,
     vanishing_criterion,
@@ -766,43 +763,6 @@ def _term_integrand(term: FixedPointTerm, k: int) -> Tuple[Polynomial, FactorLis
     return packing.polynomial(product), tuple(factors)
 
 
-class _TermResidues:
-    """One fixed-point term's residues over n source roots, the k target
-    roots compressed to the elementary symbols of _term_integrand.
-
-    The integrand is built once.  `problem` sets it over the symbolic poles
-    lambda_i - z_l; `compressed` takes its residue with those n poles
-    compressed to complete homogeneous symbols (a Chern window of lead
-    -n); `sampled` takes it with the poles at numeric roots.  One packing,
-    wide enough for the symbolic and the compressed problem, holds the
-    integrand's numerator, packed once, and every residue reads it: numeric
-    roots add no field, and their poles' z-parts are the symbolic poles',
-    so a sample needs no more room.  Residues stay packed terms, so a zero
-    test unpacks nothing."""
-
-    def __init__(self, term: FixedPointTerm, n: int, k: int):
-        self.integrand = _term_integrand(term, k)
-        self.depth = term.sequence.depth
-        roots = [linear_form((1, lamvar(i))) for i in range(1, n + 1)]
-        self.problem = _with_root_poles(self.integrand, self.depth, roots)
-        # each pole 1/(lambda_i - z_l) is -1/(z_l - lambda_i): the window
-        # leaves out the sign (-1)^(nd), which cannot make a residue zero
-        self._window = _chern_window_problem(*self.integrand, self.depth, -n)
-        self.packing = _packing(self.problem, self._window)
-        self._numerator = self.packing.terms(self.integrand[0], biased=True)
-
-    def compressed(self) -> PackedTerms:
-        """The residue over the symbolic poles, up to the sign (-1)^(nd)."""
-        return _residue(self._window, self.packing, self._numerator)
-
-    def sampled(self, lam: Sequence[ScalarLike]) -> PackedTerms:
-        """The residue with the poles at the numeric roots lam, the target
-        alphabet kept symbolic.  This is the series kernel: the pole sum
-        agrees at such samples but takes some two hundred times as long."""
-        problem = _with_root_poles(self.integrand, self.depth, [LinearForm(x) for x in lam])
-        return _residue(problem, self.packing, self._numerator)
-
-
 @dataclass(frozen=True)
 class VanishingEvidence:
     """Three independent reasons one non-distinguished term contributes
@@ -828,37 +788,42 @@ def nondistinguished_vanishing(
 ) -> List[VanishingEvidence]:
     """Evidence that every non-distinguished term dies in the residue.
 
-    Each term has one _term_integrand, and all three witnesses read it.  The
-    degree criterion runs over every slot on it over the symbolic poles
-    lambda_i - z_l; the compressed symbolic residue takes it with the poles
-    as a Chern window; and the residue is recomputed with the poles at
-    seeded numeric root samples, the target alphabet kept symbolic.  The
-    integrand's numerator is packed once, for the compressed residue and
-    every sample (_TermResidues), and each residue is tested for zero on
-    its packed terms.  Fewer than one sample raises ValueError."""
+    Each term's _term_integrand is built once, and all three witnesses read
+    it.  The degree criterion runs over every slot on it over the symbolic
+    poles lambda_i - z_l; the compressed symbolic residue takes it with the
+    poles as a Chern window of lead -n, in the complete homogeneous symbols
+    of the source roots; and the residue is recomputed with the poles at
+    seeded numeric root samples, the target alphabet kept symbolic, on the
+    series kernel: the pole sum agrees there but takes some two hundred
+    times as long.  Each pole 1/(lambda_i - z_l) is -1/(z_l - lambda_i), so the window leaves out
+    the sign (-1)^(nd), which cannot make a residue zero.  Every sample is
+    drawn, even after a nonzero one.  Fewer than one sample raises
+    ValueError."""
     if n < d:
         raise ValueError("need at least d source roots")
     if k < 1:
         raise ValueError("need at least one target root")
     _check_samples(samples)
     rng = random.Random(seed)
+    roots = [linear_form((1, lamvar(i))) for i in range(1, n + 1)]
     out = []
     for term in fixed_point_terms(d):
         if term.distinguished:
             continue
-        residues = _TermResidues(term, n, k)
-        position = next(
-            (l for l in range(1, d + 1) if vanishing_criterion(residues.problem, l)), None
-        )
+        integrand = _term_integrand(term, k)
+        problem = _with_root_poles(integrand, d, roots)
+        position = next((l for l in range(1, d + 1) if vanishing_criterion(problem, l)), None)
+        expansion_zero = iterated_residue(_chern_window_problem(*integrand, d, -n)).is_zero()
         sampled_zero = True
         for _ in range(samples):
-            if residues.sampled(_distinct_roots(rng, n)):
+            lam = [LinearForm(x) for x in _distinct_roots(rng, n)]
+            if not iterated_residue(_with_root_poles(integrand, d, lam)).is_zero():
                 sampled_zero = False
         out.append(
             VanishingEvidence(
                 term=term,
                 criterion_position=position,
-                expansion_zero=not residues.compressed(),
+                expansion_zero=expansion_zero,
                 sampled_zero=sampled_zero,
             )
         )

@@ -153,6 +153,7 @@ MALFORMED_NUMERATORS = (
     "fractional-exponent",
     "repeated-variable",
     "float-coefficient",
+    "exponent-coefficient",
     "fractional-variable-index",
     "fractional-order",
     "repeated-row",
@@ -175,6 +176,8 @@ def _malformed_numerator(case):
             row.append(0)
     elif case == "float-coefficient":
         poly["terms"][0]["coeff"] = 2.0
+    elif case == "exponent-coefficient":
+        poly["terms"][0]["coeff"] = "1e3"
     elif case == "fractional-variable-index":
         poly["vars"][-1]["index"] = 4.0
     elif case == "repeated-row":

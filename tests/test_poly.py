@@ -353,6 +353,18 @@ def test_json_zero_denominator_is_refused():
         LinearForm.from_json_dict({"constant": "2/0"})
 
 
+@pytest.mark.parametrize("text", ["1e3", "-2E-5", "1e10000000"])
+def test_json_exponent_notation_is_refused(text):
+    # Fraction would build 10^(10^7) from "1e10000000"
+    message = f"exponent notation in '{text}'; write the coefficient as p/q"
+    with pytest.raises(ValueError, match=message):
+        json_fraction(text)
+
+
+def test_json_decimal_string_is_read():
+    assert json_fraction("0.5") == Fraction(1, 2)
+
+
 def test_a_variable_name_that_is_not_a_string_is_refused():
     with pytest.raises(ValueError, match="expected a variable name, got 5"):
         variable_from_text(5)

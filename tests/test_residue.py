@@ -30,7 +30,7 @@ from thomcalc import (
 )
 from thomcalc.packed import ExponentPacking
 from thomcalc.poly import expand_inverse_factor
-from thomcalc.residue import _add, _monic, _packing, _residue, deg_in_subset
+from thomcalc.residue import _add, _monic, deg_in_subset
 
 Z1, Z2, Z3 = zvar(1), zvar(2), zvar(3)
 
@@ -461,8 +461,7 @@ def test_double_factors_match_the_expanded_product(terms, factors):
         num = num + Polynomial.term(c, [(Z1, a), (Z2, b)])
     assume(not num.is_zero())
     problem = ResidueProblem(num, factors, variables=(Z1, Z2))
-    packing = _packing(problem)
-    got = packing.polynomial(_residue(problem, packing, packing.terms(num, biased=True)))
+    got = iterated_residue(problem)
 
     depth = max(sum(e for _, e in mono) for mono in num.term_map())
     product = num

@@ -330,11 +330,9 @@ def test_class_path_never_expands_the_vandermonde(monkeypatch):
     # each depth-3 term residue reads the product of its envelopes alone:
     # at most 336 terms, not the 1,100 of V_3 times that product
     sizes = []
-    residue = thom._residue
+    residue = thom.iterated_residue
     monkeypatch.setattr(
-        thom,
-        "_residue",
-        lambda p, packing, terms: sizes.append(len(terms)) or residue(p, packing, terms),
+        thom, "iterated_residue", lambda p: sizes.append(len(p.numerator)) or residue(p)
     )
     assert all(ev.vanishes for ev in nondistinguished_vanishing(3, 5, 5, samples=1))
     assert max(sizes) == 336
@@ -492,7 +490,8 @@ def elementary_envelope(shift, k):
 def term_problem(term, n, k):
     """One term's integrand over the symbolic poles lambda_i - z_l, as the
     vanishing criterion reads it."""
-    return thom._TermResidues(term, n, k).problem
+    roots = [linear_form((1, lamvar(i))) for i in range(1, n + 1)]
+    return thom._with_root_poles(thom._term_integrand(term, k), term.sequence.depth, roots)
 
 
 def test_term_problem_is_vandermonde_charts_then_root_poles():
@@ -697,19 +696,22 @@ def test_depth_three_distinguished_value():
     ],
 )
 def test_packed_samples_keep_the_distinguished_value(lam, theta, expected):
-    # the witness can still fail: on the path the vanishing check samples,
-    # with the numerator packed once for every residue, the distinguished
-    # term keeps the class values pinned above, the target alphabet entering
-    # through its elementary symmetric functions a_t
+    # the witness can still fail: on the problems the vanishing check
+    # builds from one term integrand, the distinguished term keeps the class
+    # values pinned above, the target alphabet entering through its
+    # elementary symmetric functions a_t
     (term,) = [t for t in fixed_point_terms(len(lam)) if t.distinguished]
-    residues = thom._TermResidues(term, len(lam), len(theta))
-    value = residues.sampled([Fraction(x) for x in lam])
-    assert value and residues.compressed()
+    d = n = len(lam)
+    integrand = thom._term_integrand(term, len(theta))
+    roots = [LinearForm(Fraction(x)) for x in lam]
+    value = iterated_residue(thom._with_root_poles(integrand, d, roots))
+    assert not value.is_zero()
+    assert not iterated_residue(thom._chern_window_problem(*integrand, d, -n)).is_zero()
     elementary = [Fraction(1)]
     for t in theta:
         elementary = [a + t * b for a, b in zip(elementary + [0], [0] + elementary)]
     at = {avar(i): elementary[i] for i in range(1, len(theta) + 1)}
-    assert residues.packing.polynomial(value).evaluate(at) == expected
+    assert value.evaluate(at) == expected
 
 
 def test_nondistinguished_term_contributes_nothing():
@@ -803,14 +805,26 @@ def test_longer_series_window_changes_no_compressed_residue(monkeypatch):
     ]
 
     def compressed(term, n, k):
-        residues = thom._TermResidues(term, n, k)
-        return residues.packing.polynomial(residues.compressed())
+        integrand = thom._term_integrand(term, k)
+        return iterated_residue(thom._chern_window_problem(*integrand, term.sequence.depth, -n))
 
     exact = [compressed(*case) for case in cases]
     assert any(not residue.is_zero() for residue in exact)
     cap = thom._series_cap
     monkeypatch.setattr(thom, "_series_cap", lambda *args: cap(*args) + 3)
     assert [compressed(*case) for case in cases] == exact
+
+
+def test_vanishing_witnesses_go_through_iterated_residue(monkeypatch):
+    # the benchmark times iterated_residue by name: per non-distinguished
+    # term, the compressed window and one residue per sample go through it
+    calls = []
+    residue = thom.iterated_residue
+    monkeypatch.setattr(thom, "iterated_residue", lambda p: calls.append(p) or residue(p))
+    evidence = nondistinguished_vanishing(3, 5, 5, samples=2)
+    assert len(evidence) == 5
+    assert all(ev.vanishes for ev in evidence)
+    assert len(calls) == 5 * (1 + 2)
 
 
 def test_vanishing_guards():
