@@ -185,7 +185,8 @@ def residue_command(problem_path, order, fmt, seed):
     "--ideal-file",
     type=str,
     default=None,
-    help="JSON file with generators, weights, and an optional variable order.",
+    help="JSON file with generators, weights, and an optional order list naming the "
+    "coordinates (it does not change the multidegree).",
 )
 @click.option(
     "--example",

@@ -632,3 +632,76 @@ def test_initial_ideal_matches_sympy_at_level5():
     ]
     ours = initial_ideal(ideal).generators
     assert sorted(map(sorted_items, ours)) == sorted(map(sorted_items, leads))
+
+
+# -- the degeneration order of multidegree ------------------------------
+
+# y1, y2 weigh eta_1 and y3, y4 weigh eta_2: a generator is weight-homogeneous
+# when its monomials share one bidegree, so it is homogeneous in the standard
+# degree as well
+BIGRADED = WeightedRing(tuple(linear_form((1, etavar(1 + i // 2))) for i in range(4)))
+
+
+def bidegree(m):
+    return (m[0] + m[1], m[2] + m[3])
+
+
+def bihomogeneous_generator():
+    return st.sampled_from(sorted({bidegree(m) for m in SMALL_MONOMIALS if any(m)})).flatmap(
+        lambda deg: st.dictionaries(
+            st.sampled_from([m for m in SMALL_MONOMIALS if bidegree(m) == deg]),
+            st.integers(-3, 3).filter(bool),
+            min_size=1,
+            max_size=3,
+        )
+    )
+
+
+@given(
+    st.lists(bihomogeneous_generator(), min_size=1, max_size=3),
+    st.permutations([yvar(i) for i in range(1, 5)]),
+)
+@settings(max_examples=100, deadline=None)
+def test_multidegree_is_the_initial_ideals_under_the_given_order(generators, order):
+    # at most 3 generators of degree at most 2 in y1..y4 keep every basis small
+    polys = [
+        sum(
+            (Polynomial.term(c, [(yvar(i + 1), e) for i, e in enumerate(m) if e]) for m, c in g.items()),
+            Polynomial.zero(),
+        )
+        for g in generators
+    ]
+    ideal = PolynomialIdeal.of(polys, order)
+    assert multidegree(ideal, BIGRADED) == multidegree_monomial(initial_ideal(ideal), BIGRADED)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_multidegree_ignores_the_ideals_order(d):
+    ideal, weights = basic_relations_ideal(d)
+    shuffled = list(ideal.order)
+    random.Random(d).shuffle(shuffled)
+    expected = multidegree(ideal, weights)
+    for order in (ideal.order[::-1], shuffled):
+        assert multidegree(PolynomialIdeal.of(ideal.generators, order), weights) == expected
+
+
+def test_multidegree_degenerates_with_the_rarest_coordinates_first(monkeypatch):
+    module = importlib.import_module("thomcalc.multidegree")
+    real = module.buchberger_lex
+    passed = []
+    monkeypatch.setattr(module, "buchberger_lex", lambda ideal: passed.append(ideal) or real(ideal))
+    ideal, weights = basic_relations_ideal(6)
+    multidegree(ideal, weights)
+    (used,) = passed
+    assert used.generators == ideal.generators
+    assert set(used.order) == set(ideal.order) and used.order != ideal.order
+    users = [sum(v in g.variables() for g in ideal.generators) for v in used.order]
+    position = [ideal.order.index(v) for v in used.order]
+    # fewest users first; among equal counts, the ideal's own order
+    assert sorted(zip(users, position)) == list(zip(users, position))
+    assert [v.index for v in used.order] == [
+        8, 14, 15, 4, 9, 16, 19, 10, 12, 22, 2, 5, 7, 17, 20, 6, 11, 21, 13, 1, 3, 18
+    ]
+    _, counts = _lex_basis(used, 10_000)
+    assert (counts["taken"], counts["reduced"], counts["basis"]) == (253, 73, 23)
+    assert len(initial_ideal(used).generators) == 22
