@@ -388,15 +388,11 @@ def initial_ideal(ideal: PolynomialIdeal) -> MonomialIdeal:
 
 def check_weight_homogeneous(ideal: PolynomialIdeal, ring: WeightedRing) -> None:
     for gi, g in enumerate(ideal.generators):
-        expected = None
-        for mono in g.term_map():
-            w = monomial_weight(mono, lambda v: ring.weight_of(v.index))
-            if expected is None:
-                expected = w
-            elif w != expected:
-                raise WeightInhomogeneityError(
-                    f"generator {gi + 1} ({g.to_text()}) is not weight-homogeneous"
-                )
+        weights = {monomial_weight(m, lambda v: ring.weight_of(v.index)) for m in g.term_map()}
+        if len(weights) > 1:
+            raise WeightInhomogeneityError(
+                f"generator {gi + 1} ({g.to_text()}) is not weight-homogeneous"
+            )
 
 
 def multidegree(ideal: PolynomialIdeal, ring: WeightedRing) -> Polynomial:

@@ -22,6 +22,7 @@ from .poly import (
     Monomial,
     Polynomial,
     Variable,
+    _mono_from_pairs,
     _mono_text,
     linear_form,
     monomial_weight,
@@ -235,21 +236,16 @@ class BasicRelation:
 
 def _paired_sum(a: int, b: int, single: int, level: int) -> Polynomial:
     # sum over s of uhat^s_{a,b} uhat^level_{single,s}
-    lo, hi = a + b, level - single
-    out = Polynomial.zero()
-    for s in range(lo, hi + 1):
-        inner = uhatvar(a, b, s)
-        outer = uhatvar(min(single, s), max(single, s), level)
-        out = out + Polynomial.term(1, [(inner, 1), (outer, 1)])
-    return out
+    return Polynomial({
+        _mono_from_pairs([(uhatvar(a, b, s), 1), (uhatvar(*sorted((single, s)), level), 1)]): 1
+        for s in range(a + b, level - single + 1)
+    })
 
 
 def _normalize_sign(p: Polynomial) -> Polynomial:
-    smallest_sign = None
-    for mono, coeff in p.terms():
-        smallest_sign = coeff  # terms() is sorted descending, keep the last
-    if smallest_sign is None:
+    if p.is_zero():
         raise ValueError("cannot orient the zero polynomial")
+    *_, (_, smallest_sign) = p.terms()  # terms() is sorted descending
     return -p if smallest_sign < 0 else p
 
 
@@ -349,7 +345,7 @@ def apply_right_action(p: Polynomial, m: int) -> Polynomial:
     """Leibniz action of the right-side lowering operator E_{m,m+1}:
     u^l_tau maps to u^{l-1}_tau when l = m + 1 and weight(tau) < l,
     and to zero otherwise."""
-    out = Polynomial.zero()
+    out: Dict[Monomial, Fraction] = {}
     for mono, coeff in p.term_map().items():
         for pos, (v, e) in enumerate(mono):
             if v.family != "u":
@@ -362,8 +358,9 @@ def apply_right_action(p: Polynomial, m: int) -> Polynomial:
                 del rest[pos]
             else:
                 rest[pos] = (v, e - 1)
-            out = out + Polynomial.term(coeff * e, rest + [(uvar(l - 1, tau), 1)])
-    return out
+            lowered = _mono_from_pairs(rest + [(uvar(l - 1, tau), 1)])
+            out[lowered] = out.get(lowered, 0) + coeff * e
+    return Polynomial(out)
 
 
 def pair_relation(rho: Partition, tau: Partition, m: int) -> Polynomial:
@@ -372,13 +369,11 @@ def pair_relation(rho: Partition, tau: Partition, m: int) -> Polynomial:
     merged = rho.union(tau)
     if merged.weight > m:
         raise ValueError("the union does not fit under the given level")
-    out = Polynomial.term(1, [(uvar(m, merged.parts), 1)])
+    out = {_mono_from_pairs([(uvar(m, merged.parts), 1)]): 1}
     for t in range(rho.weight, m - tau.weight + 1):
-        r = m - t
-        out = out - Polynomial.term(
-            1, [(uvar(t, rho.parts), 1), (uvar(r, tau.parts), 1)]
-        )
-    return out
+        split = _mono_from_pairs([(uvar(t, rho.parts), 1), (uvar(m - t, tau.parts), 1)])
+        out[split] = out.get(split, 0) - 1  # rho = tau meets each split twice
+    return Polynomial(out)
 
 
 def stored_quartic_relation() -> Polynomial:
@@ -395,7 +390,6 @@ def stored_quartic_relation() -> Polynomial:
         (-1, [(2, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 6)]),
         (-1, [(1, 3, 4), (1, 3, 4), (2, 3, 5), (2, 2, 6)]),
     ]
-    out = Polynomial.zero()
-    for sign, factors in terms:
-        out = out + Polynomial.term(sign, [(uhatvar(m, r, l), 1) for m, r, l in factors])
-    return out
+    return Polynomial(
+        {_mono_from_pairs((uhatvar(*mrl), 1) for mrl in factors): sign for sign, factors in terms}
+    )

@@ -91,18 +91,18 @@ DEFAULT_SEED = 1729
 def _builtin_entries() -> Dict[int, Polynomial]:
     z1, z2, z3, z4, z5 = (zvar(i) for i in range(1, 6))
     lead = linear_form((2, z1), (1, z2), (-1, z5)).as_polynomial()
-    tail = Polynomial.zero()
-    for coeff, pairs in (
-        (2, [(z1, 2)]),
-        (3, [(z1, 1), (z2, 1)]),
-        (-2, [(z1, 1), (z5, 1)]),
-        (2, [(z2, 1), (z3, 1)]),
-        (-1, [(z2, 1), (z4, 1)]),
-        (-1, [(z2, 1), (z5, 1)]),
-        (-1, [(z3, 1), (z4, 1)]),
-        (1, [(z4, 1), (z5, 1)]),
-    ):
-        tail = tail + Polynomial.term(coeff, pairs)
+    tail = Polynomial({
+        _mono_from_pairs(pairs): coeff for coeff, pairs in (
+            (2, [(z1, 2)]),
+            (3, [(z1, 1), (z2, 1)]),
+            (-2, [(z1, 1), (z5, 1)]),
+            (2, [(z2, 1), (z3, 1)]),
+            (-1, [(z2, 1), (z4, 1)]),
+            (-1, [(z2, 1), (z5, 1)]),
+            (-1, [(z3, 1), (z4, 1)]),
+            (1, [(z4, 1), (z5, 1)]),
+        )
+    })
     return {
         1: Polynomial.one(),
         2: Polynomial.one(),
@@ -404,11 +404,10 @@ def ronga_reference(codim: int) -> ThomPolynomial:
     if codim < 0:
         raise ValueError("the codimension parameter must be nonnegative")
     j = codim
-    body = Polynomial.term(1, [(cvar(j + 1), 2)])
-    for i in range(1, j + 2):
-        body = body + Polynomial.term(
-            2 ** (i - 1), [(cvar(j + 1 - i), 1), (cvar(j + 1 + i), 1)]
-        )
+    body = Polynomial({
+        _mono_from_pairs([(cvar(j + 1 - i), 1), (cvar(j + 1 + i), 1)]): 2 ** (i - 1) if i else 1
+        for i in range(j + 2)  # i = 0 is the square c_{j+1}^2
+    })
     return ThomPolynomial(d=2, codim=codim, body=body)
 
 

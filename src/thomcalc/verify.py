@@ -7,7 +7,7 @@ code from all_passed.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from .errors import CalcError
 from .partitions import (
@@ -85,18 +85,6 @@ class VerifyReport:
         }
 
 
-class _Collector:
-    def __init__(self):
-        self.results: List[CheckResult] = []
-
-    def run(self, check_id: str, fn: Callable[[], Tuple[bool, str]]):
-        try:
-            passed, detail = fn()
-        except CalcError as err:
-            passed, detail = False, f"{type(err).__name__}: {err}"
-        self.results.append(CheckResult(check_id, passed, detail))
-
-
 # -- classical suite --------------------------------------------------
 
 
@@ -116,11 +104,8 @@ def _check_order2():
 
 
 def _check_order3():
-    expected = (
-        Polynomial.term(1, [(cvar(1), 3)])
-        + Polynomial.term(3, [(cvar(0), 1), (cvar(1), 1), (cvar(2), 1)])
-        + Polynomial.term(2, [(cvar(0), 2), (cvar(3), 1)])
-    )
+    c0, c1, c2, c3 = (cvar(i) for i in range(4))
+    expected = Polynomial({((c1, 3),): 1, ((c0, 1), (c1, 1), (c2, 1)): 3, ((c0, 2), (c3, 1)): 2})
     return thom_polynomial(3, 0).body == expected, ""
 
 
@@ -155,20 +140,20 @@ def _check_pole_sum():
     return True, "pole sum at Chern roots matches orders 1..2, codims 0..2"
 
 
-def _classical(collector: _Collector, seed: int):
-    collector.run("classical.order1", _check_order1)
-    collector.run("classical.order2", _check_order2)
-    collector.run("classical.order3", _check_order3)
-    collector.run("classical.order4", _check_order4)
-    collector.run("classical.shift", _check_shift)
-    collector.run("classical.structure", _check_structure)
-    collector.run("classical.pole-sum", _check_pole_sum)
+def _classical(seed: int):
+    yield "classical.order1", _check_order1
+    yield "classical.order2", _check_order2
+    yield "classical.order3", _check_order3
+    yield "classical.order4", _check_order4
+    yield "classical.shift", _check_shift
+    yield "classical.structure", _check_structure
+    yield "classical.pole-sum", _check_pole_sum
 
 
 # -- localization suite -----------------------------------------------
 
 
-def _localization(collector: _Collector, seed: int):
+def _localization(seed: int):
     def porteous():
         # tp(1, k - n) is c_(k - n + 1), so this is class agreement at depth 1
         for n, k in ((2, 3), (3, 5)):
@@ -198,16 +183,16 @@ def _localization(collector: _Collector, seed: int):
                     return False, f"depth {d} term {ev.term.sequence.to_text()}"
         return True, "all non-distinguished terms die at five roots"
 
-    collector.run("localization.porteous", porteous)
-    collector.run("localization.flag", flag)
-    collector.run("localization.class-agreement", agreement)
-    collector.run("localization.vanishing", vanishing)
+    yield "localization.porteous", porteous
+    yield "localization.flag", flag
+    yield "localization.class-agreement", agreement
+    yield "localization.vanishing", vanishing
 
 
 # -- relations suite --------------------------------------------------
 
 
-def _relations(collector: _Collector, seed: int):
+def _relations(seed: int):
     def annihilation():
         count = 0
         taus = partitions_up_to(4)
@@ -275,21 +260,21 @@ def _relations(collector: _Collector, seed: int):
         report = toric_localization_example()
         return report.agree, report.expected.to_text()
 
-    collector.run("relations.annihilation", annihilation)
-    collector.run("relations.reference", reference)
-    collector.run("relations.homogeneity", homogeneity)
-    collector.run("relations.quartic-weight", quartic)
-    collector.run("relations.splitting", splitting)
-    collector.run("relations.dimensions", dimensions)
-    collector.run("relations.census", census)
-    collector.run("relations.qhat5-derivation", qhat5)
-    collector.run("relations.toric-multidegree", toric)
+    yield "relations.annihilation", annihilation
+    yield "relations.reference", reference
+    yield "relations.homogeneity", homogeneity
+    yield "relations.quartic-weight", quartic
+    yield "relations.splitting", splitting
+    yield "relations.dimensions", dimensions
+    yield "relations.census", census
+    yield "relations.qhat5-derivation", qhat5
+    yield "relations.toric-multidegree", toric
 
 
 # -- positivity suite -------------------------------------------------
 
 
-def _positivity(collector: _Collector, seed: int):
+def _positivity(seed: int):
     def series():
         for d in (2, 3, 4):
             report = positivity_expansion(d, 12)
@@ -311,12 +296,12 @@ def _positivity(collector: _Collector, seed: int):
                     return False, f"order {d} codim {j}"
         return True, "orders 1..4, codims 0..2"
 
-    collector.run("positivity.series", series)
-    collector.run("positivity.series-probe-order5", series_probe)
-    collector.run("positivity.classes", classes)
+    yield "positivity.series", series
+    yield "positivity.series-probe-order5", series_probe
+    yield "positivity.classes", classes
 
 
-_SUITE_RUNNERS: Dict[str, Callable[[_Collector, int], None]] = {
+_SUITE_RUNNERS: Dict[str, Callable[[int], Iterator[Tuple[str, Callable]]]] = {
     "classical": _classical,
     "localization": _localization,
     "relations": _relations,
@@ -328,8 +313,12 @@ SUITES = tuple(_SUITE_RUNNERS)
 def run_suite(suite: str, seed: int = DEFAULT_SEED) -> VerifyReport:
     if suite != "all" and suite not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES} or all")
-    collector = _Collector()
-    names = SUITES if suite == "all" else (suite,)
-    for name in names:
-        _SUITE_RUNNERS[name](collector, seed)
-    return VerifyReport(suite=suite, seed=seed, results=tuple(collector.results))
+    results: List[CheckResult] = []
+    for name in SUITES if suite == "all" else (suite,):
+        for check_id, check in _SUITE_RUNNERS[name](seed):
+            try:
+                passed, detail = check()
+            except CalcError as err:
+                passed, detail = False, f"{type(err).__name__}: {err}"
+            results.append(CheckResult(check_id, passed, detail))
+    return VerifyReport(suite=suite, seed=seed, results=tuple(results))

@@ -344,6 +344,20 @@ def test_weight_inhomogeneity_names_the_generator():
     assert str(caught.value) == "generator 2 (y_2^2 + y_1) is not weight-homogeneous"
 
 
+def test_weight_homogeneity_compares_every_monomial_of_a_generator():
+    # y_1 and y_2 weigh eta_1, y_3 weighs eta_2
+    weighted = WeightedRing(tuple(linear_form((1, etavar(i))) for i in (1, 1, 2)))
+    late = Y[1] * Y[2] + Y[1] ** 2 + Y[3]  # the first two weights agree, the third differs
+    assert len(late) == 3
+    with pytest.raises(WeightInhomogeneityError) as caught:
+        multidegree(PolynomialIdeal.of([Y[1], late]), weighted)
+    assert str(caught.value) == "generator 2 (y_1^2 + y_1*y_2 + y_3) is not weight-homogeneous"
+    homogeneous = Y[1] * Y[2] + Y[1] ** 2 + Y[2] ** 2
+    assert multidegree(PolynomialIdeal.of([homogeneous]), weighted) == 2 * Polynomial.variable(
+        etavar(1)
+    )
+
+
 def test_pair_budget():
     gens = [Y[1] * Y[3] - Y[2] ** 2, Y[2] * Y[4] - Y[3] ** 2, Y[1] * Y[4] - Y[2] * Y[3]]
     with pytest.raises(SPairBudgetError):
@@ -586,8 +600,9 @@ def test_level6_multidegree_under_two_generator_orders():
 
 
 def test_level6_staircase_counts_each_minimal_subspace_once(monkeypatch):
-    # the benchmark reads 53 subspace_multiplicity calls on levels 4 to 6,
-    # 46 of them here: one per minimal subspace, none repeated
+    # traced mdeg-level6 reads 64 subspace_multiplicity calls on levels 4 to 6,
+    # because multidegree degenerates in its own order; in the ideal's given
+    # order, as here, level 6 takes 46: one per minimal subspace, none repeated
     module = importlib.import_module("thomcalc.multidegree")
     real = module.subspace_multiplicity
     counts = {}

@@ -11,6 +11,7 @@ from thomcalc import (
     LinearForm,
     Partition,
     Polynomial,
+    QhatRegistry,
     WeightInhomogeneityError,
     apply_right_action,
     basic_relations,
@@ -23,6 +24,7 @@ from thomcalc import (
     pair_relation,
     partitions_up_to,
     relation_weight,
+    ronga_reference,
     stored_quartic_relation,
     u_reference_value,
     uhat_index_triples,
@@ -332,3 +334,26 @@ def test_pair_relation_by_hand():
 def test_u_monomial_text():
     mono = Polynomial.term(1, [(uvar(1, (1,)), 1), (uvar(2, (1, 1)), 1)])
     assert mono.to_text() == "u[1]^1*u[1,1]^2"
+
+
+def test_relations_and_closed_forms_sum_no_polynomials(monkeypatch):
+    # each builds one term dict; Polynomial.__add__ would copy the whole sum per term
+    calls = []
+    real = Polynomial.__add__
+
+    def spy(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(Polynomial, "__add__", spy)
+    x = Polynomial.variable(uvar(3, (1, 1)))
+    assert len(x + x) == 1 and len(calls) == 1  # the spy sees a sum
+    calls.clear()
+    rel = expansion_relation(useq((1,), (2,)), P(1))
+    assert apply_right_action(rel, 2).is_zero()
+    assert len(apply_right_action(x ** 2 * Polynomial.variable(uvar(3, (2,))), 2)) == 2
+    assert len(pair_relation(P(1), P(1), 4)) == 3  # rho = tau: two splits fold into one
+    assert len(stored_quartic_relation()) == 8
+    assert len(ronga_reference(5).body) == 7
+    QhatRegistry()
+    assert calls == []
