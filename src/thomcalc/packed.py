@@ -5,7 +5,10 @@ substitution, as in Monagan and Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors"), so a monomial product is one
 int addition.  A packed polynomial is a dict from these keys to
 coefficients, which stay Python ints wherever the inputs are integral and
-are Fractions only where an input has one.
+are Fractions only where an input has one.  A Polynomial already stores its
+coefficients that way, so packing one converts none of them, and
+poly.exact, the one coercion shared with Polynomial and LinearForm, turns
+a result that is integral back into an int.
 
 packed_mul is the one product loop.  Polynomial products, powers and
 substitution and the kernel's linear numerator forms (each Vandermonde
@@ -22,22 +25,18 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from .errors import NonDivisibleError
-from .poly import LinearForm, Monomial, PolyLike, Polynomial, Variable, _as_poly
+from .poly import Coefficient, LinearForm, Monomial, PolyLike, Polynomial, Variable, _as_poly
+from .poly import exact
 
-Coefficient = Union[int, Fraction]
 PackedTerms = Dict[int, Coefficient]
-
-
-def _exact(q: Fraction) -> Coefficient:
-    return q.numerator if q.denominator == 1 else q
 
 
 def exact_quotient(c: Coefficient, lead: Coefficient) -> Coefficient:
     """c / lead exactly, never a float: an int where the quotient is one, else a Fraction."""
-    return _exact(c * lead if lead in (1, -1) else Fraction(c) / lead)
+    return exact(c * lead if lead in (1, -1) else Fraction(c) / lead)
 
 
 class ExponentPacking:
@@ -88,7 +87,7 @@ class ExponentPacking:
         pair_key = {pair: self.key(*pair) for pair in p.exponent_pairs()}.__getitem__
         offset = self.bias if biased else 0
         return {
-            sum(map(pair_key, mono), offset): _exact(c) for mono, c in p.term_map().items()
+            sum(map(pair_key, mono), offset): c for mono, c in p.term_map().items()
         }
 
     def polynomial(self, terms: Mapping[int, Coefficient]) -> Polynomial:
@@ -98,7 +97,7 @@ class ExponentPacking:
         fields = self._fields
         masks = [self.mask << (width * i) for i in range(len(fields))]
         pairs: Dict[int, Tuple[Variable, int]] = {}  # one tuple per (variable, exponent)
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coefficient] = {}
         for key, coeff in terms.items():
             mono = []
             # the fields holding exponent 0 read as 0 after the xor
@@ -115,7 +114,7 @@ class ExponentPacking:
                 rest &= ~masks[field]
             if self._lex:
                 mono.sort(key=lambda pair: pair[0].key)
-            out[tuple(mono)] = Fraction(coeff)
+            out[tuple(mono)] = exact(coeff)
         result = Polynomial.__new__(Polynomial)
         result._terms = out
         return result
@@ -195,7 +194,7 @@ def packed_substitute(p: Polynomial, assignment: Mapping[Variable, PolyLike]) ->
     out: PackedTerms = {}
     for mono, coeff in p.term_map().items():
         kept = sum(packing.key(v, e) for v, e in mono if v not in values)
-        term = {packing.bias + kept: _exact(coeff)}
+        term = {packing.bias + kept: coeff}
         for v, e in mono:
             if v in values:
                 term = packed_mul(term, power(v, e))

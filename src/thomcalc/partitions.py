@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import WeightInhomogeneityError
 from .poly import (
+    Coefficient,
     LinearForm,
     Monomial,
     Polynomial,
@@ -282,7 +283,7 @@ def basic_relations(d: int) -> List[BasicRelation]:
 
 
 def _reference_value(p: Polynomial, is_one: Callable[[tuple], bool]) -> Fraction:
-    return p.evaluate({v: Fraction(1) if is_one(v.index) else Fraction(0) for v in p.variables()})
+    return p.evaluate({v: 1 if is_one(v.index) else 0 for v in p.variables()})
 
 
 def uhat_reference_value(p: Polynomial) -> Fraction:
@@ -345,7 +346,7 @@ def apply_right_action(p: Polynomial, m: int) -> Polynomial:
     """Leibniz action of the right-side lowering operator E_{m,m+1}:
     u^l_tau maps to u^{l-1}_tau when l = m + 1 and weight(tau) < l,
     and to zero otherwise."""
-    out: Dict[Monomial, Fraction] = {}
+    out: Dict[Monomial, Coefficient] = {}
     for mono, coeff in p.term_map().items():
         for pos, (v, e) in enumerate(mono):
             if v.family != "u":

@@ -2,9 +2,12 @@
 
 Everything downstream (residue expansion, multidegrees, the Thom calculator)
 runs on the three types here: Variable, Polynomial and LinearForm.
-Coefficients are stdlib Fractions, so all arithmetic is exact and reduction
-to lowest terms is automatic.  Sums of fractions over linear forms live in
-residue.fraction_sum.
+A coefficient is a Python int wherever it is integral and a stdlib Fraction
+only where it is not, so all arithmetic is exact, reduction to lowest terms
+is automatic, and integral classes never pay for Fraction arithmetic.
+`exact` is the one coercion to this convention; int and Fraction compare
+and hash alike, so either spelling of a value keys the same term.  Sums of
+fractions over linear forms live in residue.fraction_sum.
 
 A Variable is interned: there is one object per (family, index), so two
 variables are equal exactly when they are the same object, and they hash by
@@ -60,6 +63,12 @@ class Variable:
     _interned: Dict[tuple, "Variable"] = {}
 
     def __new__(cls, family: str, index):
+        # an int index can only find a variable that passed the checks; True
+        # and 1.0 equal 1 but are not ints, so they still reach the refusal
+        if type(index) is int:
+            cached = cls._interned.get((family, index))
+            if cached is not None:
+                return cached
         index = _normalize_index(family, index)
         cached = cls._interned.get((family, index))
         if cached is not None:
@@ -226,18 +235,29 @@ def _mono_text(m: Monomial) -> str:
 
 ScalarLike = Union[Fraction, int]
 PolyLike = Union["Polynomial", Fraction, int]
+Coefficient = Union[int, Fraction]
+
+
+def exact(value) -> Coefficient:
+    """value as an int where it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class Polynomial:
-    """A sparse Laurent polynomial with Fraction coefficients."""
+    """A sparse Laurent polynomial whose coefficients are ints where they
+    are integral and Fractions where they are not."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Optional[Mapping[Monomial, ScalarLike]] = None):
-        clean: Dict[Monomial, Fraction] = {}
+        clean: Dict[Monomial, Coefficient] = {}
         if terms:
             for mono, coeff in terms.items():
-                q = Fraction(coeff)
+                q = exact(coeff)
                 if q:
                     clean[mono] = q
         self._terms = clean
@@ -250,21 +270,21 @@ class Polynomial:
 
     @staticmethod
     def one() -> "Polynomial":
-        return Polynomial({_ONE: Fraction(1)})
+        return Polynomial({_ONE: 1})
 
     @staticmethod
     def constant(value: ScalarLike) -> "Polynomial":
-        return Polynomial({_ONE: Fraction(value)})
+        return Polynomial({_ONE: value})
 
     @staticmethod
     def variable(v: Variable, exponent: int = 1) -> "Polynomial":
         if exponent == 0:
             return Polynomial.one()
-        return Polynomial({((v, exponent),): Fraction(1)})
+        return Polynomial({((v, exponent),): 1})
 
     @staticmethod
     def term(coeff: ScalarLike, pairs: Iterable[Tuple[Variable, int]]) -> "Polynomial":
-        return Polynomial({_mono_from_pairs(pairs): Fraction(coeff)})
+        return Polynomial({_mono_from_pairs(pairs): coeff})
 
     # -- inspection ---------------------------------------------------
 
@@ -277,7 +297,7 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def terms(self) -> Iterator[Tuple[Monomial, Fraction]]:
+    def terms(self) -> Iterator[Tuple[Monomial, Coefficient]]:
         """Iterate (monomial, coefficient), largest first in graded reverse
         lex: descending by (total degree, the exponents negated over the
         polynomial's variables from the largest Variable.key down)."""
@@ -290,7 +310,7 @@ class Polynomial:
         for mono in sorted(self._terms, key=key, reverse=True):
             yield mono, self._terms[mono]
 
-    def term_map(self) -> Mapping[Monomial, Fraction]:
+    def term_map(self) -> Mapping[Monomial, Coefficient]:
         return self._terms
 
     def variables(self) -> set:
@@ -318,7 +338,7 @@ class Polynomial:
         for mono, coeff in other._terms.items():
             q = out.get(mono, 0) + coeff
             if q:
-                out[mono] = q
+                out[mono] = exact(q)
             else:
                 out.pop(mono, None)
         result = Polynomial.__new__(Polynomial)
@@ -340,11 +360,11 @@ class Polynomial:
 
     def __mul__(self, other: PolyLike) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
+            q = exact(other)
             if not q:
                 return Polynomial.zero()
             result = Polynomial.__new__(Polynomial)
-            result._terms = {m: c * q for m, c in self._terms.items()}
+            result._terms = {m: exact(c * q) for m, c in self._terms.items()}
             return result
         from .packed import packed_product  # packed imports this module
 
@@ -375,10 +395,11 @@ class Polynomial:
         return packed_substitute(self, assignment)
 
     def evaluate(self, assignment: Mapping[Variable, ScalarLike]) -> Fraction:
-        """Evaluate with every variable assigned, exactly; each power of a
-        value is computed once."""
-        powers: Dict[Tuple[Variable, int], Fraction] = {}
-        total = Fraction(0)
+        """Evaluate with every variable assigned, exactly, as a Fraction; each
+        power of a value is computed once, and in ints where the values are
+        integral."""
+        powers: Dict[Tuple[Variable, int], Coefficient] = {}
+        total = 0
         for mono, coeff in self._terms.items():
             value = coeff
             for pair in mono:
@@ -387,10 +408,11 @@ class Polynomial:
                     v, e = pair
                     if v not in assignment:
                         raise UnassignedVariableError(v.text)
-                    q = powers[pair] = Fraction(assignment[v]) ** e
+                    x = assignment[v]
+                    q = powers[pair] = exact(x) ** e if e > 0 else Fraction(x) ** e
                 value *= q
             total += value
-        return total
+        return Fraction(total)
 
     # -- serialization ------------------------------------------------
 
@@ -430,7 +452,7 @@ class Polynomial:
         vars_list = [Variable.from_json(v) for v in obj["vars"]]
         if len(set(vars_list)) != len(vars_list):
             raise ValueError("repeated variable in vars")
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coefficient] = {}
         for term in obj["terms"]:
             exps = [strict_int(e) for e in term["exps"]]
             if len(exps) != len(vars_list):
@@ -490,8 +512,9 @@ def read_json(text: str):
     return json.loads(text, object_pairs_hook=_refuse_repeated_keys)
 
 
-def fraction_json(q: Fraction) -> str:
-    """The "p/q" spelling of a Fraction in JSON output; json_fraction reads it."""
+def fraction_json(q: Coefficient) -> str:
+    """The "p/q" spelling of a coefficient in JSON output, "n/1" for an int;
+    json_fraction reads it."""
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -502,7 +525,8 @@ def _as_poly(value: PolyLike) -> Polynomial:
 
 
 class LinearForm:
-    """constant + sum of coeff * variable, with Fraction coefficients."""
+    """constant + sum of coeff * variable, with coefficients and constant
+    ints where they are integral and Fractions where they are not."""
 
     __slots__ = ("constant", "items", "_hash")
 
@@ -511,11 +535,11 @@ class LinearForm:
         constant: ScalarLike = 0,
         coeffs: Optional[Mapping[Variable, ScalarLike]] = None,
     ):
-        self.constant = Fraction(constant)
+        self.constant = exact(constant)
         pairs = []
         if coeffs:
             for v, q in coeffs.items():
-                q = Fraction(q)
+                q = exact(q)
                 if q:
                     pairs.append((v, q))
         pairs.sort(key=lambda p: p[0].key)
@@ -535,16 +559,16 @@ class LinearForm:
     def is_zero(self) -> bool:
         return not self.items and self.constant == 0
 
-    def coefficient(self, v: Variable) -> Fraction:
+    def coefficient(self, v: Variable) -> Coefficient:
         for w, q in self.items:
             if w is v:
                 return q
-        return Fraction(0)
+        return 0
 
     def variables(self) -> Tuple[Variable, ...]:
         return tuple(v for v, _ in self.items)
 
-    def top_z_variable(self) -> Tuple[Variable, Fraction]:
+    def top_z_variable(self) -> Tuple[Variable, Coefficient]:
         """The z-variable of largest index, with its coefficient.
 
         Raises ConstantFormError when no z-variable carries a nonzero
@@ -564,7 +588,7 @@ class LinearForm:
     def minus(self, other: "LinearForm") -> "LinearForm":
         coeffs = {v: c for v, c in self.items}
         for v, c in other.items:
-            coeffs[v] = coeffs.get(v, Fraction(0)) - c
+            coeffs[v] = coeffs.get(v, 0) - c
         return LinearForm(self.constant - other.constant, coeffs)
 
     def to_text(self) -> str:
@@ -591,9 +615,9 @@ class LinearForm:
 
 def linear_form(*terms: Tuple[ScalarLike, Variable], constant: ScalarLike = 0) -> LinearForm:
     """Convenience builder: linear_form((2, z1), (-1, z2))."""
-    coeffs: Dict[Variable, Fraction] = {}
+    coeffs: Dict[Variable, Coefficient] = {}
     for coeff, v in terms:
-        coeffs[v] = coeffs.get(v, Fraction(0)) + Fraction(coeff)
+        coeffs[v] = coeffs.get(v, 0) + exact(coeff)
     return LinearForm(constant, coeffs)
 
 

@@ -54,7 +54,6 @@ from .errors import (
     TruncationUnstableError,
 )
 from .packed import (
-    Coefficient,
     ExponentPacking,
     PackedTerms,
     add_into,
@@ -64,6 +63,7 @@ from .packed import (
     packed_mul,
 )
 from .poly import (
+    Coefficient,
     LinearForm,
     Polynomial,
     Variable,

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -29,6 +30,7 @@ from thomcalc import (
     yvar,
     zvar,
 )
+from thomcalc import poly
 from thomcalc.poly import expand_inverse_factor, json_fraction, read_json
 
 
@@ -134,6 +136,42 @@ def test_bad_indices_rejected():
 def test_an_index_that_is_not_an_int_is_refused(make):
     with pytest.raises(ValueError, match="integer"):
         make()
+
+
+@pytest.mark.parametrize(
+    "family, index, message",
+    [
+        ("z", True, "expected an integer, got True"),
+        ("z", 1.0, "expected an integer, got 1.0"),
+        ("z", 0, "z-variables are indexed from 1"),
+        ("c", -1, "c-variables are indexed from 0"),
+    ],
+    ids=["bool", "float", "z-zero", "c-negative"],
+)
+def test_an_interned_variable_leaves_every_refusal_in_place(family, index, message):
+    # True and 1.0 hash and compare like 1, so a lookup keyed on the value
+    # alone would hand back z_1
+    z1 = zvar(1)
+    assert Variable._interned.get((family, index)) is (z1 if index == 1 else None)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Variable(family, index)
+
+
+def test_an_interned_int_index_skips_the_index_checks(monkeypatch):
+    checked = []
+
+    def spy(family, index):
+        checked.append((family, index))
+        return normalize(family, index)
+
+    normalize = poly._normalize_index
+    monkeypatch.setattr(poly, "_normalize_index", spy)
+    assert Variable("z", 1) is zvar(1) and checked == []
+    with pytest.raises(ValueError):
+        Variable("z", True)
+    assert checked == [("z", True)]
+    assert uhatvar(1, 2, 3) is Variable("uhat", (1, 2, 3))  # a tuple index is checked
+    assert checked[1:] == [("uhat", (1, 2, 3))] * 2
 
 
 def test_u_family_text():
@@ -384,6 +422,89 @@ def test_json_coefficients_carry_denominators():
     p = Polynomial.term(6, [(cvar(1), 1)])
     payload = p.to_json_dict()
     assert payload["terms"][0]["coeff"] == "6/1"
+    assert type(p.term_map()[((cvar(1), 1),)]) is int
+    half = Polynomial.term(Fraction(-1, 2), [(cvar(1), 1)]) + Polynomial.constant(Fraction(4, 2))
+    assert [t["coeff"] for t in half.to_json_dict()["terms"]] == ["-1/2", "2/1"]
+    form = linear_form((Fraction(6, 3), zvar(1)), (Fraction(1, 2), zvar(2)), constant=-3)
+    assert form.to_json_dict() == {"constant": "-3/1", "coeffs": {"z_1": "2/1", "z_2": "1/2"}}
+
+
+# -- the coefficient convention ----------------------------------------
+
+
+def _follows_the_convention(coefficient) -> bool:
+    return type(coefficient) is int or (
+        type(coefficient) is Fraction and coefficient.denominator > 1
+    )
+
+
+def _stores_the_convention(p: Polynomial) -> bool:
+    return all(map(_follows_the_convention, p.term_map().values()))
+
+
+def test_an_integral_coefficient_is_stored_as_an_int():
+    z1 = zvar(1)
+    assert Polynomial.constant(Fraction(4, 2)).term_map() == {(): 2}
+    assert type(Polynomial.constant(Fraction(4, 2)).term_map()[()]) is int
+    p = Polynomial.term(3, [(z1, 2)]) + Polynomial.variable(z1) + Polynomial.one()
+    halved = p * Fraction(1, 2)
+    assert halved.term_map()[((z1, 1),)] == Fraction(1, 2)
+    assert halved * 2 == p
+    assert all(type(c) is int for c in (halved * 2).term_map().values())
+    assert all(type(c) is int for c in (halved + halved).term_map().values())
+    assert type((halved * (Polynomial.variable(z1) * 2)).term_map()[((z1, 2),)]) is int
+
+
+scalars = st.one_of(st.integers(-6, 6), coeffs)
+
+
+@given(polynomials(), polynomials(min_exp=-3), scalars, scalars, laurent_terms)
+@settings(max_examples=60, deadline=None)
+def test_every_route_stores_ints_exactly_where_a_coefficient_is_integral(p, q, s, t, term):
+    results = [
+        p,
+        q,
+        Polynomial.constant(s),
+        Polynomial.term(s, [(zvar(1), 2)]),
+        Polynomial({(): s, ((cvar(1), 1),): t}),
+        p + q,
+        p - q,
+        s - p,
+        -q,
+        q * s,
+        t * (q * s),
+        p * q,
+        (p * t) * (q * s),
+        p ** 2,
+        p.substitute({zvar(1): q, cvar(1): s}),
+        q.substitute({avar(-1): term, cvar(2): t}),
+        Polynomial.from_json_dict(json.loads(json.dumps((q * s).to_json_dict()))),
+    ]
+    assert all(map(_stores_the_convention, results))
+
+
+@given(scalars, scalars, scalars, scalars)
+@settings(max_examples=60, deadline=None)
+def test_linear_forms_store_ints_exactly_where_a_coefficient_is_integral(a, b, c, k):
+    z1, z2 = zvar(1), zvar(2)
+    f = linear_form((a, z1), (b, z2), (c, z1), constant=k)
+    g = LinearForm(b, {z1: c, z2: a})
+    forms = [f, g, f.minus(g), g.minus(f), LinearForm.from_json_dict(f.to_json_dict())]
+    for form in forms:
+        assert _follows_the_convention(form.constant)
+        assert all(_follows_the_convention(q) for _, q in form.items)
+        assert all(_follows_the_convention(form.coefficient(v)) for v in (z1, z2, zvar(3)))
+    assert f == LinearForm(Fraction(k), {z1: Fraction(a) + c, z2: Fraction(b)})
+    assert hash(f) == hash(LinearForm(Fraction(k), {z1: Fraction(a) + c, z2: Fraction(b)}))
+
+
+def test_a_linear_form_keeps_ints_where_halves_cancel():
+    z1, z2 = zvar(1), zvar(2)
+    f = linear_form((Fraction(3, 2), z1), (Fraction(1, 2), z2), constant=Fraction(1, 2))
+    g = f.minus(linear_form((Fraction(1, 2), z1), (Fraction(1, 2), z2), constant=Fraction(-1, 2)))
+    assert g.items == ((z1, 1),) and type(g.coefficient(z1)) is int
+    assert g.constant == 1 and type(g.constant) is int
+    assert g.coefficient(z2) == 0 and type(g.coefficient(z2)) is int
 
 
 # -- substitution and evaluation ---------------------------------------
@@ -424,6 +545,16 @@ def test_evaluate_names_a_variable_missing_from_a_later_term():
     assert list(p.term_map())[0] == ((z1, 2),)  # c_1 only in the second term
     with pytest.raises(UnassignedVariableError, match="c1"):
         p.evaluate({z1: 2})
+
+
+def test_evaluate_is_exact_at_a_negative_power_of_an_int():
+    z1 = zvar(1)
+    value = Polynomial.term(1, [(z1, -2)]).evaluate({z1: 3})
+    assert value == Fraction(1, 9) and type(value) is Fraction
+    # ints in, ints throughout, and still a Fraction out
+    value = Polynomial.term(2, [(z1, 3)]).evaluate({z1: 3})
+    assert value == 54 and type(value) is Fraction
+    assert type(Polynomial.zero().evaluate({})) is Fraction
 
 
 def test_evaluate_negative_exponents():
