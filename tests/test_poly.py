@@ -458,9 +458,11 @@ def test_an_integral_coefficient_is_stored_as_an_int():
 scalars = st.one_of(st.integers(-6, 6), coeffs)
 
 
-@given(polynomials(), polynomials(min_exp=-3), scalars, scalars, laurent_terms)
+@given(
+    polynomials(), polynomials(min_exp=-3), scalars, scalars, scalars.filter(bool), laurent_terms
+)
 @settings(max_examples=60, deadline=None)
-def test_every_route_stores_ints_exactly_where_a_coefficient_is_integral(p, q, s, t, term):
+def test_every_route_stores_ints_exactly_where_a_coefficient_is_integral(p, q, s, t, u, term):
     results = [
         p,
         q,
@@ -477,7 +479,7 @@ def test_every_route_stores_ints_exactly_where_a_coefficient_is_integral(p, q, s
         (p * t) * (q * s),
         p ** 2,
         p.substitute({zvar(1): q, cvar(1): s}),
-        q.substitute({avar(-1): term, cvar(2): t}),
+        q.substitute({avar(-1): term, cvar(2): u}),
         Polynomial.from_json_dict(json.loads(json.dumps((q * s).to_json_dict()))),
     ]
     assert all(map(_stores_the_convention, results))
