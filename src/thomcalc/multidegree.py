@@ -26,8 +26,10 @@ The Groebner route works on packed exponent ints (packed.ExponentPacking):
 each generator is converted once to {key: coefficient} with the first
 variable of the lex order in the top field, so int comparison is the
 monomial order, a divisibility test is one subtraction against the guard
-bits and a reduction step updates a dict.  Buchberger's algorithm takes
-S-pairs first in, first out; each new basis element passes through the pair
+bits and a reduction step updates a dict.  The fields are first sized by
+the generators' largest total degree, and the loop runs again on wider
+fields only if a key outgrows them.  Buchberger's algorithm takes S-pairs
+first in, first out; each new basis element passes through the pair
 update of Gebauer and Moeller (J. Symb. Comput. 6, 1988; Becker and
 Weispfenning, Groebner Bases, 1993, UPDATE), which drops most pairs before
 they are queued.  Its ``pair_budget`` counts every pair formed, whether it
@@ -41,7 +43,9 @@ distinct exponent tuples over the subspace's coordinates, and each slice
 drops its own repeats.  It packs each weight once and sums multiplicity
 times weight product by Horner's rule over the subspaces' prefix trie, so
 a weight that several subspaces share through a prefix is multiplied in
-once.
+once.  The trie puts the coordinates that the most subspaces use nearest
+the root, as frequent-item-first tries do (Han, Pei and Yin, FP-growth,
+SIGMOD 2000), so the shared prefixes are long.
 """
 
 from __future__ import annotations
@@ -140,8 +144,9 @@ def _staircase_count(gens: Set[Tuple[int, ...]], axes: Sequence[int]) -> int:
     or InfiniteStaircaseError naming the first axis with no pure power (a
     tuple whose entry is its whole sum).  x^a m is standard exactly when m
     is for the generators with first exponent at most a; that set changes
-    only at those exponents, below the first pure power.  A slice drops the
-    first entry, so tuples that differed only there are counted once.  The
+    only at those exponents, below the first pure power; when that power
+    is 1, the slice at 0 is the only one.  A slice drops the first entry,
+    so tuples that differed only there are counted once.  The
     slice at 0 keeps exactly the tuples with first entry 0, every pure
     power on a later axis among them, and it is counted first, so the
     axes are checked in order."""
@@ -152,6 +157,8 @@ def _staircase_count(gens: Set[Tuple[int, ...]], axes: Sequence[int]) -> int:
         )
     if len(axes) == 1:
         return side
+    if side == 1:
+        return _staircase_count({e[1:] for e in gens if not e[0]}, axes[1:])
     cuts = sorted({0, side}.union(e[0] for e in gens if e[0] < side))
     return sum(
         (hi - lo) * _staircase_count({e[1:] for e in gens if e[0] <= lo}, axes[1:])
@@ -167,10 +174,11 @@ def multidegree_monomial(ideal: MonomialIdeal, ring: WeightedRing) -> Polynomial
     every generator, found by branching: take a generator the set does not
     meet yet and try each coordinate of its support in turn.  The weights
     are packed once, bounded by the subspace size as each is linear.  The
-    subspaces, as sorted tuples, form a prefix trie, and the sum is taken
-    by Horner's rule over it: each node multiplies the sum of its subtrees
-    by its coordinate's weight once, so the products of many factors are
-    formed only near the root."""
+    subspaces form a prefix trie, each listing its coordinates by how many
+    subspaces use them, most first, ties by index, and the sum is taken by
+    Horner's rule over it: each node multiplies the sum of its subtrees by
+    its coordinate's weight once, so the products of many factors are
+    formed only near the root, where the most used weights share them."""
     if ideal.is_unit():
         return Polynomial.zero()
     supports = [frozenset(g) for g in ideal.generators]
@@ -193,7 +201,9 @@ def multidegree_monomial(ideal: MonomialIdeal, ring: WeightedRing) -> Polynomial
             add_into(total, packed_mul(trie_sum(list(group), depth + 1), packed[t]))
         return total
 
-    return packing.polynomial(trie_sum(sorted(tuple(sorted(s)) for s in found), 0))
+    uses = Counter(t for s in found for t in s)
+    rows = sorted(tuple(sorted(s, key=lambda t: (-uses[t], t))) for s in found)
+    return packing.polynomial(trie_sum(rows, 0))
 
 
 def _hitting_sets(
@@ -272,11 +282,13 @@ def _s_polynomial(a: Divisor, b: Divisor, lcm: int, guard: int) -> TermHeap:
 def _lex_basis(ideal: PolynomialIdeal, pair_budget: int) -> Tuple[List[Polynomial], Dict[str, int]]:
     """The basis and counters of the Buchberger loop behind buchberger_lex.
 
-    The fields first hold the generators' largest exponent.  A new key that
-    outgrows them runs the loop again on fields twice as wide; the run is
-    deterministic, so it takes the same pairs to the same counters."""
+    The fields first hold the generators' largest total degree, which no
+    exponent of theirs exceeds; at level 6 of the basic relations, in
+    multidegree's order, they hold the whole basis.  A new key that outgrows them runs the loop
+    again on fields twice as wide; the run is deterministic, so it takes
+    the same pairs to the same counters."""
     generators = [g for g in ideal.generators if not g.is_zero()]
-    bound = max((e for g in generators for _, e in g.exponent_pairs()), default=0)
+    bound = max((sum(e for _, e in mono) for g in generators for mono in g.term_map()), default=0)
     while True:
         packing = ExponentPacking(ideal.order, bound, lex=True)
         try:

@@ -63,9 +63,10 @@ class Variable:
     _interned: Dict[tuple, "Variable"] = {}
 
     def __new__(cls, family: str, index):
-        # an int index can only find a variable that passed the checks; True
-        # and 1.0 equal 1 but are not ints, so they still reach the refusal
-        if type(index) is int:
+        # an index of exact ints can only find a variable that passed the
+        # checks; True and 1.0 equal 1 but are not ints, so they still reach
+        # the refusal
+        if _exact_ints(index):
             cached = cls._interned.get((family, index))
             if cached is not None:
                 return cached
@@ -96,6 +97,12 @@ class Variable:
     @staticmethod
     def from_json(obj: dict) -> "Variable":
         return Variable(obj["family"], obj["index"])
+
+
+def _exact_ints(index) -> bool:
+    """An int, or a tuple of exact ints and such tuples (a u index is (l, tau))."""
+    kind = type(index)
+    return kind is int or kind is tuple and all(map(_exact_ints, index))
 
 
 def _normalize_index(family: str, index):

@@ -227,6 +227,22 @@ def test_wide_staircases_against_the_oracle():
     assert shared[1] >= 20 and shared[2] >= 8
 
 
+def test_relabelled_coordinates_give_the_same_multidegree():
+    # the trie's order and its ties follow the coordinates' labels, the sum must not
+    for seed in range(40):
+        rng = random.Random(seed)
+        n, gens, weights = (_wide_staircase if seed % 2 else _random_staircase)(rng)
+        label = rng.sample(range(1, n + 1), n)
+        relabelled = [{label[t - 1]: e for t, e in g.items()} for g in gens]
+        moved = [None] * n
+        for t, w in enumerate(weights):
+            moved[label[t] - 1] = w
+        coords = range(1, n + 1)
+        expected = multidegree_monomial(MonomialIdeal(gens, coords), WeightedRing(weights))
+        relabelled_ideal = MonomialIdeal(relabelled, coords)
+        assert multidegree_monomial(relabelled_ideal, WeightedRing(tuple(moved))) == expected, seed
+
+
 def test_staircase_edge_cases():
     # repeated and non-minimal generators leave the count and the class alone
     lean = MonomialIdeal([{1: 2}, {2: 1, 3: 1}, {3: 2}], [1, 2, 3])
@@ -493,13 +509,32 @@ def test_initial_ideal_is_the_minimal_lex_leads_of_the_basis(d):
     assert sorted(map(sorted_items, initial_ideal(ideal).generators)) == sorted(minimal)
 
 
-def test_basis_outgrowing_the_generators_fields():
+def test_basis_outgrowing_the_generators_fields(monkeypatch):
     # by hand: lex y1 > y2 gives y1 - y2^3 and y2^9 - y2; the generators'
-    # fields hold exponents up to 3, so y2^9 is found on wider fields
+    # fields hold total degree up to 3, so y2^9 is found on wider fields
+    runs = spy_buchberger(monkeypatch)
     ideal = PolynomialIdeal.of([Y[1] ** 3 - Y[2], Y[2] ** 3 - Y[1]])
     basis = buchberger_lex(ideal)
     assert Y[2] ** 9 - Y[2] in basis
+    assert len(runs) == 2  # the overflow retry
     assert sorted(map(sorted_items, initial_ideal(ideal).generators)) == [((1, 1),), ((2, 9),)]
+
+
+def spy_buchberger(monkeypatch):
+    module = importlib.import_module("thomcalc.multidegree")
+    real, runs = module._buchberger, []
+    monkeypatch.setattr(module, "_buchberger", lambda *args: runs.append(args) or real(*args))
+    return runs
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_multidegree_runs_one_groebner_loop_per_level(monkeypatch, d):
+    # the fields first hold the generators' largest total degree, which at
+    # level 6 is wide enough for the whole basis
+    ideal, weights = basic_relations_ideal(d)
+    runs = spy_buchberger(monkeypatch)
+    multidegree(ideal, weights)
+    assert len(runs) == 1
 
 
 def test_lead_coefficient_three_divides_exactly():
@@ -720,3 +755,13 @@ def test_multidegree_degenerates_with_the_rarest_coordinates_first(monkeypatch):
     _, counts = _lex_basis(used, 10_000)
     assert (counts["taken"], counts["reduced"], counts["basis"]) == (253, 73, 23)
     assert len(initial_ideal(used).generators) == 22
+
+
+def test_level6_trie_puts_the_most_used_coordinates_at_the_root(monkeypatch):
+    module = importlib.import_module("thomcalc.multidegree")
+    real, products = module.packed_mul, []
+    monkeypatch.setattr(module, "packed_mul", lambda a, b: products.append(1) or real(a, b))
+    ideal, weights = basic_relations_ideal(6)
+    assert len(multidegree(ideal, weights)) == 395
+    # with each subspace's coordinates in index order the trie takes 237
+    assert len(products) <= 166

@@ -157,6 +157,22 @@ def test_an_interned_variable_leaves_every_refusal_in_place(family, index, messa
         Variable(family, index)
 
 
+@pytest.mark.parametrize(
+    "family, index, make, message",
+    [
+        ("u", (2, (1, True)), lambda: uvar(2, (1, 1)), "expected an integer, got True"),
+        ("uhat", (1, 1, 2.0), lambda: uhatvar(1, 1, 2), "expected an integer, got 2.0"),
+    ],
+    ids=["u-bool-part", "uhat-float-part"],
+)
+def test_an_interned_tuple_index_leaves_every_refusal_in_place(family, index, make, message):
+    # the index compares equal to an interned variable's, part by part
+    interned = make()
+    assert Variable._interned.get((family, index)) is interned
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Variable(family, index)
+
+
 def test_an_interned_int_index_skips_the_index_checks(monkeypatch):
     checked = []
 
@@ -165,13 +181,17 @@ def test_an_interned_int_index_skips_the_index_checks(monkeypatch):
         return normalize(family, index)
 
     normalize = poly._normalize_index
+    uhat, u = uhatvar(1, 2, 3), uvar(3, (1, 2))
     monkeypatch.setattr(poly, "_normalize_index", spy)
     assert Variable("z", 1) is zvar(1) and checked == []
     with pytest.raises(ValueError):
         Variable("z", True)
     assert checked == [("z", True)]
-    assert uhatvar(1, 2, 3) is Variable("uhat", (1, 2, 3))  # a tuple index is checked
-    assert checked[1:] == [("uhat", (1, 2, 3))] * 2
+    # so does an index of exact ints in tuples; a list part is still checked
+    assert Variable("uhat", (1, 2, 3)) is uhat and Variable("u", (3, (1, 2))) is u
+    assert checked == [("z", True)]
+    assert Variable("u", (3, [1, 2])) is u
+    assert checked[1:] == [("u", (3, [1, 2]))]
 
 
 def test_u_family_text():
