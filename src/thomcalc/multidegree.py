@@ -284,9 +284,9 @@ def _lex_basis(ideal: PolynomialIdeal, pair_budget: int) -> Tuple[List[Polynomia
 
     The fields first hold the generators' largest total degree, which no
     exponent of theirs exceeds; at level 6 of the basic relations, in
-    multidegree's order, they hold the whole basis.  A new key that outgrows them runs the loop
-    again on fields twice as wide; the run is deterministic, so it takes
-    the same pairs to the same counters."""
+    multidegree's order, they hold the whole basis.  A new key that
+    outgrows them runs the loop again on fields twice as wide; the run is
+    deterministic, so it takes the same pairs to the same counters."""
     generators = [g for g in ideal.generators if not g.is_zero()]
     bound = max((sum(e for _, e in mono) for g in generators for mono in g.term_map()), default=0)
     while True:

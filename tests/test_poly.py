@@ -187,7 +187,8 @@ def test_an_interned_int_index_skips_the_index_checks(monkeypatch):
     with pytest.raises(ValueError):
         Variable("z", True)
     assert checked == [("z", True)]
-    # so does an index of exact ints in tuples; a list part is still checked
+    # an interned index of exact ints in tuples skips them too; a list part
+    # is still checked
     assert Variable("uhat", (1, 2, 3)) is uhat and Variable("u", (3, (1, 2))) is u
     assert checked == [("z", True)]
     assert Variable("u", (3, [1, 2])) is u
