@@ -736,30 +736,16 @@ def sampled_class_agreement(
 
 
 def _term_integrand(term: FixedPointTerm, k: int) -> Tuple[Polynomial, FactorList]:
-    """A term's integrand, as _integrand gives a class's: the product of its
-    envelopes prod_j (theta_j - s), one per shift s, and one factor list,
-    V_d's forms at -1 and then the charts at 1.
-
-    The elementary symmetric coefficients a_t of the k target roots ride as
-    opaque a-symbols (a_0 = 1), so an envelope is sum_t a_t (-s)^(k - t).
-    Each is formed by Horner's rule in -s on packed keys, and the product
-    of the envelopes becomes a Polynomial once."""
+    """A term's integrand, in _integrand's shape: the numerator 1 and one
+    factor list, V_d's forms at -1, then one form theta_j - s at -1 for
+    each shift s and each j = 1..k, then the charts at 1.  The envelopes
+    prod_j (theta_j - s) stay factored, as in pole_sum_class."""
     d = term.sequence.depth
-    elementary = [avar(t) for t in range(1, k + 1)]
-    # an envelope has z-degree k and degree 1 in the a-symbols
-    packing = ExponentPacking([*(zvar(l) for l in range(1, d + 1)), *elementary], d * k)
-    product = {packing.bias: 1}
-    for shift in term.shifts:
-        minus_s = packing.terms(-shift.as_polynomial())
-        envelope = {0: 1}
-        for a_t in elementary:
-            # every term of the product has a z, so a_t is a new key
-            envelope = packed_mul(envelope, minus_s)
-            envelope[packing.key(a_t, 1)] = 1
-        product = packed_mul(product, envelope)
+    thetas = [linear_form((1, thvar(j))) for j in range(1, k + 1)]
     factors = [(form, -1) for form in _vandermonde_forms(d)]
+    factors += [(theta.minus(shift), -1) for shift in term.shifts for theta in thetas]
     factors += [(form, 1) for form in term.chart_factors]
-    return packing.polynomial(product), tuple(factors)
+    return Polynomial.one(), tuple(factors)
 
 
 @dataclass(frozen=True)
@@ -788,13 +774,14 @@ def nondistinguished_vanishing(
     """Evidence that every non-distinguished term dies in the residue.
 
     Each term's _term_integrand is built once, and all three witnesses read
-    it.  The degree criterion runs over every slot on it over the symbolic
-    poles lambda_i - z_l; the compressed symbolic residue takes it with the
-    poles as a Chern window of lead -n, in the complete homogeneous symbols
-    of the source roots; and the residue is recomputed with the poles at
-    seeded numeric root samples, the target alphabet kept symbolic, on the
-    series kernel: the pole sum agrees there but takes some two hundred
-    times as long.  Each pole 1/(lambda_i - z_l) is -1/(z_l - lambda_i), so the window leaves out
+    it: its envelopes enter as the forms theta_j - s, the target roots
+    theta_j kept symbolic.  The degree criterion runs over every slot on it
+    over the symbolic poles lambda_i - z_l; the compressed symbolic residue
+    takes it with the poles as a Chern window of lead -n, in the complete
+    homogeneous symbols of the source roots; and the residue is recomputed
+    with the poles at seeded numeric root samples, on the series kernel:
+    the pole sum agrees there but takes some 130 times as long.  Each pole
+    1/(lambda_i - z_l) is -1/(z_l - lambda_i), so the window leaves out
     the sign (-1)^(nd), which cannot make a residue zero.  Every sample is
     drawn, even after a nonzero one.  Fewer than one sample raises
     ValueError."""

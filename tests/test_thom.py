@@ -33,6 +33,7 @@ from thomcalc import (
     positivity_expansion,
     qhat,
     qhat5_derivation_steps,
+    residue_by_pole_sum,
     residue_problem_for,
     ronga_reference,
     sampled_class_agreement,
@@ -327,15 +328,15 @@ def test_class_path_never_expands_the_vandermonde(monkeypatch):
     pole_sum_class(2, 2)
     assert flag_residue_identity(zmono(1, (1, 2), (2, 1)), 4, 3, samples=1)
     assert positivity_expansion(6, 8, registry).term_count == 210
-    # each depth-3 term residue reads the product of its envelopes alone:
-    # at most 336 terms, not the 1,100 of V_3 times that product
+    # each depth-3 term residue takes its envelopes as linear factors too:
+    # every numerator is the 1 term, not the up to 336 of their product
     sizes = []
     residue = thom.iterated_residue
     monkeypatch.setattr(
         thom, "iterated_residue", lambda p: sizes.append(len(p.numerator)) or residue(p)
     )
     assert all(ev.vanishes for ev in nondistinguished_vanishing(3, 5, 5, samples=1))
-    assert max(sizes) == 336
+    assert sizes == [1] * 10
     assert calls == []
 
 
@@ -462,16 +463,19 @@ def test_flag_identity_and_guards():
 # -- fixed-point terms and their residues ------------------------------
 
 
+def at_roots(form, theta):
+    """form with each theta_j replaced by the number theta[j - 1]."""
+    values = {thvar(j): t for j, t in enumerate(theta, start=1)}
+    constant = form.constant + sum(q * values[v] for v, q in form.items if v in values)
+    return LinearForm(constant, {v: q for v, q in form.items if v not in values})
+
+
 def residue_term_value(term, lam, theta):
     """One term's iterated residue at a fully numeric root sample: the
-    envelopes become prod_j (theta_j - s_l) at numbers, and the term's
-    factors are _term_integrand's."""
-    envelopes = [
-        packed_product(*(Polynomial.constant(t) - s.as_polynomial() for t in theta))
-        for s in term.shifts
-    ]
-    _, factors = thom._term_integrand(term, len(theta))
-    integrand = packed_product(*envelopes), factors
+    term's factors are _term_integrand's, with every theta form
+    theta_j - s_l taken at the numbers theta."""
+    numerator, factors = thom._term_integrand(term, len(theta))
+    integrand = numerator, tuple((at_roots(form, theta), mult) for form, mult in factors)
     roots = [LinearForm(x) for x in lam]
     return iterated_residue(thom._with_root_poles(integrand, term.sequence.depth, roots)).evaluate({})
 
@@ -479,12 +483,30 @@ def residue_term_value(term, lam, theta):
 def elementary_envelope(shift, k):
     """prod_j (theta_j - s) as sum_t a_t (-s)^(k - t), a_0 = 1, by Horner's
     rule in Polynomial arithmetic: the reference for _term_integrand's
-    packed envelopes."""
+    factored envelopes once a_t is e_t(theta_1, ..., theta_k)."""
     minus_s = -shift.as_polynomial()
     out = Polynomial.one()
     for t in range(1, k + 1):
         out = out * minus_s + Polynomial.variable(avar(t))
     return out
+
+
+def elementary_at_theta(k):
+    """a_t -> e_t(theta_1, ..., theta_k) for t = 1..k."""
+    elementary = [Polynomial.one()]
+    for j in range(1, k + 1):
+        theta = Polynomial.variable(thvar(j))
+        elementary = [a + theta * b for a, b in zip(elementary + [0], [0] + elementary)]
+    return {avar(t): elementary[t] for t in range(1, k + 1)}
+
+
+def reference_integrand(term, k):
+    """A term's integrand with its envelopes multiplied out in the a_t, as
+    sum_t a_t (-s)^(k - t): V_d's forms at -1 and the charts at 1."""
+    envelopes = [elementary_envelope(shift, k) for shift in term.shifts]
+    factors = tuple((form, -1) for form in thom._vandermonde_forms(term.sequence.depth))
+    factors += tuple((form, 1) for form in term.chart_factors)
+    return packed_product(*envelopes), factors
 
 
 def term_problem(term, n, k):
@@ -495,23 +517,33 @@ def term_problem(term, n, k):
 
 
 def test_term_problem_is_vandermonde_charts_then_root_poles():
-    # V_d's forms at -1, the charts, then lambda_i - z_l with l outermost, each simple
+    # V_d's forms at -1, theta_j - s at -1 per shift s and j, the charts,
+    # then lambda_i - z_l with l outermost, each simple; the numerator is 1
     n, k = 5, 2
     for d in (1, 2, 3):
         zs = tuple(zvar(l) for l in range(1, d + 1))
         for term in fixed_point_terms(d):
+            thetas = [
+                linear_form((1, thvar(j)), *((-q, v) for v, q in shift.items))
+                for shift in term.shifts
+                for j in range(1, k + 1)
+            ]
             poles = [
                 linear_form((1, lamvar(i)), (-1, zvar(l)))
                 for l in range(1, d + 1)
                 for i in range(1, n + 1)
             ]
-            expected = tuple((form, -1) for form in thom._vandermonde_forms(d))
+            expected = tuple((form, -1) for form in (*thom._vandermonde_forms(d), *thetas))
             expected += tuple((form, 1) for form in (*term.chart_factors, *poles))
             problem = term_problem(term, n, k)
             assert problem.denominator_factors == expected, term
             assert problem.variables == zs
-            envelopes = [elementary_envelope(shift, k) for shift in term.shifts]
-            assert problem.numerator == packed_product(*envelopes)
+            assert problem.numerator == Polynomial.one()
+            # a shift's k theta forms multiply out to its envelope
+            at = elementary_at_theta(k)
+            for l, shift in enumerate(term.shifts):
+                envelope = packed_product(*(f.as_polynomial() for f in thetas[l * k : (l + 1) * k]))
+                assert envelope == elementary_envelope(shift, k).substitute(at), (term, shift)
 
 
 def test_depth_two_term_table():
@@ -698,8 +730,7 @@ def test_depth_three_distinguished_value():
 def test_packed_samples_keep_the_distinguished_value(lam, theta, expected):
     # the witness can still fail: on the problems the vanishing check
     # builds from one term integrand, the distinguished term keeps the class
-    # values pinned above, the target alphabet entering through its
-    # elementary symmetric functions a_t
+    # values pinned above, the target roots entering as the symbols theta_j
     (term,) = [t for t in fixed_point_terms(len(lam)) if t.distinguished]
     d = n = len(lam)
     integrand = thom._term_integrand(term, len(theta))
@@ -707,11 +738,8 @@ def test_packed_samples_keep_the_distinguished_value(lam, theta, expected):
     value = iterated_residue(thom._with_root_poles(integrand, d, roots))
     assert not value.is_zero()
     assert not iterated_residue(thom._chern_window_problem(*integrand, d, -n)).is_zero()
-    elementary = [Fraction(1)]
-    for t in theta:
-        elementary = [a + t * b for a, b in zip(elementary + [0], [0] + elementary)]
-    at = {avar(i): elementary[i] for i in range(1, len(theta) + 1)}
-    assert value.evaluate(at) == expected
+    assert value.variables() <= {thvar(j) for j in range(1, len(theta) + 1)}
+    assert value.evaluate({thvar(j): t for j, t in enumerate(theta, start=1)}) == expected
 
 
 def test_nondistinguished_term_contributes_nothing():
@@ -753,8 +781,9 @@ def test_criterion_never_certifies_the_distinguished_term(d, n, k):
 
 def test_subset_degree_of_a_term_numerator_adds_over_its_factors():
     # with every symbol outside the subset held constant the degrees live
-    # in a polynomial ring, a domain, so the expanded numerator's degree is
-    # the sum over V_d's linear factors and the envelopes
+    # in a polynomial ring, a domain, so the degree of the numerator times
+    # its forms at -1 is the sum over V_d's forms and the theta forms, and
+    # a shift's theta forms add up to its envelope's degree
     k = 5
     for d in (2, 3):
         vandermonde_factors = [
@@ -769,18 +798,23 @@ def test_subset_degree_of_a_term_numerator_adds_over_its_factors():
         for term in fixed_point_terms(d):
             if term.distinguished:
                 continue
+            numerator, factors = thom._term_integrand(term, k)
+            assert numerator == Polynomial.one()
+            raised = [form.as_polynomial() for form, mult in factors if mult == -1]
+            assert raised[: len(vandermonde_factors)] == vandermonde_factors
+            thetas = raised[len(vandermonde_factors) :]
+            assert len(thetas) == k * len(term.shifts)
             envelopes = [elementary_envelope(shift, k) for shift in term.shifts]
-            factors = vandermonde_factors + envelopes
-            numerator, _ = thom._term_integrand(term, k)
-            assert numerator == packed_product(*envelopes)
-            expanded = packed_product(*vandermonde_factors, numerator)
+            expanded = packed_product(numerator, *raised)
             for subset in subsets:
-                summed = sum(deg_in_subset(f, subset) for f in factors)
+                summed = sum(deg_in_subset(f, subset) for f in raised)
                 assert deg_in_subset(expanded, subset) == summed, (term, subset)
+                enveloped = sum(deg_in_subset(f, subset) for f in envelopes)
+                assert sum(deg_in_subset(f, subset) for f in thetas) == enveloped, (term, subset)
             # z_1 - z_2 has degree 1 on {z_1, z_2}: it is not t - t = 0
             assert deg_in_subset(vandermonde_factors[0], [1, 2]) == 1
-            # every V_d form has z_1 or z_2, and an envelope has degree k
-            # when its shift does
+            # every V_d form has z_1 or z_2, and a shift's k theta forms
+            # have degree k when the shift does
             reached = [s for s in term.shifts if s.coefficient(zvar(1)) or s.coefficient(zvar(2))]
             assert deg_in_subset(expanded, [1, 2]) == len(vandermonde_factors) + k * len(reached)
 
@@ -813,6 +847,35 @@ def test_longer_series_window_changes_no_compressed_residue(monkeypatch):
     cap = thom._series_cap
     monkeypatch.setattr(thom, "_series_cap", lambda *args: cap(*args) + 3)
     assert [compressed(*case) for case in cases] == exact
+
+
+def test_factored_envelopes_keep_the_compressed_residue():
+    # the theta forms at -1 give the residue of the multiplied-out
+    # envelopes sum_t a_t (-s)^(k - t) with a_t replaced by e_t(theta), the
+    # distinguished terms included; theirs are nonzero unless k < n, where
+    # the class, of codimension k - n, is 0
+    for d in (2, 3):
+        for term in fixed_point_terms(d):
+            for n, k in ((5, 5), (3, 3), (4, 2), (6, 4)):
+                factored = thom._chern_window_problem(*thom._term_integrand(term, k), d, -n)
+                reference = thom._chern_window_problem(*reference_integrand(term, k), d, -n)
+                residue = iterated_residue(factored)
+                expected = iterated_residue(reference).substitute(elementary_at_theta(k))
+                assert residue == expected, (term, n, k)
+                assert residue.is_zero() == (not term.distinguished or k < n), (term, n, k)
+
+
+def test_term_integrand_pole_sum_matches_the_series_kernel():
+    # both routes read the factored envelopes, at seeded numeric roots
+    rng = random.Random(thom.DEFAULT_SEED)
+    lam = [LinearForm(x) for x in thom._distinct_roots(rng, 5)]
+    sizes = []
+    for term in fixed_point_terms(2):
+        problem = thom._with_root_poles(thom._term_integrand(term, 5), 2, lam)
+        residue = iterated_residue(problem)
+        assert residue_by_pole_sum(problem) == residue, term
+        sizes.append(len(residue))
+    assert sizes == [21, 0]
 
 
 def test_vanishing_witnesses_go_through_iterated_residue(monkeypatch):
