@@ -520,6 +520,7 @@ def test_term_problem_is_vandermonde_charts_then_root_poles():
     # V_d's forms at -1, theta_j - s at -1 per shift s and j, the charts,
     # then lambda_i - z_l with l outermost, each simple; the numerator is 1
     n, k = 5, 2
+    at = elementary_at_theta(k)
     for d in (1, 2, 3):
         zs = tuple(zvar(l) for l in range(1, d + 1))
         for term in fixed_point_terms(d):
@@ -540,7 +541,6 @@ def test_term_problem_is_vandermonde_charts_then_root_poles():
             assert problem.variables == zs
             assert problem.numerator == Polynomial.one()
             # a shift's k theta forms multiply out to its envelope
-            at = elementary_at_theta(k)
             for l, shift in enumerate(term.shifts):
                 envelope = packed_product(*(f.as_polynomial() for f in thetas[l * k : (l + 1) * k]))
                 assert envelope == elementary_envelope(shift, k).substitute(at), (term, shift)
